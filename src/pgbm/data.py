@@ -26,6 +26,9 @@ from .errors import (
     ParseError,
 )
 
+# Bin indices are stored as uint16.
+MAX_BINS = 65536
+
 
 @dataclass(frozen=True)
 class RawDataset:
@@ -190,8 +193,8 @@ def compute_bin_edges(data: RawDataset, max_bins: int) -> BinEdges:
     (edges at every distinct value except the largest), so low-cardinality
     features are never lumped by a skewed quantile grid.
     """
-    if max_bins < 2:
-        raise ValueError("max_bins must be at least 2")
+    if not 2 <= max_bins <= MAX_BINS:
+        raise ValueError(f"max_bins must be between 2 and {MAX_BINS}")
     edges: list[np.ndarray] = []
     for j in range(data.f):
         values = np.sort(data.features[:, j])

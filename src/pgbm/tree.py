@@ -1,10 +1,14 @@
 """Histogram decision trees with stochastic leaf weights.
 
-One tree is grown per boosting iteration over binned features. Split
-candidates are scanned per (feature, bin) from gradient and hessian
-histograms, and the tree expands best-first (the open leaf with the
-largest qualifying gain splits next) until ``max_leaves`` is reached or
-no leaf can improve.
+One tree is grown per boosting iteration over binned features. A node's
+gradient, hessian and count histograms are (features x bins) matrices,
+and its split search scores every (feature, bin) candidate in one pass
+over them: cumulative sums along the bin axis, one masked gain matrix
+and one row-major argmax. The tree expands best-first (the open leaf
+with the largest qualifying gain splits next) until ``max_leaves`` is
+reached or no leaf can improve. The children of the split that reaches
+``max_leaves`` can never split, so they get neither a histogram nor a
+search.
 
 A terminal node does not store a single weight. It stores the first two
 moments of the ratio of the mean gradient to the mean hessian over its
@@ -27,14 +31,16 @@ to either table.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinnedDataset
+from .data import MAX_BINS, BinnedDataset
 from .errors import (
     DegenerateHessian,
     EmptyMask,
+    NonFiniteEstimate,
     NonPositiveHessianDenominator,
 )
 from .loss import GradHess
@@ -55,8 +61,8 @@ class TreeConfig:
     def __post_init__(self):
         if self.max_leaves < 1:
             raise ValueError("max_leaves must be at least 1")
-        if self.max_bins < 2:
-            raise ValueError("max_bins must be at least 2")
+        if not 2 <= self.max_bins <= MAX_BINS:
+            raise ValueError(f"max_bins must be between 2 and {MAX_BINS}")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if self.min_split_gain < 0:
@@ -149,19 +155,27 @@ def build_histogram(
     features: np.ndarray,
     n_bins: int,
 ) -> NodeHistogram:
-    """Accumulate the (feature, bin) sums for one node's instance set."""
+    """Accumulate the (feature, bin) sums for one node's instance set.
+
+    Each (row, feature) cell gets the flat key ``bin + position * n_bins``
+    and one ``bincount`` per statistic fills every feature at once. Keys
+    are laid out row by row, so each bin still adds its rows in the
+    order of ``indices``.
+    """
     rows = len(features)
-    hg = np.zeros((rows, n_bins))
-    hh = np.zeros((rows, n_bins))
-    hc = np.zeros((rows, n_bins), dtype=np.int64)
-    g_slice = g[indices]
-    h_slice = h[indices]
-    for row, feature in enumerate(features):
-        fbins = bins[indices, feature]
-        hg[row] = np.bincount(fbins, weights=g_slice, minlength=n_bins)
-        hh[row] = np.bincount(fbins, weights=h_slice, minlength=n_bins)
-        hc[row] = np.bincount(fbins, minlength=n_bins)
-    return NodeHistogram(features=features, g=hg, h=hh, count=hc)
+    keys = bins[np.ix_(indices, features)] + np.arange(rows) * n_bins
+    keys = keys.ravel()
+    size = rows * n_bins
+    hg = np.bincount(keys, weights=np.repeat(g[indices], rows), minlength=size)
+    hh = np.bincount(keys, weights=np.repeat(h[indices], rows), minlength=size)
+    hc = np.bincount(keys, minlength=size)
+    shape = (rows, n_bins)
+    return NodeHistogram(
+        features=features,
+        g=hg.reshape(shape),
+        h=hh.reshape(shape),
+        count=hc.reshape(shape),
+    )
 
 
 def subtract_histogram(parent: NodeHistogram, left: NodeHistogram) -> NodeHistogram:
@@ -187,45 +201,61 @@ def find_best_split(
     config: TreeConfig,
     node_totals: tuple[float, float, int],
 ) -> tuple[int, int, float] | None:
-    """Scan all (feature, bin) candidates and return the best qualifying one.
+    """Score all (feature, bin) candidates at once; return the best qualifying one.
 
     A candidate qualifies when its gain strictly exceeds min_split_gain,
     both children hold at least min_data_in_leaf samples, and both child
     hessian sums plus lam stay above the positivity guard. Ties break to
-    the lowest feature index, then the lowest bin.
+    the lowest feature index, then the lowest bin: the row-major argmax
+    returns the first maximum. A non-finite parent objective, or a
+    non-finite gain at a candidate that passes the count and hessian
+    checks, raises NonFiniteEstimate.
     """
     total_g, total_h, total_n = node_totals
     parent_denom = total_h + config.lam
     if parent_denom <= EPS_HESSIAN:
         return None
-    parent_term = total_g**2 / parent_denom
-
-    best: tuple[int, int, float] | None = None
-    for row, feature in enumerate(hist.features):
-        gl = np.cumsum(hist.g[row])[:-1]
-        hl = np.cumsum(hist.h[row])[:-1]
-        nl = np.cumsum(hist.count[row])[:-1]
-        gr = total_g - gl
-        hr = total_h - hl
-        nr = total_n - nl
-        dl = hl + config.lam
-        dr = hr + config.lam
-        ok = (
-            (nl >= config.min_data_in_leaf)
-            & (nr >= config.min_data_in_leaf)
-            & (dl > EPS_HESSIAN)
-            & (dr > EPS_HESSIAN)
+    try:
+        parent_term = total_g**2 / parent_denom
+    except OverflowError:
+        parent_term = math.inf
+    if not math.isfinite(parent_term):
+        raise NonFiniteEstimate(
+            f"split search overflows: node gradient sum {total_g!r}, "
+            f"hessian sum {total_h!r}"
         )
-        if not ok.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (gl**2 / dl + gr**2 / dr - parent_term)
-        gains = np.where(ok, gains, -np.inf)
-        bin_idx = int(np.argmax(gains))
-        gain = float(gains[bin_idx])
-        if gain > config.min_split_gain and (best is None or gain > best[2]):
-            best = (int(feature), bin_idx, gain)
-    return best
+
+    gl = np.cumsum(hist.g, axis=1)[:, :-1]
+    hl = np.cumsum(hist.h, axis=1)[:, :-1]
+    nl = np.cumsum(hist.count, axis=1)[:, :-1]
+    if gl.size == 0:
+        return None
+    gr = total_g - gl
+    hr = total_h - hl
+    nr = total_n - nl
+    dl = hl + config.lam
+    dr = hr + config.lam
+    ok = (
+        (nl >= config.min_data_in_leaf)
+        & (nr >= config.min_data_in_leaf)
+        & (dl > EPS_HESSIAN)
+        & (dr > EPS_HESSIAN)
+    )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gains = 0.5 * (gl**2 / dl + gr**2 / dr - parent_term)
+    gains = np.where(ok, gains, -np.inf)
+    flat = int(np.argmax(gains))
+    gain = float(gains.flat[flat])
+    # argmax returns the first NaN if there is one, else the maximum, so
+    # a NaN or +inf here is exactly a qualifying non-finite gain.
+    if math.isnan(gain) or gain == math.inf:
+        raise NonFiniteEstimate(
+            f"split search overflows: a candidate gain is {gain!r}"
+        )
+    if gain <= config.min_split_gain:
+        return None
+    row, bin_idx = divmod(flat, gains.shape[1])
+    return int(hist.features[row]), bin_idx, gain
 
 
 def leaf_stats(g_slice: np.ndarray, h_slice: np.ndarray, lam: float) -> LeafStats:
@@ -268,14 +298,12 @@ def leaf_stats(g_slice: np.ndarray, h_slice: np.ndarray, lam: float) -> LeafStat
 class _Region:
     """A node under construction: its rows, histogram and best candidate."""
 
-    __slots__ = ("indices", "hist", "total_g", "total_h", "total_n", "best", "order")
+    __slots__ = ("indices", "hist", "totals", "best", "order")
 
-    def __init__(self, indices, hist, total_g, total_h, total_n, best, order):
+    def __init__(self, indices, hist, totals, best, order):
         self.indices = indices
         self.hist = hist
-        self.total_g = total_g
-        self.total_h = total_h
-        self.total_n = total_n
+        self.totals = totals
         self.best = best
         self.order = order
 
@@ -293,7 +321,10 @@ def grow_tree(
     accepted). When feature_fraction < 1 a random subset of
     ceil(fraction * f) features is drawn once for the whole tree from
     ``rng``. The right child's histogram is obtained by subtracting the
-    left child's from the parent's.
+    left child's from the parent's. A node gets a histogram and a split
+    search only while the tree has room to split it: the two children
+    of the split that reaches max_leaves stay leaves without either, so
+    a tree that reaches L >= 2 leaves runs 2L-3 searches.
     """
     indices = np.asarray(sample_mask)
     if indices.dtype == bool:
@@ -315,61 +346,59 @@ def grow_tree(
     g = gh.g
     h = gh.h
 
-    def make_region(idx, hist, tg, th, tn, order):
-        best = find_best_split(hist, config, (tg, th, tn))
-        return _Region(idx, hist, tg, th, tn, best, order)
-
-    root_hist = build_histogram(data.bins, g, h, indices, features, n_bins)
-    root = make_region(
-        indices,
-        root_hist,
-        float(np.sum(g[indices])),
-        float(np.sum(h[indices])),
-        int(indices.size),
-        order=0,
-    )
-
-    regions = [root]
+    regions: list[_Region] = []
     heap: list[tuple[float, int, _Region]] = []
-    if root.best is not None:
-        heapq.heappush(heap, (-root.best[2], root.order, root))
+
+    def add_region(idx, hist, totals):
+        best = None if hist is None else find_best_split(hist, config, totals)
+        region = _Region(idx, hist, totals, best, len(regions))
+        regions.append(region)
+        if best is not None:
+            heapq.heappush(heap, (-best[2], region.order, region))
+        return region
+
+    if config.max_leaves > 1:
+        add_region(
+            indices,
+            build_histogram(data.bins, g, h, indices, features, n_bins),
+            (
+                float(np.sum(g[indices])),
+                float(np.sum(h[indices])),
+                int(indices.size),
+            ),
+        )
+    else:
+        add_region(indices, None, None)
+
     splits: list[tuple[_Region, int, int, float, _Region, _Region]] = []
     n_leaves = 1
 
     while n_leaves < config.max_leaves and heap:
         _, _, region = heapq.heappop(heap)
         feature, threshold, gain = region.best
-        row = int(np.searchsorted(features, feature))
-
-        cum_g = np.cumsum(region.hist.g[row])
-        cum_h = np.cumsum(region.hist.h[row])
-        cum_n = np.cumsum(region.hist.count[row])
-        left_g, left_h = float(cum_g[threshold]), float(cum_h[threshold])
-        left_n = int(cum_n[threshold])
-
         go_left = data.bins[region.indices, feature] <= threshold
         left_idx = region.indices[go_left]
         right_idx = region.indices[~go_left]
-
-        left_hist = build_histogram(data.bins, g, h, left_idx, features, n_bins)
-        right_hist = subtract_histogram(region.hist, left_hist)
-
-        left = make_region(left_idx, left_hist, left_g, left_h, left_n, len(regions))
-        regions.append(left)
-        right = make_region(
-            right_idx,
-            right_hist,
-            region.total_g - left_g,
-            region.total_h - left_h,
-            region.total_n - left_n,
-            len(regions),
-        )
-        regions.append(right)
-        for child in (left, right):
-            if child.best is not None:
-                heapq.heappush(heap, (-child.best[2], child.order, child))
-        splits.append((region, feature, threshold, gain, left, right))
         n_leaves += 1
+
+        if n_leaves < config.max_leaves:
+            row = int(np.searchsorted(features, feature))
+            left_g = float(np.cumsum(region.hist.g[row])[threshold])
+            left_h = float(np.cumsum(region.hist.h[row])[threshold])
+            left_n = int(np.cumsum(region.hist.count[row])[threshold])
+            total_g, total_h, total_n = region.totals
+            left_hist = build_histogram(data.bins, g, h, left_idx, features, n_bins)
+            right_hist = subtract_histogram(region.hist, left_hist)
+            left = add_region(left_idx, left_hist, (left_g, left_h, left_n))
+            right = add_region(
+                right_idx,
+                right_hist,
+                (total_g - left_g, total_h - left_h, total_n - left_n),
+            )
+        else:
+            left = add_region(left_idx, None, None)
+            right = add_region(right_idx, None, None)
+        splits.append((region, feature, threshold, gain, left, right))
 
     split_ids = {id(entry[0]): node_id for node_id, entry in enumerate(splits)}
     leaf_regions = [r for r in regions if id(r) not in split_ids]

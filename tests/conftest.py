@@ -6,10 +6,18 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pgbm import RawDataset, load_csv
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+# Property tests draw the same examples on every run and never time out,
+# so a slow or busy host cannot make them flaky.
+settings.register_profile(
+    "deterministic", derandomize=True, deadline=None, max_examples=150, database=None
+)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

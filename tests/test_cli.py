@@ -153,6 +153,45 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_max_bin_above_cap(self, workspace, tmp_path, capsys):
+        code = main(
+            [
+                "train",
+                "--data",
+                str(workspace["train_csv"]),
+                "--target",
+                "y",
+                "--model-out",
+                str(tmp_path / "m.txt"),
+                "--max-bin",
+                "70000",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_bins" in err
+        assert len(err.splitlines()) == 1
+
+    def test_overflowing_split_search(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("x,y\n0,1e160\n1,-1e160\n2,3e160\n3,-2e160\n", encoding="utf-8")
+        code = main(
+            [
+                "train",
+                "--data",
+                str(data),
+                "--target",
+                "y",
+                "--model-out",
+                str(tmp_path / "m.txt"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "m.txt").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, workspace, tmp_path, capsys):

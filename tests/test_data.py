@@ -161,6 +161,12 @@ class TestComputeBinEdges:
         with pytest.raises(ValueError):
             compute_bin_edges(data, 1)
 
+    def test_bin_indices_fit_uint16(self):
+        data = simple_dataset([1.0, 2.0])
+        assert compute_bin_edges(data, 65536).n_bins(0) == 2
+        with pytest.raises(ValueError, match="max_bins"):
+            compute_bin_edges(data, 65537)
+
     def test_edges_strictly_increasing_property(self):
         rng = np.random.default_rng(0)
         for trial in range(20):

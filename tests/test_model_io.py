@@ -196,6 +196,16 @@ class TestCorruption:
             load(mutate(path, tmp / "negvar.txt", corrupt))
         assert info.value.line == self.bad_line
 
+    def test_max_bins_above_cap(self, saved):
+        path, tmp = saved
+
+        def widen(lines):
+            index = lines.index("max_bins = 16")
+            lines[index] = "max_bins = 70000"
+
+        with pytest.raises(CorruptModel, match="max_bins"):
+            load(mutate(path, tmp / "bins.txt", widen))
+
     def test_dangling_child_reference(self, saved):
         path, tmp = saved
 

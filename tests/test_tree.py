@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import pgbm.tree
 from pgbm import (
     BinEdges,
     BinnedDataset,
@@ -21,7 +27,13 @@ from pgbm import (
     split_gain,
     subtract_histogram,
 )
-from pgbm.errors import DegenerateHessian, EmptyMask, NonPositiveHessianDenominator
+from pgbm.errors import (
+    DegenerateHessian,
+    EmptyMask,
+    NonFiniteEstimate,
+    NonPositiveHessianDenominator,
+)
+from pgbm.tree import EPS_HESSIAN
 
 from conftest import make_regression
 
@@ -121,6 +133,36 @@ class TestFindBestSplit:
         cfg = TreeConfig(max_bins=2, lam=0.0, min_split_gain=2.0)
         hist, totals = self.make_hist(data, gh, cfg)
         assert find_best_split(hist, cfg, totals) is None
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            [1e200, 1e200, 3e200, 2e200],  # the parent objective overflows
+            [1e200, -1e200, 0.0, 0.0],  # only a child objective overflows
+        ],
+    )
+    def test_overflowing_gain_raises(self, g):
+        data = binned_single_feature([0, 1, 2, 3])
+        gh = GradHess(np.array(g), np.ones(4))
+        cfg = TreeConfig(max_bins=4, lam=0.0)
+        hist, totals = self.make_hist(data, gh, cfg)
+        with pytest.raises(NonFiniteEstimate):
+            find_best_split(hist, cfg, totals)
+
+    def test_single_bin_has_no_candidate(self):
+        data = binned_single_feature([0, 0, 0])
+        gh = GradHess(np.array([1.0, -1.0, 2.0]), np.ones(3))
+        hist, totals = self.make_hist(data, gh, TreeConfig())
+        assert hist.g.shape == (1, 1)
+        assert find_best_split(hist, TreeConfig(), totals) is None
+
+
+class TestTreeConfig:
+    def test_max_bins_range(self):
+        assert TreeConfig(max_bins=65536).max_bins == 65536
+        for bad in (1, 65537, 70000):
+            with pytest.raises(ValueError, match="max_bins"):
+                TreeConfig(max_bins=bad)
 
 
 class TestSubtractHistogram:
@@ -359,3 +401,186 @@ class TestRouting:
         vector = route_many(tree, binned.bins)
         single = np.array([route(tree, row) for row in binned.bins])
         np.testing.assert_array_equal(vector, single)
+
+
+def scan_features_oracle(hist, config, node_totals):
+    """Per-feature split scan, one feature at a time in ascending order."""
+    total_g, total_h, total_n = node_totals
+    parent_denom = total_h + config.lam
+    if parent_denom <= EPS_HESSIAN:
+        return None
+    parent_term = total_g**2 / parent_denom
+    best = None
+    for row, feature in enumerate(hist.features):
+        gl = np.cumsum(hist.g[row])[:-1]
+        hl = np.cumsum(hist.h[row])[:-1]
+        nl = np.cumsum(hist.count[row])[:-1]
+        gr = total_g - gl
+        hr = total_h - hl
+        nr = total_n - nl
+        dl = hl + config.lam
+        dr = hr + config.lam
+        ok = (
+            (nl >= config.min_data_in_leaf)
+            & (nr >= config.min_data_in_leaf)
+            & (dl > EPS_HESSIAN)
+            & (dr > EPS_HESSIAN)
+        )
+        if not ok.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (gl**2 / dl + gr**2 / dr - parent_term)
+        gains = np.where(ok, gains, -np.inf)
+        bin_idx = int(np.argmax(gains))
+        gain = float(gains[bin_idx])
+        if gain > config.min_split_gain and (best is None or gain > best[2]):
+            best = (int(feature), bin_idx, gain)
+    return best
+
+
+def bincount_oracle(bins, g, h, indices, features, n_bins):
+    """Per-feature bincount histograms, stacked in feature order."""
+    columns = [bins[indices, feature] for feature in features]
+    return (
+        np.array([np.bincount(c, weights=g[indices], minlength=n_bins) for c in columns]),
+        np.array([np.bincount(c, weights=h[indices], minlength=n_bins) for c in columns]),
+        np.array([np.bincount(c, minlength=n_bins) for c in columns]),
+    )
+
+
+@st.composite
+def histogram_problems(draw, values):
+    """Binned rows, a node's row subset and a feature subset.
+
+    A column copied with its bins shifted up forces exact gain ties
+    across features at different thresholds; bins that no row falls
+    into, and bin axes padded past the largest bin, force ties across
+    thresholds that span them.
+    """
+    n_features = draw(st.integers(1, 5))
+    n_bins = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 24))
+
+    def column(dtype, elements, shape=n):
+        return draw(arrays(dtype, shape, elements=elements, fill=st.nothing()))
+
+    bins = column(np.uint16, st.integers(0, n_bins - 1), (n, n_features))
+    features = np.array(
+        sorted(draw(st.sets(st.integers(0, n_features - 1), min_size=1))),
+        dtype=np.int64,
+    )
+    if features.size > 1:
+        src, dst = draw(st.permutations(features.tolist()))[:2]
+        bins[:, dst] = bins[:, src] + draw(st.integers(0, 2))
+    g = column(np.float64, values)
+    h = column(np.float64, st.sampled_from([1.0, 0.5, 2.0, 0.0]))
+    rows = draw(st.permutations(range(n)))
+    indices = np.array(rows[: draw(st.integers(1, n))], dtype=np.int64)
+    width = int(bins.max()) + 1 + draw(st.integers(0, 2))
+    return bins, g, h, indices, features, width
+
+
+TIED_VALUES = st.sampled_from([1.0, -2.0, 0.5, -1.0, 3.0, 0.0])
+ANY_VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+class TestVectorizedAgainstOracles:
+    @given(histogram_problems(ANY_VALUES))
+    def test_build_histogram_matches_per_feature_bincount(self, problem):
+        hist = build_histogram(*problem)
+        expected_g, expected_h, expected_count = bincount_oracle(*problem)
+        np.testing.assert_array_equal(hist.g, expected_g)
+        np.testing.assert_array_equal(hist.h, expected_h)
+        np.testing.assert_array_equal(hist.count, expected_count)
+        np.testing.assert_array_equal(hist.features, problem[4])
+
+    @given(
+        histogram_problems(st.one_of(TIED_VALUES, st.floats(-10, 10))),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.integers(1, 3),
+        st.sampled_from([0.0, 0.1, 1.0]),
+    )
+    def test_find_best_split_matches_per_feature_scan(
+        self, problem, lam, min_data, min_gain
+    ):
+        _, g, h, indices, _, _ = problem
+        hist = build_histogram(*problem)
+        cfg = TreeConfig(lam=lam, min_data_in_leaf=min_data, min_split_gain=min_gain)
+        totals = (float(np.sum(g[indices])), float(np.sum(h[indices])), indices.size)
+        assert find_best_split(hist, cfg, totals) == scan_features_oracle(
+            hist, cfg, totals
+        )
+
+
+def grow_searching_every_child(data, gh, cfg):
+    """Best-first growth that searches every node, the final split's
+    children included; returns split triples and leaves numbered as in
+    ``Tree``."""
+    features = np.arange(data.f)
+    regions = []
+
+    def add(rows, hist, totals):
+        regions.append([rows, hist, totals, find_best_split(hist, cfg, totals)])
+        return len(regions) - 1
+
+    rows = np.arange(data.n)
+    add(
+        rows,
+        build_histogram(data.bins, gh.g, gh.h, rows, features, data.max_n_bins),
+        (float(np.sum(gh.g)), float(np.sum(gh.h)), data.n),
+    )
+    heap = [(-regions[0][3][2], 0)]
+    splits, split_at = [], set()
+    while len(splits) + 1 < cfg.max_leaves and heap:
+        _, at = heapq.heappop(heap)
+        rows, hist, (tg, th, tn), (feature, threshold, gain) = regions[at]
+        go_left = data.bins[rows, feature] <= threshold
+        left_hist = build_histogram(
+            data.bins, gh.g, gh.h, rows[go_left], features, data.max_n_bins
+        )
+        lg = float(np.cumsum(hist.g[feature])[threshold])
+        lh = float(np.cumsum(hist.h[feature])[threshold])
+        ln = int(np.cumsum(hist.count[feature])[threshold])
+        left = add(rows[go_left], left_hist, (lg, lh, ln))
+        right = add(
+            rows[~go_left],
+            subtract_histogram(hist, left_hist),
+            (tg - lg, th - lh, tn - ln),
+        )
+        for child in (left, right):
+            if regions[child][3] is not None:
+                heapq.heappush(heap, (-regions[child][3][2], child))
+        splits.append((feature, threshold, gain))
+        split_at.add(at)
+    leaves = [
+        leaf_stats(gh.g[r[0]], gh.h[r[0]], cfg.lam)
+        for i, r in enumerate(regions)
+        if i not in split_at
+    ]
+    return splits, leaves
+
+
+class TestFinalSplitSkip:
+    @pytest.mark.parametrize("max_leaves", [1, 2, 3, 16])
+    def test_searches_and_result(self, monkeypatch, max_leaves):
+        data = make_regression(5, 300, 3)
+        binned = apply_bins(data, compute_bin_edges(data, 32))
+        gh = GradHess(2.0 * (0.0 - data.target), np.full(data.n, 2.0))
+        cfg = TreeConfig(max_leaves=max_leaves, max_bins=32, lam=1.0)
+        expected_splits, expected_leaves = grow_searching_every_child(binned, gh, cfg)
+
+        calls = []
+        search = pgbm.tree.find_best_split
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(pgbm.tree, "find_best_split", counted)
+        tree = grow_tree(binned, gh, np.arange(data.n), cfg)
+        assert tree.n_leaves() == max_leaves
+        assert len(calls) == max(0, 2 * max_leaves - 3)
+        assert [
+            (node.feature, node.bin_threshold, node.gain) for node in tree.nodes
+        ] == expected_splits
+        assert list(tree.leaves) == expected_leaves
