@@ -18,7 +18,7 @@ r the group residual sum, and h_i = 2 * sum_a w_a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -60,9 +60,17 @@ class HierarchyLevel:
 
 @dataclass(frozen=True)
 class HierarchySpec:
-    """Ordered aggregation levels; each level partitions the samples."""
+    """Ordered aggregation levels; each level partitions the samples.
+
+    Each level's partition is resolved and checked once per row count and
+    then cached on the instance, so a spec (its levels and their group
+    arrays) must not be mutated after its first use.
+    """
 
     levels: list[HierarchyLevel]
+    _resolved: dict[tuple[int, int], tuple[np.ndarray, list[str]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if not self.levels:
@@ -77,7 +85,18 @@ class HierarchySpec:
 
         Verifies that the level's groups partition range(n): indices must
         be in range, and each sample must appear in exactly one group.
+        The first successful call for a (level, n) pair caches its result;
+        later calls return the same read-only ids and the same key list.
+        A failed check is not cached, so it raises again on every call.
         """
+        resolved = self._resolved.get((level, n))
+        if resolved is None:
+            resolved = self._resolve(level, n)
+            resolved[0].setflags(write=False)
+            self._resolved[(level, n)] = resolved
+        return resolved
+
+    def _resolve(self, level: int, n: int) -> tuple[np.ndarray, list[str]]:
         spec = self.levels[level]
         if spec.identity or spec.groups is None:
             return np.arange(n), [str(i) for i in range(n)]

@@ -115,14 +115,22 @@ def report_rows(report: MetricReport) -> list[str]:
     return rows
 
 
-def _aggregate_samples(
-    samples: np.ndarray, ids: np.ndarray, n_groups: int
-) -> np.ndarray:
-    """Sum sample columns by group, preserving path alignment: path s of
-    a group is the sum of its members' path-s draws."""
-    onehot = np.zeros((samples.shape[1], n_groups))
-    onehot[np.arange(samples.shape[1]), ids] = 1.0
-    return samples @ onehot
+def _group_sums(values: np.ndarray, ids: np.ndarray, n_groups: int) -> np.ndarray:
+    """Sum the last axis of ``values`` by group, in row order.
+
+    A vector [n] gives [n_groups]; a sample matrix (m, n) gives
+    (m, n_groups) and keeps paths aligned: path s of a group is the sum
+    of its members' path-s draws. One bincount over the flat keys
+    ``ids + n_groups * path`` does both, so no (n, n_groups) matrix is
+    built, and every group sum is the exact sequential sum of its
+    members in row order.
+    """
+    rows = np.atleast_2d(values)
+    keys = ids + n_groups * np.arange(rows.shape[0])[:, None]
+    sums = np.bincount(
+        keys.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * n_groups
+    )
+    return sums.reshape(values.shape[:-1] + (n_groups,))
 
 
 def hierarchical_report(
@@ -135,8 +143,10 @@ def hierarchical_report(
 
     ``pred`` is a point vector [n] for rmse or a sample matrix (m, n)
     for crps (rmse on a sample matrix scores the per-row sample means).
-    Per level, targets and predictions are summed over each group and
-    the metric is scored across that level's groups.
+    Per level, targets and predictions are summed over each group, as
+    exact sequential sums in row order, and the metric is scored across
+    that level's groups. An identity level scores the rows themselves,
+    which is the global score.
     """
     y = np.asarray(y, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
@@ -154,26 +164,24 @@ def hierarchical_report(
         point = pred_part if pred_part.ndim == 1 else np.mean(pred_part, axis=0)
         return rmse(y_part, point)
 
+    value = score(y, pred)
     breakdown: dict[str, float] = {}
     breakdown_n: dict[str, int] = {}
     for a, level in enumerate(spec.levels):
         if level.identity:
-            breakdown[str(a)] = score(y, pred)
+            breakdown[str(a)] = value
             breakdown_n[str(a)] = n
             continue
         ids, keys = spec.group_ids(a, n)
         n_groups = len(keys)
-        y_agg = np.bincount(ids, weights=y, minlength=n_groups)
-        if pred.ndim == 1:
-            pred_agg = np.bincount(ids, weights=pred, minlength=n_groups)
-        else:
-            pred_agg = _aggregate_samples(pred, ids, n_groups)
-        breakdown[str(a)] = score(y_agg, pred_agg)
+        breakdown[str(a)] = score(
+            _group_sums(y, ids, n_groups), _group_sums(pred, ids, n_groups)
+        )
         breakdown_n[str(a)] = n_groups
 
     return MetricReport(
         name=metric,
-        value=score(y, pred),
+        value=value,
         n=n,
         breakdown=breakdown,
         breakdown_n=breakdown_n,

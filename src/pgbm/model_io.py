@@ -11,6 +11,7 @@ split nodes and L<id> for leaves.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -140,16 +141,27 @@ def _parse_ref(token: str, lineno: int) -> int:
     return value if kind == "N" else ~value
 
 
+def _finite(value: float, what: str, lineno: int) -> float:
+    if not math.isfinite(value):
+        raise CorruptModel(lineno, f"non-finite {what} {value!r}")
+    return value
+
+
 def _parse_scalar(key: str, value: str, lineno: int):
     try:
         if key in ("n_estimators", "max_leaves", "max_bins", "min_data_in_leaf",
                    "seed", "n_train", "n_features", "n_trees"):
             return int(value)
         if key in ("learning_rate", "bagging_fraction", "feature_fraction",
-                   "lambda", "min_split_gain", "y0", "alpha", "rho"):
-            return float(value)
+                   "lambda", "min_split_gain", "y0", "alpha"):
+            return _finite(float(value), key, lineno)
+        if key == "rho":
+            rho = _finite(float(value), key, lineno)
+            if not -1.0 <= rho <= 1.0:
+                raise CorruptModel(lineno, f"rho {rho!r} outside [-1, 1]")
+            return rho
         if key == "rho_config":
-            return value if value == "auto" else float(value)
+            return value if value == "auto" else _finite(float(value), key, lineno)
         if key == "early_stopping_rounds":
             return None if value == "none" else int(value)
         if key == "feature_names":
@@ -161,7 +173,13 @@ def _parse_scalar(key: str, value: str, lineno: int):
     raise CorruptModel(lineno, f"unknown key {key!r}")
 
 
-def _parse_tree(parser: _Parser, index: int) -> Tree:
+def _parse_tree(parser: _Parser, index: int, edge_counts: list[int]) -> Tree:
+    """Parse one tree block and check that it is a tree the grower could
+    have made: features in range, thresholds that split their feature's
+    bins, and children that follow their parent (the grower numbers
+    split nodes in split order) and are referenced exactly once. Those
+    checks rule out cycles and unreachable nodes, so routing terminates.
+    """
     header_lineno = parser.lineno
     header = parser.take(f"tree {index}")
     if header != f"tree {index}":
@@ -182,15 +200,29 @@ def _parse_tree(parser: _Parser, index: int) -> Tree:
                     bin_threshold=int(parts[3]),
                     left=_parse_ref(parts[4], lineno),
                     right=_parse_ref(parts[5], lineno),
-                    gain=float(parts[6]),
+                    gain=_finite(float(parts[6]), "gain", lineno),
                 )
+                if not 0 <= node.feature < len(edge_counts):
+                    raise CorruptModel(
+                        lineno,
+                        f"feature {node.feature} outside 0..{len(edge_counts) - 1}",
+                    )
+                n_edges = edge_counts[node.feature]
+                if not 0 <= node.bin_threshold < n_edges:
+                    raise CorruptModel(
+                        lineno,
+                        f"threshold {node.bin_threshold} does not split the "
+                        f"{n_edges + 1} bins of feature {node.feature}",
+                    )
                 if node_id in nodes:
                     raise CorruptModel(lineno, f"duplicate node id {node_id}")
                 nodes[node_id] = node
             elif parts[0] == "leaf" and len(parts) == 5:
                 leaf_id = int(parts[1])
                 leaf = LeafStats(
-                    mu=float(parts[2]), var=float(parts[3]), n_leaf=int(parts[4])
+                    mu=_finite(float(parts[2]), "leaf mean", lineno),
+                    var=_finite(float(parts[3]), "leaf variance", lineno),
+                    n_leaf=int(parts[4]),
                 )
                 if leaf.var < 0:
                     raise CorruptModel(lineno, f"negative leaf variance {leaf.var!r}")
@@ -214,6 +246,7 @@ def _parse_tree(parser: _Parser, index: int) -> Tree:
             header_lineno,
             f"tree {index} has {len(nodes)} nodes but {len(leaves)} leaves",
         )
+    referenced: set[int] = set()
     for node_id, node in nodes.items():
         for ref in (node.left, node.right):
             target = ref if ref >= 0 else ~ref
@@ -223,6 +256,18 @@ def _parse_tree(parser: _Parser, index: int) -> Tree:
                     header_lineno,
                     f"tree {index} node {node_id} references missing child {_ref_token(ref)}",
                 )
+            if 0 <= ref <= node_id:
+                raise CorruptModel(
+                    header_lineno,
+                    f"tree {index} node {node_id} has child {_ref_token(ref)}, "
+                    "which does not follow it",
+                )
+            if ref in referenced:
+                raise CorruptModel(
+                    header_lineno,
+                    f"tree {index} references {_ref_token(ref)} more than once",
+                )
+            referenced.add(ref)
     ordered_nodes = tuple(nodes[i] for i in range(len(nodes)))
     ordered_leaves = tuple(leaves[i] for i in range(len(leaves)))
     return Tree(nodes=ordered_nodes, leaves=ordered_leaves, root=0 if nodes else ~0)
@@ -279,11 +324,14 @@ def load(path: str | Path) -> Ensemble:
             values = np.array([float(v) for v in rest.split(",")] if rest else [])
         except ValueError as exc:
             raise CorruptModel(lineno, f"bad edge value: {exc}") from exc
+        if not np.all(np.isfinite(values)):
+            raise CorruptModel(lineno, f"edges {j} hold a non-finite value")
         if values.size > 1 and not np.all(np.diff(values) > 0):
             raise CorruptModel(lineno, f"edges {j} are not strictly increasing")
         edge_arrays.append(values)
 
-    trees = [_parse_tree(parser, k) for k in range(scalars["n_trees"])]
+    edge_counts = [values.size for values in edge_arrays]
+    trees = [_parse_tree(parser, k, edge_counts) for k in range(scalars["n_trees"])]
     if parser.peek() is not None:
         raise CorruptModel(parser.lineno, f"trailing content {parser.peek()!r}")
 

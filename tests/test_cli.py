@@ -328,6 +328,30 @@ class TestPredict:
         )
         assert code == 3
 
+    def test_feature_outside_model_range(self, workspace, tmp_path, capsys):
+        lines = read_lines(workspace["model"])
+        at = next(i for i, line in enumerate(lines) if line.startswith("node 0 "))
+        parts = lines[at].split()
+        parts[2] = "7"
+        lines[at] = " ".join(parts)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "predict",
+                "--model",
+                str(bad),
+                "--data",
+                str(workspace["test_csv"]),
+                "--out",
+                str(tmp_path / "pred.csv"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "feature 7" in err
+        assert len(err.splitlines()) == 1
+
     def test_unwritable_out(self, workspace, tmp_path, capsys):
         out = tmp_path / "missing" / "pred.csv"
         assert self.predict(workspace, out) == 3

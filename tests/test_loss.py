@@ -164,6 +164,85 @@ class TestHierarchySpecValidation:
         assert keys == ["0", "1", "2", "3"]
 
 
+def nested_levels(n=12):
+    """Identity, groups of three rows in scrambled order, and a total."""
+    rng = np.random.default_rng(11)
+    order = rng.permutation(n)
+    return [
+        HierarchyLevel(weight=1.0, identity=True),
+        HierarchyLevel(
+            weight=0.5,
+            groups={f"g{k}": order[k::4] for k in range(4)},
+        ),
+        HierarchyLevel(weight=0.1, groups={"all": np.arange(n)}),
+    ]
+
+
+class TestGroupIdCache:
+    def test_repeated_call_returns_cached_read_only_ids(self):
+        spec = HierarchySpec(nested_levels())
+        for level in range(3):
+            ids, keys = spec.group_ids(level, 12)
+            again_ids, again_keys = spec.group_ids(level, 12)
+            assert again_ids is ids and again_keys is keys
+            assert not ids.flags.writeable
+            with pytest.raises(ValueError):
+                ids[0] = 1
+
+    def test_each_row_count_is_resolved_separately(self):
+        spec = HierarchySpec([HierarchyLevel(weight=1.0, identity=True)])
+        np.testing.assert_array_equal(spec.group_ids(0, 3)[0], [0, 1, 2])
+        np.testing.assert_array_equal(spec.group_ids(0, 5)[0], [0, 1, 2, 3, 4])
+
+    @pytest.mark.parametrize(
+        "groups, n, error, match",
+        [
+            ({"a": np.array([0, 5])}, 3, IndexOutOfRange, "outside"),
+            ({"a": np.array([0, 1]), "b": np.array([1, 2])}, 3, ValueError, "overlaps"),
+            ({"a": np.array([0, 2])}, 3, ValueError, "belongs to no group"),
+        ],
+    )
+    def test_bad_row_count_raises_on_every_call(self, groups, n, error, match):
+        spec = HierarchySpec([HierarchyLevel(weight=1.0, groups=groups)])
+        for _ in range(3):
+            with pytest.raises(error, match=match):
+                spec.group_ids(0, n)
+
+    def test_failure_does_not_poison_a_good_row_count(self):
+        spec = HierarchySpec(
+            [HierarchyLevel(weight=1.0, groups={"a": np.array([0, 1, 2])})]
+        )
+        with pytest.raises(IndexOutOfRange):
+            spec.group_ids(0, 2)
+        np.testing.assert_array_equal(spec.group_ids(0, 3)[0], [0, 0, 0])
+        with pytest.raises(IndexOutOfRange):
+            spec.group_ids(0, 2)
+
+    def test_cache_is_invisible_to_equality_and_repr(self):
+        levels = nested_levels()
+        used = HierarchySpec(levels)
+        used.group_ids(1, 12)
+        fresh = HierarchySpec(levels)
+        assert used == fresh
+        assert repr(used) == repr(fresh)
+
+    def test_gradients_match_an_uncached_spec_over_ten_steps(self):
+        levels = nested_levels()
+        rng = np.random.default_rng(12)
+        y = rng.normal(size=12)
+        yhat = np.zeros(12)
+        spec = HierarchySpec(levels)
+        for _ in range(10):
+            cached = hier_wmse_gradhess(y, yhat, spec)
+            fresh = hier_wmse_gradhess(y, yhat, HierarchySpec(levels))
+            np.testing.assert_array_equal(cached.g, fresh.g)
+            np.testing.assert_array_equal(cached.h, fresh.h)
+            assert hier_wmse_loss(y, yhat, spec) == hier_wmse_loss(
+                y, yhat, HierarchySpec(levels)
+            )
+            yhat = yhat - 0.1 * cached.g / cached.h
+
+
 class TestNumericGradHess:
     def test_matches_mse_analytic(self):
         rng = np.random.default_rng(6)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pgbm import (
     HierarchyLevel,
@@ -19,6 +22,7 @@ from pgbm import (
     rmse,
 )
 from pgbm.errors import EmptySamples, LengthMismatch
+from pgbm.metrics import _group_sums
 
 
 def crps_naive(samples, y):
@@ -256,3 +260,65 @@ class TestHierarchicalReport:
         agg_p = np.array([pred[:3].sum(), pred[3:].sum()])
         assert report.breakdown["1"] == pytest.approx(rmse(agg_y, agg_p))
         assert report.breakdown_n["1"] == 2
+
+
+def loop_group_sums(values, ids, n_groups):
+    """Per-group Python loop: each group sums its members in row order."""
+    rows = values.reshape(-1, values.shape[-1])
+    out = np.zeros((rows.shape[0], n_groups))
+    for s in range(rows.shape[0]):
+        for g in range(n_groups):
+            total = 0.0
+            for i in np.flatnonzero(ids == g):
+                total += float(rows[s, i])
+            out[s, g] = total
+    return out.reshape(values.shape[:-1] + (n_groups,))
+
+
+@st.composite
+def grouped_values(draw):
+    n = draw(st.integers(1, 24))
+    n_groups = draw(st.integers(1, 8))
+    # Ids drawn freely: groups may be empty and members need not be
+    # contiguous or sorted.
+    ids = np.array(draw(st.lists(st.integers(0, n_groups - 1), min_size=n, max_size=n)))
+    m = draw(st.one_of(st.none(), st.integers(1, 4)))
+    shape = (n,) if m is None else (m, n)
+    # Mixed magnitudes make the summation order visible in the last bits.
+    reals = st.floats(-1e12, 1e12, allow_nan=False) | st.floats(-1.0, 1.0)
+    cells = draw(
+        st.lists(reals, min_size=math.prod(shape), max_size=math.prod(shape))
+    )
+    return np.array(cells).reshape(shape), ids, n_groups
+
+
+class TestGroupSums:
+    @given(grouped_values())
+    def test_equals_sequential_per_group_loop(self, case):
+        values, ids, n_groups = case
+        sums = _group_sums(values, ids, n_groups)
+        assert sums.shape == values.shape[:-1] + (n_groups,)
+        np.testing.assert_array_equal(sums, loop_group_sums(values, ids, n_groups))
+
+    def test_crps_report_allocates_no_dense_one_hot(self):
+        n, n_groups, m = 4000, 1000, 20
+        rng = np.random.default_rng(42)
+        y = rng.normal(size=n)
+        samples = rng.normal(size=(m, n))
+        spec = HierarchySpec(
+            [
+                HierarchyLevel(weight=1.0, identity=True),
+                HierarchyLevel(
+                    weight=0.5,
+                    groups={str(g): np.arange(g, n, n_groups) for g in range(n_groups)},
+                ),
+            ]
+        )
+        tracemalloc.start()
+        try:
+            hierarchical_report(y, samples, spec, metric="crps")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # An (n, n_groups) one-hot alone would take 32 MB here.
+        assert peak < 10 * samples.nbytes

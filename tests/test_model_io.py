@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pgbm import (
     BoostConfig,
     Ensemble,
+    RawDataset,
     TreeConfig,
     load,
     mse_gradhess,
@@ -118,14 +123,15 @@ class TestRoundTrip:
             save(bad, tmp_path / "bad.txt")
 
 
-class TestCorruption:
-    @pytest.fixture()
-    def saved(self, fitted, tmp_path):
-        _, model = fitted
-        path = tmp_path / "model.txt"
-        save(model, path)
-        return path, tmp_path
+@pytest.fixture()
+def saved(fitted, tmp_path):
+    _, model = fitted
+    path = tmp_path / "model.txt"
+    save(model, path)
+    return path, tmp_path
 
+
+class TestCorruption:
     def test_empty_file(self, saved):
         path, tmp = saved
         bad = tmp / "zero.txt"
@@ -255,6 +261,196 @@ class TestCorruption:
 
         with pytest.raises(CorruptModel):
             load(mutate(path, tmp / "edges.txt", corrupt))
+
+
+def set_token(lines, prefix, position, value):
+    """Replace token ``position`` of the first line starting with
+    ``prefix``; returns that line's one-based number."""
+    for i, line in enumerate(lines):
+        if line.startswith(prefix):
+            parts = line.split()
+            parts[position] = value
+            lines[i] = " ".join(parts)
+            return i + 1
+    raise AssertionError(f"no line starting with {prefix!r}")
+
+
+class TestTreeStructure:
+    def test_self_referencing_node_is_rejected_at_load(self, saved):
+        path, tmp = saved
+        def cycle(lines):
+            set_token(lines, "node 1 ", 4, "N1")
+
+        with pytest.raises(CorruptModel, match="does not follow"):
+            load(mutate(path, tmp / "cycle.txt", cycle))
+
+    def test_child_referenced_twice(self, saved):
+        path, tmp = saved
+
+        def share(lines):
+            for i, line in enumerate(lines):
+                if line.startswith("node 0 "):
+                    parts = line.split()
+                    parts[5] = parts[4]
+                    lines[i] = " ".join(parts)
+                    return
+            raise AssertionError("no root line")
+
+        with pytest.raises(CorruptModel, match="more than once"):
+            load(mutate(path, tmp / "shared.txt", share))
+
+    @pytest.mark.parametrize("feature", ["2", "7", "-1"])
+    def test_feature_outside_range(self, saved, feature):
+        path, tmp = saved
+        lines = []
+
+        def corrupt(text):
+            lines.append(set_token(text, "node 0 ", 2, feature))
+
+        with pytest.raises(CorruptModel, match="feature") as info:
+            load(mutate(path, tmp / "feature.txt", corrupt))
+        assert info.value.line == lines[0]
+
+    @pytest.mark.parametrize("threshold", ["-1", "16", str(2**70)])
+    def test_threshold_outside_the_feature_bins(self, saved, threshold):
+        path, tmp = saved
+        with pytest.raises(CorruptModel, match="threshold"):
+            load(
+                mutate(
+                    path,
+                    tmp / "threshold.txt",
+                    lambda lines: set_token(lines, "node 0 ", 3, threshold),
+                )
+            )
+
+
+class TestNonFiniteReals:
+    @pytest.mark.parametrize(
+        "prefix, position",
+        [
+            ("y0 = ", 2),
+            ("alpha = ", 2),
+            ("rho = ", 2),
+            ("learning_rate = ", 2),
+            ("lambda = ", 2),
+            ("min_split_gain = ", 2),
+            ("node 0 ", 6),
+            ("leaf 0 ", 2),
+            ("leaf 0 ", 3),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejected(self, saved, prefix, position, value):
+        path, tmp = saved
+        lines = []
+
+        def corrupt(text):
+            lines.append(set_token(text, prefix, position, value))
+
+        with pytest.raises(CorruptModel, match="non-finite") as info:
+            load(mutate(path, tmp / "real.txt", corrupt))
+        assert info.value.line == lines[0]
+
+    def test_non_finite_edge(self, saved):
+        path, tmp = saved
+
+        def corrupt(lines):
+            for i, line in enumerate(lines):
+                if line.startswith("edges 0: "):
+                    lines[i] = line.rsplit(",", 1)[0] + ",inf"
+                    return
+            raise AssertionError("edges line not found")
+
+        with pytest.raises(CorruptModel, match="non-finite"):
+            load(mutate(path, tmp / "edge.txt", corrupt))
+
+    @pytest.mark.parametrize("rho", ["5.0", "-1.5"])
+    def test_rho_outside_unit_interval(self, saved, rho):
+        path, tmp = saved
+        def widen(lines):
+            set_token(lines, "rho = ", 2, rho)
+
+        with pytest.raises(CorruptModel, match="rho"):
+            load(mutate(path, tmp / "rho.txt", widen))
+
+
+_TOKEN = re.compile(r"[^\s,:]+")
+_INTEGER = re.compile(r"-?\d+")
+
+
+def numeric_tokens(lines):
+    """(line index, start, end, is_integer) for every numeric token."""
+    found = []
+    for i, line in enumerate(lines):
+        for match in _TOKEN.finditer(line):
+            token = match.group()
+            if _INTEGER.fullmatch(token):
+                found.append((i, match.start(), match.end(), True))
+                continue
+            try:
+                float(token)
+            except ValueError:
+                continue
+            found.append((i, match.start(), match.end(), False))
+    return found
+
+
+@st.composite
+def mutated_lines(draw, lines):
+    lines = list(lines)
+    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "integer", "real"]))
+    index = st.integers(0, len(lines) - 1)
+    if kind == "delete":
+        del lines[draw(index)]
+    elif kind == "duplicate":
+        i = draw(index)
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        i, j = draw(index), draw(index)
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        tokens = [t for t in numeric_tokens(lines) if t[3] == (kind == "integer")]
+        i, start, end, _ = draw(st.sampled_from(tokens))
+        if kind == "integer":
+            value = int(lines[i][start:end])
+            choices = [value + 1, value - 1, -value, 2**31, 2**63, 10**30]
+            new = str(draw(st.sampled_from(choices)))
+        else:
+            new = draw(st.sampled_from(["nan", "inf", "-inf"]))
+        lines[i] = lines[i][:start] + new + lines[i][end:]
+    return lines
+
+
+class TestFuzz:
+    @pytest.fixture(scope="class")
+    def small(self, tmp_path_factory):
+        data = make_regression(70, 60, 2)
+        config = BoostConfig(
+            n_estimators=3,
+            learning_rate=0.3,
+            tree=TreeConfig(max_leaves=4, max_bins=8),
+            seed=1,
+        )
+        path = tmp_path_factory.mktemp("fuzz") / "model.txt"
+        save(train(data, mse_gradhess, config), path)
+        rng = np.random.default_rng(71)
+        x = rng.uniform(-3.0, 3.0, size=(20, 2))
+        rows = RawDataset(x, np.zeros(20), ["x0", "x1"])
+        return path, path.read_text(encoding="utf-8").splitlines(), rows
+
+    @given(data=st.data())
+    def test_mutated_model_loads_finite_or_is_rejected(self, small, data):
+        path, lines, rows = small
+        mutated = data.draw(mutated_lines(lines))
+        out = path.with_name("mutated.txt")
+        out.write_text("\n".join(mutated) + "\n", encoding="utf-8")
+        try:
+            model = load(out)
+        except (CorruptModel, VersionMismatch):
+            return
+        moments = predict_moments(model, rows)
+        assert np.all(np.isfinite(moments.mu))
+        assert np.all(np.isfinite(moments.var))
 
 
 class TestIo:
