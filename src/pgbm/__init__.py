@@ -18,7 +18,6 @@ from .boost import (
     predict_moments,
     train,
     tree_contributions,
-    update_moments,
 )
 from .data import (
     BinEdges,
@@ -50,21 +49,10 @@ from .metrics import (
     rmse,
 )
 from .model_io import load, save
-from .tree import (
-    LeafStats,
-    NodeHistogram,
-    SplitNode,
-    Tree,
-    TreeConfig,
-    build_histogram,
-    find_best_split,
-    grow_tree,
-    leaf_stats,
-    route,
-    route_many,
-    split_gain,
-    subtract_histogram,
-)
+# find_best_split is exported only because the benchmark's own tests
+# (benchmarks/test_bench_logic.py) check that the tracer wraps it under
+# this name too; the other grower internals stay in pgbm.tree.
+from .tree import Tree, TreeConfig, find_best_split, leaf_stats
 
 __version__ = "0.1.0"
 
@@ -78,18 +66,14 @@ __all__ = [
     "GradHess",
     "HierarchyLevel",
     "HierarchySpec",
-    "LeafStats",
     "MetricReport",
-    "NodeHistogram",
     "PredictiveMoments",
     "RawDataset",
     "SampleMatrix",
-    "SplitNode",
     "Tree",
     "TreeConfig",
     "accumulate_moments",
     "apply_bins",
-    "build_histogram",
     "compute_bin_edges",
     "crps_empirical",
     "crps_empirical_rows",
@@ -97,7 +81,6 @@ __all__ = [
     "default_rho",
     "errors",
     "find_best_split",
-    "grow_tree",
     "hier_wmse_gradhess",
     "hier_wmse_loss",
     "hierarchical_report",
@@ -112,14 +95,9 @@ __all__ = [
     "predict_moments",
     "report_rows",
     "rmse",
-    "route",
-    "route_many",
     "sample",
     "save",
-    "split_gain",
-    "subtract_histogram",
     "train",
     "tree_contributions",
-    "update_moments",
     "__version__",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 from .data import BinEdges, RawDataset, apply_bins, compute_bin_edges
 from .errors import FeatureCountMismatch, NonFiniteEstimate
 from .loss import GradHess
-from .tree import LeafStats, Tree, TreeConfig, grow_tree, route_many
+from .tree import Tree, TreeConfig, grow_tree, route_many
 
 LossProvider = Callable[[np.ndarray, np.ndarray], GradHess]
 
@@ -33,6 +33,12 @@ LossProvider = Callable[[np.ndarray, np.ndarray], GradHess]
 # as closed-form normal CRPS can drive early stopping; point metrics
 # simply ignore the last argument.
 ValidMetric = Callable[[np.ndarray, np.ndarray, np.ndarray], float]
+
+
+def _check_rho(rho: float) -> None:
+    """Reject a tree correlation outside [-1, 1]; NaN fails the test too."""
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError(f"rho {rho} outside [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -49,8 +55,8 @@ class BoostConfig:
     def __post_init__(self):
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         if not 0 < self.bagging_fraction <= 1:
             raise ValueError("bagging_fraction must be in (0, 1]")
         if not 0 < self.feature_fraction <= 1:
@@ -58,8 +64,8 @@ class BoostConfig:
         if isinstance(self.rho, str):
             if self.rho != "auto":
                 raise ValueError("rho must be a number in [-1, 1] or 'auto'")
-        elif not -1.0 <= float(self.rho) <= 1.0:
-            raise ValueError("rho must be a number in [-1, 1] or 'auto'")
+        else:
+            _check_rho(float(self.rho))
         if self.early_stopping_rounds is not None and self.early_stopping_rounds < 1:
             raise ValueError("early_stopping_rounds must be at least 1")
 
@@ -95,46 +101,18 @@ def default_rho(n_train: int) -> float:
     return math.log10(n_train) / 100.0
 
 
-def update_moments(
-    mu_prev,
-    var_prev,
-    alpha: float,
-    rho: float,
-    leaf: LeafStats,
-):
-    """One accumulation step of the mean/variance recursion.
-
-    Works elementwise on arrays as well as on scalars. The variance is
-    clamped at zero after the correlation cross-term, which can push it
-    slightly negative.
-    """
-    scalar = np.isscalar(mu_prev) and np.isscalar(var_prev)
-    mu = np.asarray(mu_prev, dtype=np.float64) - alpha * leaf.mu
-    var = (
-        np.asarray(var_prev, dtype=np.float64)
-        + alpha * alpha * leaf.var
-        - 2.0 * alpha * rho * np.sqrt(var_prev) * math.sqrt(leaf.var)
-    )
-    var = np.maximum(var, 0.0)
-    if scalar:
-        return float(mu), float(var)
-    return mu, var
-
-
 def _update_vectors(mu, var, alpha, rho, leaf_mu, leaf_var):
-    """Vectorized recursion step with per-sample leaf moments."""
+    """One step of the moment recursion with per-sample leaf moments.
+
+    The variance is clamped at zero after the correlation cross-term,
+    which can push it slightly negative.
+    """
     new_mu = mu - alpha * leaf_mu
     new_var = var + alpha * alpha * leaf_var - 2.0 * alpha * rho * np.sqrt(
         var
     ) * np.sqrt(leaf_var)
     np.maximum(new_var, 0.0, out=new_var)
     return new_mu, new_var
-
-
-def _leaf_arrays(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
-    mu = np.array([leaf.mu for leaf in tree.leaves])
-    var = np.array([leaf.var for leaf in tree.leaves])
-    return mu, var
 
 
 def train(
@@ -206,7 +184,8 @@ def train(
         tree = grow_tree(binned, gh, mask, tree_config, tree_rng)
         trees.append(tree)
 
-        leaf_mu, leaf_var = _leaf_arrays(tree)
+        leaf_mu = tree.leaves["mu"]
+        leaf_var = tree.leaves["var"]
         mu = mu - alpha * leaf_mu[route_many(tree, binned.bins)]
         if not np.all(np.isfinite(mu)):
             raise NonFiniteEstimate(
@@ -252,6 +231,19 @@ def train(
     )
 
 
+def _routed_leaf_moments(model: Ensemble, data: RawDataset):
+    """Yield each tree's (leaf mu, leaf var) for every row of ``data``,
+    in boosting order, after binning the rows once."""
+    if data.f != len(model.feature_names):
+        raise FeatureCountMismatch(
+            f"data has {data.f} features, model expects {len(model.feature_names)}"
+        )
+    bins = apply_bins(data, model.edges).bins
+    for tree in model.trees:
+        leaf_ids = route_many(tree, bins)
+        yield tree.leaves["mu"][leaf_ids], tree.leaves["var"][leaf_ids]
+
+
 def predict_moments(
     model: Ensemble,
     data: RawDataset,
@@ -260,23 +252,15 @@ def predict_moments(
     """Accumulate (mu, var) over all trees for every row of ``data``.
 
     ``rho`` overrides the stored default, which is how the correlation
-    is swept after training.
+    is swept after training; it must lie in [-1, 1].
     """
-    if data.f != len(model.feature_names):
-        raise FeatureCountMismatch(
-            f"data has {data.f} features, model expects {len(model.feature_names)}"
-        )
     if rho is None:
         rho = model.rho_default
-    binned = apply_bins(data, model.edges)
+    _check_rho(rho)
     mu = np.full(data.n, model.y0)
     var = np.zeros(data.n)
-    for tree in model.trees:
-        leaf_mu, leaf_var = _leaf_arrays(tree)
-        leaf_ids = route_many(tree, binned.bins)
-        mu, var = _update_vectors(
-            mu, var, model.alpha, rho, leaf_mu[leaf_ids], leaf_var[leaf_ids]
-        )
+    for leaf_mu, leaf_var in _routed_leaf_moments(model, data):
+        mu, var = _update_vectors(mu, var, model.alpha, rho, leaf_mu, leaf_var)
     return PredictiveMoments(mu=mu, var=var)
 
 
@@ -289,18 +273,11 @@ def tree_contributions(
     rho, so sweeping rho should route once through this function and
     replay the recursion per value with ``accumulate_moments``.
     """
-    if data.f != len(model.feature_names):
-        raise FeatureCountMismatch(
-            f"data has {data.f} features, model expects {len(model.feature_names)}"
-        )
-    binned = apply_bins(data, model.edges)
     contrib_mu = np.empty((len(model.trees), data.n))
     contrib_var = np.empty((len(model.trees), data.n))
-    for k, tree in enumerate(model.trees):
-        leaf_mu, leaf_var = _leaf_arrays(tree)
-        leaf_ids = route_many(tree, binned.bins)
-        contrib_mu[k] = leaf_mu[leaf_ids]
-        contrib_var[k] = leaf_var[leaf_ids]
+    for k, (leaf_mu, leaf_var) in enumerate(_routed_leaf_moments(model, data)):
+        contrib_mu[k] = leaf_mu
+        contrib_var[k] = leaf_var
     return contrib_mu, contrib_var
 
 
@@ -311,7 +288,9 @@ def accumulate_moments(
     contrib_mu: np.ndarray,
     contrib_var: np.ndarray,
 ) -> PredictiveMoments:
-    """Replay the moment recursion over precomputed tree contributions."""
+    """Replay the moment recursion over precomputed tree contributions;
+    ``rho`` must lie in [-1, 1]."""
+    _check_rho(rho)
     n = contrib_mu.shape[1] if contrib_mu.ndim == 2 else 0
     mu = np.full(n, y0)
     var = np.zeros(n)

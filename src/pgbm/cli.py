@@ -423,9 +423,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rhos = _parse_rhos(args.rhos)
     if not rhos:
         raise ValueError("no rho values requested")
-    for rho in rhos:
-        if not -1.0 <= rho <= 1.0:
-            raise ValueError(f"rho {rho} outside [-1, 1]")
     if args.n_samples > MAX_SAMPLE_COLUMNS:
         raise ValueError(
             f"--n-samples {args.n_samples} exceeds the cap of {MAX_SAMPLE_COLUMNS}"

@@ -59,10 +59,6 @@ class NonFiniteLoss(PgbmError):
     """A loss evaluation produced NaN or infinity."""
 
 
-class NonPositiveHessianDenominator(PgbmError):
-    """A hessian sum plus regularization is not positive."""
-
-
 class DegenerateHessian(PgbmError):
     """A leaf's mean hessian plus scaled regularization is not positive."""
 

@@ -19,9 +19,11 @@ import numpy as np
 from .boost import BoostConfig, Ensemble
 from .data import BinEdges
 from .errors import CorruptModel, IoError, VersionMismatch
-from .tree import LeafStats, SplitNode, Tree, TreeConfig
+from .tree import LEAF_DTYPE, LeafStats, Tree, TreeConfig
 
 _HEADER = "pgbmfmt v1"
+# Leaf counts are stored as int64 (the ``n`` field of ``LEAF_DTYPE``).
+_MAX_COUNT = int(np.iinfo(LEAF_DTYPE["n"]).max)
 
 _SCALAR_KEYS = (
     "n_estimators",
@@ -46,6 +48,12 @@ _SCALAR_KEYS = (
 )
 
 
+def _real(value) -> str:
+    # float() first: under numpy 2 the repr of a numpy scalar is
+    # "np.float64(...)", which the loader cannot parse.
+    return repr(float(value))
+
+
 def _ref_token(ref: int) -> str:
     return f"N{ref}" if ref >= 0 else f"L{~ref}"
 
@@ -57,7 +65,7 @@ def _format_lines(model: Ensemble) -> list[str]:
         if "," in name or "\n" in name:
             raise ValueError(f"feature name {name!r} cannot contain ',' or newline")
     rho_config = (
-        "auto" if config.rho == "auto" else repr(float(config.rho))
+        "auto" if config.rho == "auto" else _real(config.rho)
     )
     stopping = (
         "none"
@@ -67,20 +75,20 @@ def _format_lines(model: Ensemble) -> list[str]:
     lines = [
         _HEADER,
         f"n_estimators = {config.n_estimators}",
-        f"learning_rate = {config.learning_rate!r}",
-        f"bagging_fraction = {config.bagging_fraction!r}",
-        f"feature_fraction = {config.feature_fraction!r}",
+        f"learning_rate = {_real(config.learning_rate)}",
+        f"bagging_fraction = {_real(config.bagging_fraction)}",
+        f"feature_fraction = {_real(config.feature_fraction)}",
         f"max_leaves = {tree_config.max_leaves}",
         f"max_bins = {tree_config.max_bins}",
-        f"lambda = {tree_config.lam!r}",
-        f"min_split_gain = {tree_config.min_split_gain!r}",
+        f"lambda = {_real(tree_config.lam)}",
+        f"min_split_gain = {_real(tree_config.min_split_gain)}",
         f"min_data_in_leaf = {tree_config.min_data_in_leaf}",
         f"rho_config = {rho_config}",
         f"early_stopping_rounds = {stopping}",
         f"seed = {config.seed}",
-        f"y0 = {model.y0!r}",
-        f"alpha = {model.alpha!r}",
-        f"rho = {model.rho_default!r}",
+        f"y0 = {_real(model.y0)}",
+        f"alpha = {_real(model.alpha)}",
+        f"rho = {_real(model.rho_default)}",
         f"n_train = {model.n_train}",
         f"n_features = {len(model.feature_names)}",
         f"feature_names = {','.join(model.feature_names)}",
@@ -89,17 +97,19 @@ def _format_lines(model: Ensemble) -> list[str]:
         lines.append(f"target_column = {model.target_name}")
     lines.append(f"n_trees = {len(model.trees)}")
     for j, edge_values in enumerate(model.edges.edges):
-        joined = ",".join(repr(float(v)) for v in edge_values)
+        joined = ",".join(_real(v) for v in edge_values)
         lines.append(f"edges {j}:" + (f" {joined}" if joined else ""))
     for k, tree in enumerate(model.trees):
         lines.append(f"tree {k}")
-        for node_id, node in enumerate(tree.nodes):
+        for node_id, (feature, threshold, left, right, gain) in enumerate(
+            tree.nodes.tolist()
+        ):
             lines.append(
-                f"node {node_id} {node.feature} {node.bin_threshold} "
-                f"{_ref_token(node.left)} {_ref_token(node.right)} {node.gain!r}"
+                f"node {node_id} {feature} {threshold} "
+                f"{_ref_token(left)} {_ref_token(right)} {_real(gain)}"
             )
-        for leaf_id, leaf in enumerate(tree.leaves):
-            lines.append(f"leaf {leaf_id} {leaf.mu!r} {leaf.var!r} {leaf.n_leaf}")
+        for leaf_id, (mu, var, n) in enumerate(tree.leaves.tolist()):
+            lines.append(f"leaf {leaf_id} {_real(mu)} {_real(var)} {n}")
     return lines
 
 
@@ -184,7 +194,7 @@ def _parse_tree(parser: _Parser, index: int, edge_counts: list[int]) -> Tree:
     header = parser.take(f"tree {index}")
     if header != f"tree {index}":
         raise CorruptModel(header_lineno, f"expected 'tree {index}', got {header!r}")
-    nodes: dict[int, SplitNode] = {}
+    nodes: dict[int, tuple[int, int, int, int, float]] = {}
     leaves: dict[int, LeafStats] = {}
     while True:
         line = parser.peek()
@@ -195,39 +205,41 @@ def _parse_tree(parser: _Parser, index: int, edge_counts: list[int]) -> Tree:
         try:
             if parts[0] == "node" and len(parts) == 7:
                 node_id = int(parts[1])
-                node = SplitNode(
-                    feature=int(parts[2]),
-                    bin_threshold=int(parts[3]),
-                    left=_parse_ref(parts[4], lineno),
-                    right=_parse_ref(parts[5], lineno),
-                    gain=_finite(float(parts[6]), "gain", lineno),
-                )
-                if not 0 <= node.feature < len(edge_counts):
+                feature = int(parts[2])
+                threshold = int(parts[3])
+                left = _parse_ref(parts[4], lineno)
+                right = _parse_ref(parts[5], lineno)
+                gain = _finite(float(parts[6]), "gain", lineno)
+                if not 0 <= feature < len(edge_counts):
                     raise CorruptModel(
                         lineno,
-                        f"feature {node.feature} outside 0..{len(edge_counts) - 1}",
+                        f"feature {feature} outside 0..{len(edge_counts) - 1}",
                     )
-                n_edges = edge_counts[node.feature]
-                if not 0 <= node.bin_threshold < n_edges:
+                n_edges = edge_counts[feature]
+                if not 0 <= threshold < n_edges:
                     raise CorruptModel(
                         lineno,
-                        f"threshold {node.bin_threshold} does not split the "
-                        f"{n_edges + 1} bins of feature {node.feature}",
+                        f"threshold {threshold} does not split the "
+                        f"{n_edges + 1} bins of feature {feature}",
                     )
                 if node_id in nodes:
                     raise CorruptModel(lineno, f"duplicate node id {node_id}")
-                nodes[node_id] = node
+                nodes[node_id] = (feature, threshold, left, right, gain)
             elif parts[0] == "leaf" and len(parts) == 5:
                 leaf_id = int(parts[1])
                 leaf = LeafStats(
                     mu=_finite(float(parts[2]), "leaf mean", lineno),
                     var=_finite(float(parts[3]), "leaf variance", lineno),
-                    n_leaf=int(parts[4]),
+                    n=int(parts[4]),
                 )
                 if leaf.var < 0:
                     raise CorruptModel(lineno, f"negative leaf variance {leaf.var!r}")
-                if leaf.n_leaf < 1:
+                if leaf.n < 1:
                     raise CorruptModel(lineno, f"empty leaf {leaf_id}")
+                if leaf.n > _MAX_COUNT:
+                    raise CorruptModel(
+                        lineno, f"leaf {leaf_id} count {leaf.n} too large"
+                    )
                 if leaf_id in leaves:
                     raise CorruptModel(lineno, f"duplicate leaf id {leaf_id}")
                 leaves[leaf_id] = leaf
@@ -247,8 +259,8 @@ def _parse_tree(parser: _Parser, index: int, edge_counts: list[int]) -> Tree:
             f"tree {index} has {len(nodes)} nodes but {len(leaves)} leaves",
         )
     referenced: set[int] = set()
-    for node_id, node in nodes.items():
-        for ref in (node.left, node.right):
+    for node_id, (_, _, left, right, _) in nodes.items():
+        for ref in (left, right):
             target = ref if ref >= 0 else ~ref
             pool = nodes if ref >= 0 else leaves
             if target not in pool:
@@ -268,9 +280,10 @@ def _parse_tree(parser: _Parser, index: int, edge_counts: list[int]) -> Tree:
                     f"tree {index} references {_ref_token(ref)} more than once",
                 )
             referenced.add(ref)
-    ordered_nodes = tuple(nodes[i] for i in range(len(nodes)))
-    ordered_leaves = tuple(leaves[i] for i in range(len(leaves)))
-    return Tree(nodes=ordered_nodes, leaves=ordered_leaves, root=0 if nodes else ~0)
+    return Tree(
+        nodes=[nodes[i] for i in range(len(nodes))],
+        leaves=[leaves[i] for i in range(len(leaves))],
+    )
 
 
 def load(path: str | Path) -> Ensemble:

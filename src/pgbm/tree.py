@@ -23,9 +23,15 @@ to sum(g)/(sum(h) + lambda), the classic regularized leaf weight
 magnitude. The minus sign of the classic weight lives in the boosting
 update, which subtracts alpha*mu.
 
-Child references inside a tree use nonnegative ids for split nodes and
-the bitwise complement ~leaf_id for leaves, so a single integer routes
-to either table.
+A ``Tree`` is two read-only numpy structured arrays. ``nodes`` has one
+row per split, in split order, with fields ``feature``, ``threshold``
+(a row goes left when its bin of ``feature`` is <= ``threshold``),
+``left``, ``right`` and ``gain``. ``leaves`` has one row per leaf with
+fields ``mu``, ``var`` and ``n`` (the leaf's instance count). A child
+reference is a node row for a nonnegative value and the leaf row
+``~ref`` for a negative one, so a single integer routes to either
+table. The root is node row 0, or leaf row 0 when the tree has no
+split.
 """
 
 from __future__ import annotations
@@ -33,19 +39,26 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import MAX_BINS, BinnedDataset
-from .errors import (
-    DegenerateHessian,
-    EmptyMask,
-    NonFiniteEstimate,
-    NonPositiveHessianDenominator,
-)
+from .errors import DegenerateHessian, EmptyMask, NonFiniteEstimate
 from .loss import GradHess
 
 EPS_HESSIAN = 1e-9
+
+NODE_DTYPE = np.dtype(
+    [
+        ("feature", np.int64),
+        ("threshold", np.int64),
+        ("left", np.int64),
+        ("right", np.int64),
+        ("gain", np.float64),
+    ]
+)
+LEAF_DTYPE = np.dtype([("mu", np.float64), ("var", np.float64), ("n", np.int64)])
 
 
 @dataclass(frozen=True)
@@ -63,73 +76,41 @@ class TreeConfig:
             raise ValueError("max_leaves must be at least 1")
         if not 2 <= self.max_bins <= MAX_BINS:
             raise ValueError(f"max_bins must be between 2 and {MAX_BINS}")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.min_split_gain < 0:
-            raise ValueError("min_split_gain must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lam must be finite and nonnegative")
+        if not (math.isfinite(self.min_split_gain) and self.min_split_gain >= 0):
+            raise ValueError("min_split_gain must be finite and nonnegative")
         if self.min_data_in_leaf < 1:
             raise ValueError("min_data_in_leaf must be at least 1")
         if not 0 < self.feature_fraction <= 1:
             raise ValueError("feature_fraction must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class SplitNode:
-    """Internal node: go left when sample bin[feature] <= bin_threshold."""
-
-    feature: int
-    bin_threshold: int
-    left: int
-    right: int
-    gain: float
-
-
-@dataclass(frozen=True)
-class LeafStats:
-    """Moments of a leaf's stochastic weight and its instance count."""
+class LeafStats(NamedTuple):
+    """Moments of a leaf's stochastic weight and its instance count; the
+    fields match ``LEAF_DTYPE``."""
 
     mu: float
     var: float
-    n_leaf: int
+    n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
-    """Split nodes, leaf moments and the root reference of one tree."""
+    """One tree as a ``nodes`` and a ``leaves`` table (module docstring).
 
-    nodes: tuple[SplitNode, ...]
-    leaves: tuple[LeafStats, ...]
-    root: int
+    Both are stored as C-contiguous, read-only copies; compare trees
+    with ``np.array_equal`` on the tables.
+    """
+
+    nodes: np.ndarray
+    leaves: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "leaves", tuple(self.leaves))
-
-    def n_leaves(self) -> int:
-        return len(self.leaves)
-
-
-def split_gain(
-    sum_gl: float,
-    sum_hl: float,
-    sum_gr: float,
-    sum_hr: float,
-    lam: float,
-) -> float:
-    """Objective reduction of a candidate split.
-
-    G = 1/2 * [gl^2/(hl+lam) + gr^2/(hr+lam) - (gl+gr)^2/(hl+hr+lam)]
-    over the gradient and hessian sums of the two children.
-    """
-    dl = sum_hl + lam
-    dr = sum_hr + lam
-    dp = sum_hl + sum_hr + lam
-    if dl <= 0 or dr <= 0 or dp <= 0:
-        raise NonPositiveHessianDenominator(
-            f"denominators ({dl}, {dr}, {dp}) must all be positive"
-        )
-    total_g = sum_gl + sum_gr
-    return 0.5 * (sum_gl**2 / dl + sum_gr**2 / dr - total_g**2 / dp)
+        for name, dtype in (("nodes", NODE_DTYPE), ("leaves", LEAF_DTYPE)):
+            table = np.array(getattr(self, name), dtype=dtype)
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
 
 @dataclass(frozen=True)
@@ -292,7 +273,7 @@ def leaf_stats(g_slice: np.ndarray, h_slice: np.ndarray, lam: float) -> LeafStat
         + g_bar**2 * var_h / denom**4
         - 2.0 * g_bar * cov_gh / denom**3
     )
-    return LeafStats(mu=mu, var=max(0.0, var), n_leaf=n)
+    return LeafStats(mu=mu, var=max(0.0, var), n=n)
 
 
 class _Region:
@@ -409,45 +390,31 @@ def grow_tree(
         return node_id if node_id is not None else ~leaf_ids[id(region)]
 
     nodes = [
-        SplitNode(
-            feature=feature,
-            bin_threshold=threshold,
-            left=ref(left),
-            right=ref(right),
-            gain=gain,
-        )
+        (feature, threshold, ref(left), ref(right), gain)
         for _, feature, threshold, gain, left, right in splits
     ]
     leaves = [
         leaf_stats(g[r.indices], h[r.indices], config.lam) for r in leaf_regions
     ]
-    return Tree(nodes=nodes, leaves=leaves, root=ref(regions[0]))
-
-
-def route(tree: Tree, binned_row: np.ndarray) -> int:
-    """Route one binned row to its leaf id; bin <= threshold goes left."""
-    ref = tree.root
-    while ref >= 0:
-        node = tree.nodes[ref]
-        if binned_row[node.feature] <= node.bin_threshold:
-            ref = node.left
-        else:
-            ref = node.right
-    return ~ref
+    return Tree(nodes=nodes, leaves=leaves)
 
 
 def route_many(tree: Tree, bins: np.ndarray) -> np.ndarray:
-    """Route every row of a binned matrix; returns a vector of leaf ids."""
-    n = bins.shape[0]
-    if not tree.nodes:
-        return np.zeros(n, dtype=np.int64)
-    feature = np.array([node.feature for node in tree.nodes], dtype=np.int64)
-    threshold = np.array([node.bin_threshold for node in tree.nodes], dtype=np.int64)
-    left = np.array([node.left for node in tree.nodes], dtype=np.int64)
-    right = np.array([node.right for node in tree.nodes], dtype=np.int64)
+    """Route every row of a binned matrix; returns a vector of leaf ids.
 
-    position = np.full(n, tree.root, dtype=np.int64)
-    active = position >= 0
+    A row goes left when its bin is <= the node's threshold.
+    """
+    n = bins.shape[0]
+    nodes = tree.nodes
+    if not len(nodes):
+        return np.zeros(n, dtype=np.int64)
+    feature = nodes["feature"]
+    threshold = nodes["threshold"]
+    left = nodes["left"]
+    right = nodes["right"]
+
+    position = np.zeros(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
     while active.any():
         rows = np.nonzero(active)[0]
         at = position[rows]

@@ -9,7 +9,6 @@ from pgbm import (
     BoostConfig,
     Ensemble,
     GradHess,
-    LeafStats,
     RawDataset,
     TreeConfig,
     accumulate_moments,
@@ -19,7 +18,6 @@ from pgbm import (
     rmse,
     train,
     tree_contributions,
-    update_moments,
 )
 from pgbm.errors import FeatureCountMismatch, NonFiniteEstimate
 
@@ -41,6 +39,18 @@ def small_config(**kwargs):
     return BoostConfig(**defaults)
 
 
+class TestBoostConfig:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_learning_rate_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="learning_rate"):
+            BoostConfig(learning_rate=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1.5, -2.0])
+    def test_rho_must_be_in_unit_interval(self, value):
+        with pytest.raises(ValueError, match="rho"):
+            BoostConfig(rho=value)
+
+
 class TestDefaultRho:
     def test_values(self):
         assert default_rho(100) == pytest.approx(0.02)
@@ -53,47 +63,73 @@ class TestDefaultRho:
 
 
 class TestUpdateMoments:
-    LEAF = LeafStats(mu=3.0, var=2.0, n_leaf=5)
+    """One step of the moment recursion, replayed by ``accumulate_moments``.
+
+    A first tree with leaf mean 0 and leaf variance ``prior_var`` leaves
+    every row at (Y0, alpha^2 * prior_var); the second tree, with leaf
+    (3, 2), is the step under test.
+    """
+
+    Y0 = 10.0
+
+    def step(self, alpha, rho, prior_var=400.0):
+        contrib_mu = np.array([[0.0], [3.0]])
+        contrib_var = np.array([[prior_var], [2.0]])
+        before = accumulate_moments(
+            self.Y0, alpha, rho, contrib_mu[:1], contrib_var[:1]
+        )
+        after = accumulate_moments(self.Y0, alpha, rho, contrib_mu, contrib_var)
+        return before, after
 
     def test_worked_example(self):
-        mu, var = update_moments(10.0, 4.0, 0.1, 0.05, self.LEAF)
-        assert mu == pytest.approx(10.0 - 0.1 * 3.0, rel=1e-15)
-        expected = 4.0 + 0.1**2 * 2.0 - 2.0 * 0.1 * 0.05 * np.sqrt(4.0) * np.sqrt(2.0)
-        assert var == pytest.approx(expected, rel=1e-12)
+        before, after = self.step(0.1, 0.05)
+        var_prev = before.var[0]
+        assert before.mu[0] == self.Y0
+        assert var_prev == pytest.approx(4.0, rel=1e-15)
+        assert after.mu[0] == pytest.approx(10.0 - 0.1 * 3.0, rel=1e-15)
+        cross = 2.0 * 0.1 * 0.05 * np.sqrt(var_prev) * np.sqrt(2.0)
+        expected = var_prev + 0.1**2 * 2.0 - cross
+        assert after.var[0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_learning_rate_is_identity(self):
-        mu, var = update_moments(10.0, 4.0, 0.0, 0.05, self.LEAF)
-        assert (mu, var) == (10.0, 4.0)
+        before, after = self.step(0.0, 0.05)
+        assert (before.mu[0], before.var[0]) == (self.Y0, 0.0)
+        assert (after.mu[0], after.var[0]) == (self.Y0, 0.0)
 
     def test_zero_rho_drops_cross_term(self):
-        mu, var = update_moments(10.0, 4.0, 0.1, 0.0, self.LEAF)
-        assert mu == pytest.approx(9.7)
-        assert var == pytest.approx(4.0 + 0.01 * 2.0, rel=1e-15)
+        before, after = self.step(0.1, 0.0)
+        assert after.mu[0] == pytest.approx(9.7)
+        assert after.var[0] == pytest.approx(before.var[0] + 0.01 * 2.0, rel=1e-15)
 
     def test_negative_rho_inflates_variance(self):
-        _, var_neg = update_moments(10.0, 4.0, 0.1, -0.05, self.LEAF)
-        _, var_pos = update_moments(10.0, 4.0, 0.1, 0.05, self.LEAF)
-        _, var_zero = update_moments(10.0, 4.0, 0.1, 0.0, self.LEAF)
-        assert var_neg > var_zero > var_pos
+        _, neg = self.step(0.1, -0.05)
+        _, pos = self.step(0.1, 0.05)
+        _, zero = self.step(0.1, 0.0)
+        assert neg.var[0] > zero.var[0] > pos.var[0]
 
     def test_array_inputs(self):
-        mu, var = update_moments(
-            np.array([10.0, 0.0]), np.array([4.0, 0.0]), 0.1, 0.05, self.LEAF
+        # One tree over two rows, each starting from (0, 0).
+        pm = accumulate_moments(
+            0.0, 0.1, 0.05, np.array([[3.0, -1.0]]), np.array([[2.0, 0.5]])
         )
-        assert mu.shape == (2,)
-        assert var.shape == (2,)
-        assert mu[1] == pytest.approx(-0.3)
-        assert var[1] == pytest.approx(0.01 * 2.0)
+        assert pm.mu.shape == (2,)
+        assert pm.var.shape == (2,)
+        np.testing.assert_allclose(pm.mu, [-0.3, 0.1])
+        np.testing.assert_allclose(pm.var, [0.01 * 2.0, 0.01 * 0.5])
 
     def test_variance_never_negative_property(self):
         rng = np.random.default_rng(8)
-        leaf = self.LEAF
         for _ in range(200):
-            var_prev = float(rng.uniform(0, 5))
             alpha = float(rng.uniform(0.001, 1.0))
             rho = float(rng.uniform(-1.0, 1.0))
-            _, var = update_moments(0.0, var_prev, alpha, rho, leaf)
-            assert var >= 0.0
+            prior_var = float(rng.uniform(0, 5)) / alpha**2
+            _, after = self.step(alpha, rho, prior_var)
+            assert after.var[0] >= 0.0
+
+    @pytest.mark.parametrize("rho", [5.0, -1.5, float("nan"), float("inf")])
+    def test_rho_outside_unit_interval_raises(self, rho):
+        with pytest.raises(ValueError, match="outside"):
+            accumulate_moments(0.0, 0.1, rho, np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 class TestTrain:
@@ -267,6 +303,11 @@ class TestPredict:
             np.testing.assert_array_equal(direct.mu, replay.mu)
             np.testing.assert_array_equal(direct.var, replay.var)
 
+    @pytest.mark.parametrize("rho", [2.0, -1.5, float("nan"), float("inf")])
+    def test_rho_outside_unit_interval_raises(self, rho):
+        with pytest.raises(ValueError, match="outside"):
+            predict_moments(self.model, self.data, rho=rho)
+
     def test_empty_ensemble_predicts_prior(self):
         empty = Ensemble(
             trees=[],
@@ -316,7 +357,7 @@ class TestSubsampling:
             small_config(feature_fraction=0.4, n_estimators=6),
         )
         per_tree_features = [
-            {node.feature for node in tree.nodes} for tree in model.trees
+            set(tree.nodes["feature"].tolist()) for tree in model.trees
         ]
         for used in per_tree_features:
             assert len(used) <= 2

@@ -172,6 +172,33 @@ class TestTrain:
         assert err.startswith("error:") and "max_bins" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flag", ["--lambda", "--min-split-gain", "--learning-rate"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_config_real(self, workspace, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.txt"
+        code = main(
+            [
+                "train",
+                "--data",
+                str(workspace["train_csv"]),
+                "--target",
+                "y",
+                "--model-out",
+                str(out),
+                "--n-estimators",
+                "2",
+                flag,
+                value,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_overflowing_split_search(self, tmp_path, capsys):
         data = tmp_path / "huge.csv"
         data.write_text("x,y\n0,1e160\n1,-1e160\n2,3e160\n3,-2e160\n", encoding="utf-8")
@@ -355,6 +382,15 @@ class TestPredict:
     def test_unwritable_out(self, workspace, tmp_path, capsys):
         out = tmp_path / "missing" / "pred.csv"
         assert self.predict(workspace, out) == 3
+
+    @pytest.mark.parametrize("rho", ["nan", "inf", "2", "-1.5"])
+    def test_rho_outside_unit_interval(self, workspace, tmp_path, capsys, rho):
+        out = tmp_path / "pred.csv"
+        assert self.predict(workspace, out, ["--rho", rho]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rho") and "outside [-1, 1]" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_rho_override_changes_var(self, workspace, tmp_path):
         a = tmp_path / "a.csv"
@@ -630,6 +666,8 @@ class TestSweep:
             ]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: rho 1.5 outside [-1, 1]\n"
 
     def test_all_families_token(self, workspace, capsys):
         code = main(

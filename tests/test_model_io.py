@@ -69,8 +69,18 @@ class TestRoundTrip:
         assert loaded.target_name == model.target_name
         assert loaded.config.tree.lam == model.config.tree.lam
         assert len(loaded.trees) == len(model.trees)
-        assert loaded.trees[0].nodes == model.trees[0].nodes
-        assert loaded.trees[-1].leaves == model.trees[-1].leaves
+
+    def test_tree_tables_survive_exactly(self, fitted, tmp_path):
+        _, model = fitted
+        path = tmp_path / "model.txt"
+        save(model, path)
+        loaded = load(path)
+        for before, after in zip(model.trees, loaded.trees, strict=True):
+            for table in ("nodes", "leaves"):
+                x, y = getattr(before, table), getattr(after, table)
+                assert y.dtype == x.dtype
+                assert np.array_equal(x, y)
+                assert y.flags.c_contiguous and not y.flags.writeable
 
     def test_save_load_save_is_byte_stable(self, fitted, tmp_path):
         _, model = fitted
@@ -79,6 +89,21 @@ class TestRoundTrip:
         save(model, first)
         save(load(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_numpy_scalar_config_reals_round_trip(self, fitted, tmp_path):
+        data, model = fitted
+        config = BoostConfig(
+            n_estimators=2,
+            learning_rate=np.float64(0.1),
+            bagging_fraction=np.float64(1.0),
+            tree=TreeConfig(lam=np.float64(1.0), min_split_gain=np.float64(0.0)),
+            rho=np.float64(0.05),
+        )
+        path = tmp_path / "model.txt"
+        save(train(data, mse_gradhess, config), path)
+        loaded = load(path)
+        assert loaded.config.learning_rate == 0.1
+        assert loaded.config.rho == 0.05
 
     def test_header_line(self, fitted, tmp_path):
         _, model = fitted
@@ -322,6 +347,19 @@ class TestTreeStructure:
                     lambda lines: set_token(lines, "node 0 ", 3, threshold),
                 )
             )
+
+
+    @pytest.mark.parametrize("count", [str(2**63), str(10**30)])
+    def test_leaf_count_beyond_int64(self, saved, count):
+        path, tmp = saved
+        lines = []
+
+        def corrupt(text):
+            lines.append(set_token(text, "leaf 0 ", 4, count))
+
+        with pytest.raises(CorruptModel, match="count") as info:
+            load(mutate(path, tmp / "count.txt", corrupt))
+        assert info.value.line == lines[0]
 
 
 class TestNonFiniteReals:

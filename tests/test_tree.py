@@ -15,25 +15,23 @@ from pgbm import (
     BinEdges,
     BinnedDataset,
     GradHess,
+    Tree,
     TreeConfig,
     apply_bins,
-    build_histogram,
     compute_bin_edges,
     find_best_split,
-    grow_tree,
     leaf_stats,
-    route,
+)
+from pgbm.errors import DegenerateHessian, EmptyMask, NonFiniteEstimate
+from pgbm.tree import (
+    EPS_HESSIAN,
+    LEAF_DTYPE,
+    NODE_DTYPE,
+    build_histogram,
+    grow_tree,
     route_many,
-    split_gain,
     subtract_histogram,
 )
-from pgbm.errors import (
-    DegenerateHessian,
-    EmptyMask,
-    NonFiniteEstimate,
-    NonPositiveHessianDenominator,
-)
-from pgbm.tree import EPS_HESSIAN
 
 from conftest import make_regression
 
@@ -53,19 +51,20 @@ def four_sample_case():
     return data, gh
 
 
-class TestSplitGain:
-    def test_balanced_example(self):
-        assert split_gain(2.0, 2.0, -2.0, 2.0, 0.0) == pytest.approx(2.0)
+def walk(tree, binned_row):
+    """Scalar routing oracle: follow one row from the root to its leaf id."""
+    ref = 0 if len(tree.nodes) else ~0
+    while ref >= 0:
+        feature, threshold, left, right, _ = tree.nodes[ref].tolist()
+        ref = left if binned_row[feature] <= threshold else right
+    return ~ref
 
-    def test_regularized_example(self):
-        assert split_gain(3.0, 1.0, 0.0, 1.0, 1.0) == pytest.approx(0.75)
 
-    def test_homogeneous_split_gains_nothing(self):
-        assert split_gain(1.5, 2.0, 1.5, 2.0, 0.0) == pytest.approx(0.0)
-
-    def test_nonpositive_denominator(self):
-        with pytest.raises(NonPositiveHessianDenominator):
-            split_gain(1.0, -1.0, 1.0, 1.0, 0.0)
+def assert_same_tree(a, b):
+    for table in ("nodes", "leaves"):
+        x, y = getattr(a, table), getattr(b, table)
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
 
 
 class TestFindBestSplit:
@@ -164,6 +163,12 @@ class TestTreeConfig:
             with pytest.raises(ValueError, match="max_bins"):
                 TreeConfig(max_bins=bad)
 
+    @pytest.mark.parametrize("field", ["lam", "min_split_gain"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_reals_must_be_finite_and_nonnegative(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TreeConfig(**{field: value})
+
 
 class TestSubtractHistogram:
     def test_counts_and_sums_subtract(self):
@@ -204,7 +209,7 @@ class TestLeafStats:
         stats = leaf_stats(np.array([2.0, 4.0]), np.array([1.0, 1.0]), 0.0)
         assert stats.mu == pytest.approx(3.0)
         assert stats.var == pytest.approx(2.0)
-        assert stats.n_leaf == 2
+        assert stats.n == 2
 
     def test_single_sample(self):
         stats = leaf_stats(np.array([5.0]), np.array([2.0]), 0.0)
@@ -251,10 +256,10 @@ class TestGrowTree:
         data, gh = four_sample_case()
         cfg = TreeConfig(max_leaves=1, max_bins=2, lam=0.0)
         tree = grow_tree(data, gh, np.arange(4), cfg)
-        assert tree.n_leaves() == 1
+        assert len(tree.leaves) == 1
         assert len(tree.nodes) == 0
         whole = leaf_stats(gh.g, gh.h, cfg.lam)
-        assert tree.leaves[0].mu == pytest.approx(whole.mu)
+        assert tree.leaves["mu"][0] == pytest.approx(whole.mu)
         np.testing.assert_array_equal(route_many(tree, data.bins), [0, 0, 0, 0])
 
     def test_depth_one_example(self):
@@ -262,27 +267,26 @@ class TestGrowTree:
         cfg = TreeConfig(max_leaves=2, max_bins=2, lam=0.0)
         tree = grow_tree(data, gh, np.arange(4), cfg)
         assert len(tree.nodes) == 1
-        node = tree.nodes[0]
-        assert (node.feature, node.bin_threshold) == (0, 0)
-        assert node.gain == pytest.approx(2.0)
-        assert tree.leaves[0].mu == pytest.approx(1.0)
-        assert tree.leaves[1].mu == pytest.approx(-1.0)
-        assert tree.leaves[0].var == 0.0
-        assert tree.leaves[1].var == 0.0
+        feature, threshold, left, right, gain = tree.nodes[0].tolist()
+        assert (feature, threshold, left, right) == (0, 0, ~0, ~1)
+        assert gain == pytest.approx(2.0)
+        np.testing.assert_allclose(tree.leaves["mu"], [1.0, -1.0])
+        np.testing.assert_array_equal(tree.leaves["var"], [0.0, 0.0])
+        np.testing.assert_array_equal(tree.leaves["n"], [2, 2])
 
     def test_depth_one_with_lambda(self):
         data, gh = four_sample_case()
         cfg = TreeConfig(max_leaves=2, max_bins=2, lam=1.0)
         tree = grow_tree(data, gh, np.arange(4), cfg)
         lam_bar = 1.0 / 2
-        assert tree.leaves[0].mu == pytest.approx(1.0 / (1.0 + lam_bar))
-        assert tree.leaves[1].mu == pytest.approx(-1.0 / (1.0 + lam_bar))
+        assert tree.leaves["mu"][0] == pytest.approx(1.0 / (1.0 + lam_bar))
+        assert tree.leaves["mu"][1] == pytest.approx(-1.0 / (1.0 + lam_bar))
 
     def test_large_min_split_gain_single_leaf(self):
         data, gh = four_sample_case()
         cfg = TreeConfig(max_leaves=8, max_bins=2, lam=0.0, min_split_gain=100.0)
         tree = grow_tree(data, gh, np.arange(4), cfg)
-        assert tree.n_leaves() == 1
+        assert len(tree.leaves) == 1
 
     def test_empty_mask(self):
         data, gh = four_sample_case()
@@ -294,9 +298,10 @@ class TestGrowTree:
         data, gh = four_sample_case()
         cfg = TreeConfig(max_leaves=2, max_bins=2, lam=0.0)
         tree = grow_tree(data, gh, np.arange(4), cfg)
-        threshold = tree.nodes[0].bin_threshold
-        assert route(tree, np.array([threshold], dtype=np.uint16)) == 0
-        assert route(tree, np.array([threshold + 1], dtype=np.uint16)) == 1
+        threshold = tree.nodes["threshold"][0]
+        rows = np.array([[threshold], [threshold + 1]], dtype=np.uint16)
+        np.testing.assert_array_equal(route_many(tree, rows), [0, 1])
+        assert [walk(tree, row) for row in rows] == [0, 1]
 
     def grown_problem(self, seed=0, n=300, f=3, max_leaves=16):
         data = make_regression(seed, n, f)
@@ -312,20 +317,19 @@ class TestGrowTree:
     def test_partition_property(self):
         binned, gh, cfg, tree = self.grown_problem()
         leaves = route_many(tree, binned.bins)
-        counts = np.bincount(leaves, minlength=tree.n_leaves())
-        for leaf_id, leaf in enumerate(tree.leaves):
-            assert counts[leaf_id] == leaf.n_leaf
+        counts = np.bincount(leaves, minlength=len(tree.leaves))
+        np.testing.assert_array_equal(counts, tree.leaves["n"])
         assert counts.sum() == binned.n
-        assert tree.n_leaves() <= cfg.max_leaves
+        assert len(tree.leaves) <= cfg.max_leaves
 
     def test_leaves_match_recomputed_stats(self):
         binned, gh, cfg, tree = self.grown_problem()
         leaves = route_many(tree, binned.bins)
-        for leaf_id, leaf in enumerate(tree.leaves):
+        for leaf_id, (mu, var, _) in enumerate(tree.leaves.tolist()):
             members = np.flatnonzero(leaves == leaf_id)
             expected = leaf_stats(gh.g[members], gh.h[members], cfg.lam)
-            assert leaf.mu == pytest.approx(expected.mu, rel=1e-9)
-            assert leaf.var == pytest.approx(expected.var, rel=1e-9, abs=1e-12)
+            assert mu == pytest.approx(expected.mu, rel=1e-9)
+            assert var == pytest.approx(expected.var, rel=1e-9, abs=1e-12)
 
     def test_gain_additivity(self):
         binned, gh, cfg, tree = self.grown_problem()
@@ -337,29 +341,29 @@ class TestGrowTree:
 
         all_rows = np.arange(binned.n)
         node_rows = {}
-        stack = [(tree.root, all_rows)]
+        stack = [(0, all_rows)]
         while stack:
             ref, rows = stack.pop()
             if ref < 0:
                 continue
-            node = tree.nodes[ref]
+            feature, threshold, left, right, node_gain = tree.nodes[ref].tolist()
             node_rows[ref] = rows
-            mask = binned.bins[rows, node.feature] <= node.bin_threshold
+            mask = binned.bins[rows, feature] <= threshold
             left_rows = rows[mask]
             right_rows = rows[~mask]
             gain = objective(left_rows) + objective(right_rows) - objective(rows)
-            assert gain == pytest.approx(node.gain, rel=1e-9, abs=1e-12)
-            stack.append((node.left, left_rows))
-            stack.append((node.right, right_rows))
+            assert gain == pytest.approx(node_gain, rel=1e-9, abs=1e-12)
+            stack.append((left, left_rows))
+            stack.append((right, right_rows))
         assert len(node_rows) == len(tree.nodes)
 
     def test_constant_hessian_reduction(self):
         binned, gh, cfg, tree = self.grown_problem()
         leaves = route_many(tree, binned.bins)
-        for leaf_id, leaf in enumerate(tree.leaves):
+        for leaf_id, mu in enumerate(tree.leaves["mu"]):
             members = np.flatnonzero(leaves == leaf_id)
             classic = gh.g[members].sum() / (gh.h[members].sum() + cfg.lam)
-            assert leaf.mu == pytest.approx(classic, rel=1e-12)
+            assert mu == pytest.approx(classic, rel=1e-12)
 
     def test_determinism_and_mask_type(self):
         binned, gh, cfg, _ = self.grown_problem()
@@ -367,16 +371,14 @@ class TestGrowTree:
         b = grow_tree(binned, gh, np.arange(binned.n), cfg)
         bool_mask = np.ones(binned.n, dtype=bool)
         c = grow_tree(binned, gh, bool_mask, cfg)
-        assert a.nodes == b.nodes == c.nodes
-        assert a.leaves == b.leaves == c.leaves
-        assert a.root == b.root == c.root
+        assert_same_tree(a, b)
+        assert_same_tree(a, c)
 
     def test_submask_uses_only_masked_rows(self):
         binned, gh, cfg, _ = self.grown_problem(n=200)
         mask = np.arange(0, 200, 2)
         tree = grow_tree(binned, gh, mask, cfg)
-        total = sum(leaf.n_leaf for leaf in tree.leaves)
-        assert total == mask.size
+        assert tree.leaves["n"].sum() == mask.size
 
     def test_feature_fraction_limits_features(self):
         data = make_regression(11, 300, 4)
@@ -386,8 +388,32 @@ class TestGrowTree:
         cfg = TreeConfig(max_leaves=8, max_bins=16, lam=1.0, feature_fraction=0.25)
         rng = np.random.default_rng(3)
         tree = grow_tree(binned, gh, np.arange(300), cfg, rng=rng)
-        used = {node.feature for node in tree.nodes}
+        used = set(tree.nodes["feature"].tolist())
         assert len(used) <= 1
+
+
+class TestTreeTables:
+    def test_dtypes_layout_and_read_only(self):
+        *_, tree = TestGrowTree().grown_problem()
+        assert tree.nodes.dtype == NODE_DTYPE
+        assert tree.leaves.dtype == LEAF_DTYPE
+        assert len(tree.leaves) == len(tree.nodes) + 1
+        for table in (tree.nodes, tree.leaves):
+            assert table.flags.c_contiguous
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = table[1]
+
+    def test_constructor_copies_its_input(self):
+        leaves = np.array([(1.5, 0.25, 3)], dtype=LEAF_DTYPE)
+        tree = Tree(nodes=[], leaves=leaves)
+        leaves["mu"] = 9.0
+        assert tree.leaves["mu"][0] == 1.5
+        assert leaves.flags.writeable
+        assert tree.nodes.dtype == NODE_DTYPE and tree.nodes.shape == (0,)
+        np.testing.assert_array_equal(
+            route_many(tree, np.zeros((3, 2), dtype=np.uint16)), [0, 0, 0]
+        )
 
 
 class TestRouting:
@@ -399,7 +425,7 @@ class TestRouting:
         cfg = TreeConfig(max_leaves=12, max_bins=16, lam=1.0)
         tree = grow_tree(binned, gh, np.arange(150), cfg)
         vector = route_many(tree, binned.bins)
-        single = np.array([route(tree, row) for row in binned.bins])
+        single = np.array([walk(tree, row) for row in binned.bins])
         np.testing.assert_array_equal(vector, single)
 
 
@@ -578,9 +604,8 @@ class TestFinalSplitSkip:
 
         monkeypatch.setattr(pgbm.tree, "find_best_split", counted)
         tree = grow_tree(binned, gh, np.arange(data.n), cfg)
-        assert tree.n_leaves() == max_leaves
+        assert len(tree.leaves) == max_leaves
         assert len(calls) == max(0, 2 * max_leaves - 3)
-        assert [
-            (node.feature, node.bin_threshold, node.gain) for node in tree.nodes
-        ] == expected_splits
-        assert list(tree.leaves) == expected_leaves
+        splits = [(f, t, gain) for f, t, _, _, gain in tree.nodes.tolist()]
+        assert splits == expected_splits
+        assert np.array_equal(tree.leaves, np.array(expected_leaves, dtype=LEAF_DTYPE))
