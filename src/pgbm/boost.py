@@ -17,7 +17,7 @@ refitting anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -132,10 +132,6 @@ def train(
     reported through ``progress``, and the returned ensemble is
     truncated at the best iteration; ``early_stopping_rounds``
     additionally stops scanning after that many non-improving rounds.
-
-    The boost-level feature_fraction and seed override whatever the
-    nested TreeConfig carries, so one config object fully determines a
-    run.
     """
     if valid is None and config.early_stopping_rounds is not None:
         raise ValueError("early stopping needs a validation set")
@@ -148,9 +144,6 @@ def train(
     alpha = config.learning_rate
     rho_default = (
         default_rho(n) if config.rho == "auto" else float(config.rho)
-    )
-    tree_config = replace(
-        config.tree, feature_fraction=config.feature_fraction, seed=config.seed
     )
 
     valid_binned = None
@@ -180,8 +173,12 @@ def train(
             mask = np.sort(bag_rng.choice(n, size=bag_size, replace=False))
         else:
             mask = np.arange(n)
-        tree_rng = np.random.default_rng([config.seed, k, 1])
-        tree = grow_tree(binned, gh, mask, tree_config, tree_rng)
+        features = None
+        if config.feature_fraction < 1.0:
+            feature_rng = np.random.default_rng([config.seed, k, 1])
+            n_sub = max(1, int(np.ceil(config.feature_fraction * data.f)))
+            features = np.sort(feature_rng.choice(data.f, n_sub, replace=False))
+        tree = grow_tree(binned, gh, mask, config.tree, features)
         trees.append(tree)
 
         leaf_mu = tree.leaves["mu"]

@@ -10,7 +10,6 @@ flags take precedence over file values.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -20,14 +19,15 @@ from . import __version__
 from .boost import (
     BoostConfig,
     Ensemble,
+    PredictiveMoments,
     accumulate_moments,
     predict_moments,
     train,
     tree_contributions,
 )
-from .data import RawDataset, load_csv
+from .data import RawDataset, load_csv, write_lines
 from .dist import FAMILIES, DistSpec, sample
-from .errors import IoError, LengthMismatch, MissingColumn, ParseError, PgbmError
+from .errors import LengthMismatch, MissingColumn, ParseError, PgbmError
 from .loss import hier_wmse_gradhess, load_hierarchy, mse_gradhess
 from .metrics import (
     MetricReport,
@@ -42,6 +42,8 @@ from .model_io import save as save_model
 from .tree import TreeConfig
 
 MAX_SAMPLE_COLUMNS = 10_000
+# Rows per block of predict output: bounds the Python floats held at once.
+_PREDICT_BLOCK_ROWS = 256
 
 _REQUIRED = {
     "train": ("data", "target", "model_out"),
@@ -298,48 +300,35 @@ def cmd_predict(args: argparse.Namespace) -> int:
         matrix = result.samples
         header.extend(f"s{j}" for j in range(args.n_samples))
 
-    lines = [",".join(header)]
-    for i in range(data.n):
-        cells = [str(i), repr(float(moments.mu[i])), repr(float(moments.var[i]))]
-        if matrix is not None:
-            cells.extend(repr(float(v)) for v in matrix[:, i])
-        lines.append(",".join(cells))
-    try:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {args.out}: {exc}") from exc
+    write_lines(args.out, _prediction_lines(header, moments, matrix))
     print(f"wrote {args.out} ({data.n} rows)")
     return 0
 
 
-def _read_predictions(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(0, 0, f"{path} is empty") from None
-            if header[:3] != ["row", "mu", "var"]:
-                raise ParseError(0, 0, f"{path} does not look like predict output")
-            n_extra = len(header) - 3
-            mu, var, samples = [], [], []
-            for r, cells in enumerate(reader):
-                if len(cells) != len(header):
-                    raise ParseError(r, len(cells), f"{path}: ragged row")
-                try:
-                    mu.append(float(cells[1]))
-                    var.append(float(cells[2]))
-                    if n_extra:
-                        samples.append([float(v) for v in cells[3:]])
-                except ValueError as exc:
-                    raise ParseError(r, 0, f"{path}: {exc}") from exc
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+def _prediction_lines(
+    header: list[str], moments: PredictiveMoments, matrix: np.ndarray | None
+):
+    """Yield predict's CSV lines: the header, then `row,mu,var,s0,...`
+    per row with every real as repr(), one block of rows at a time."""
+    yield ",".join(header)
+    n = len(moments.mu)
+    for start in range(0, n, _PREDICT_BLOCK_ROWS):
+        stop = start + _PREDICT_BLOCK_ROWS
+        columns = [moments.mu[start:stop], moments.var[start:stop]]
+        if matrix is not None:
+            columns.append(matrix[:, start:stop].T)
+        for i, values in enumerate(np.column_stack(columns).tolist(), start):
+            yield f"{i}," + ",".join(map(repr, values))
+
+
+def _read_predictions(path: str) -> tuple[np.ndarray, np.ndarray | None]:
+    raw = load_csv(path, target_column=None)
+    if raw.feature_names[:3] != ["row", "mu", "var"]:
+        raise ParseError(0, 0, f"{path} does not look like predict output")
     # Row-major layout keeps metric reductions bit-identical to in-process
     # sample matrices, so sweep cells match predict + evaluate exactly.
-    matrix = np.ascontiguousarray(np.array(samples).T) if n_extra else None
-    return np.array(mu), np.array(var), matrix
+    matrix = np.ascontiguousarray(raw.features[:, 3:].T) if raw.f > 3 else None
+    return raw.features[:, 1], matrix
 
 
 def _actual_targets(path: str, target: str | None) -> np.ndarray:
@@ -361,7 +350,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not requested:
         raise ValueError("no metrics requested")
 
-    mu, _, samples = _read_predictions(args.pred)
+    mu, samples = _read_predictions(args.pred)
     y = _actual_targets(args.actual, args.target)
     if len(y) != len(mu):
         raise LengthMismatch(
@@ -387,10 +376,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     print("\n".join(lines))
     if args.out is not None:
-        try:
-            Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot write {args.out}: {exc}") from exc
+        write_lines(args.out, lines)
     return 0
 
 
@@ -450,10 +436,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print("\n".join(lines))
     print(f"best: dist={best[0]} rho={best[1]!r} crps={best[2]!r}")
     if args.out is not None:
-        try:
-            Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot write {args.out}: {exc}") from exc
+        write_lines(args.out, lines)
     return 0
 
 

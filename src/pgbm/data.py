@@ -1,4 +1,6 @@
-"""Dataset ingestion and equal-density histogram binning.
+"""Dataset ingestion, text output and equal-density histogram binning.
+
+``load_csv`` reads every numeric CSV; ``write_lines`` writes every output file.
 
 Features are quantized once, globally, before boosting starts: each
 feature gets a sorted table of upper bin edges placed at empirical
@@ -14,12 +16,14 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .errors import (
     EmptyDataset,
     FeatureCountMismatch,
+    IoError,
     LengthMismatch,
     MissingColumn,
     NonFiniteValue,
@@ -128,43 +132,50 @@ def load_csv(path: str | Path, target_column: str | None) -> RawDataset:
     every column is a feature and the target is a zero vector, which is
     the shape prediction-only inputs arrive in.
 
-    Raises MissingColumn, ParseError(row, col), NonFiniteValue(row, col)
-    or EmptyDataset. Row indices count data rows from 0 (the header is
-    not counted); column indices refer to positions in the file.
+    Raises IoError, MissingColumn, ParseError(row, col),
+    NonFiniteValue(row, col) or EmptyDataset; an unparseable cell is
+    reported before any non-finite one. Row indices count data rows
+    from 0 (the header is not counted); column indices refer to
+    positions in the file.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise EmptyDataset(f"{path} is empty") from None
-        if target_column is not None:
-            if target_column not in header:
-                raise MissingColumn(
-                    f"column {target_column!r} not found in {path}"
-                )
-            target_idx = header.index(target_column)
-        else:
-            target_idx = -1
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [name.strip() for name in next(reader)]
+            except StopIteration:
+                raise EmptyDataset(f"{path} is empty") from None
+            if target_column is not None:
+                if target_column not in header:
+                    raise MissingColumn(
+                        f"column {target_column!r} not found in {path}"
+                    )
+                target_idx = header.index(target_column)
+            else:
+                target_idx = -1
 
-        rows: list[list[float]] = []
-        for r, cells in enumerate(reader):
-            if len(cells) != len(header):
-                raise ParseError(r, len(cells), "wrong number of cells")
-            parsed = []
-            for c, cell in enumerate(cells):
+            rows: list[list[float]] = []
+            for r, cells in enumerate(reader):
+                if len(cells) != len(header):
+                    raise ParseError(r, len(cells), f"{path}: wrong number of cells")
                 try:
-                    value = float(cell)
+                    rows.append([float(cell) for cell in cells])
                 except ValueError:
-                    raise ParseError(r, c, f"unparseable value {cell!r}") from None
-                if not math.isfinite(value):
-                    raise NonFiniteValue(r, c)
-                parsed.append(value)
-            rows.append(parsed)
+                    for c, cell in enumerate(cells):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            message = f"{path}: unparseable value {cell!r}"
+                            raise ParseError(r, c, message) from None
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
 
     if not rows:
         raise EmptyDataset(f"{path} has a header but no data rows")
     matrix = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(matrix).all():
+        row, col = np.argwhere(~np.isfinite(matrix))[0]
+        raise NonFiniteValue(int(row), int(col))
     if target_idx >= 0:
         target = matrix[:, target_idx]
         features = np.delete(matrix, target_idx, axis=1)
@@ -176,6 +187,20 @@ def load_csv(path: str | Path, target_column: str | None) -> RawDataset:
     if features.shape[1] == 0:
         raise EmptyDataset(f"{path} has no feature columns besides the target")
     return RawDataset(features, target, names, target_name=target_column)
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each string of ``lines`` and a newline to a UTF-8 file.
+
+    ``lines`` is consumed lazily. Raises IoError; a failure while
+    writing can leave a partial file behind."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _quantile_value(sorted_values: np.ndarray, q: float) -> float:

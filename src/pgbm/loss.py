@@ -24,7 +24,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IndexOutOfRange, LengthMismatch, NonFiniteLoss, ParseError
+from .errors import (
+    IndexOutOfRange,
+    IoError,
+    LengthMismatch,
+    NonFiniteLoss,
+    ParseError,
+)
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -274,5 +280,8 @@ def parse_hierarchy(text: str) -> HierarchySpec:
 
 
 def load_hierarchy(path: str | Path) -> HierarchySpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hierarchy(fh.read())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    return parse_hierarchy(text)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .boost import BoostConfig, Ensemble
-from .data import BinEdges
+from .data import BinEdges, write_lines
 from .errors import CorruptModel, IoError, VersionMismatch
 from .tree import LEAF_DTYPE, LeafStats, Tree, TreeConfig
 
@@ -114,11 +114,7 @@ def _format_lines(model: Ensemble) -> list[str]:
 
 
 def save(model: Ensemble, path: str | Path) -> None:
-    text = "\n".join(_format_lines(model)) + "\n"
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_lines(path, _format_lines(model))
 
 
 class _Parser:

@@ -68,8 +68,6 @@ class TreeConfig:
     lam: float = 1.0
     min_split_gain: float = 0.0
     min_data_in_leaf: int = 1
-    feature_fraction: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_leaves < 1:
@@ -82,8 +80,6 @@ class TreeConfig:
             raise ValueError("min_split_gain must be finite and nonnegative")
         if self.min_data_in_leaf < 1:
             raise ValueError("min_data_in_leaf must be at least 1")
-        if not 0 < self.feature_fraction <= 1:
-            raise ValueError("feature_fraction must be in (0, 1]")
 
 
 class LeafStats(NamedTuple):
@@ -294,18 +290,18 @@ def grow_tree(
     gh: GradHess,
     sample_mask: np.ndarray,
     config: TreeConfig,
-    rng: np.random.Generator | None = None,
+    features: np.ndarray | None = None,
 ) -> Tree:
     """Grow one tree over the masked rows, best-first, up to max_leaves.
 
     ``sample_mask`` is an array of row indices (a boolean mask is also
-    accepted). When feature_fraction < 1 a random subset of
-    ceil(fraction * f) features is drawn once for the whole tree from
-    ``rng``. The right child's histogram is obtained by subtracting the
-    left child's from the parent's. A node gets a histogram and a split
-    search only while the tree has room to split it: the two children
-    of the split that reaches max_leaves stay leaves without either, so
-    a tree that reaches L >= 2 leaves runs 2L-3 searches.
+    accepted). Splits use only ``features``, sorted distinct feature
+    indices (default: all features). The right child's histogram is
+    obtained by subtracting the left child's from the parent's. A node
+    gets a histogram and a split search only while the tree has room to
+    split it: the two children of the split that reaches max_leaves stay
+    leaves without either, so a tree that reaches L >= 2 leaves runs
+    2L-3 searches.
     """
     indices = np.asarray(sample_mask)
     if indices.dtype == bool:
@@ -313,15 +309,8 @@ def grow_tree(
     indices = np.ascontiguousarray(indices, dtype=np.int64)
     if indices.size == 0:
         raise EmptyMask("cannot grow a tree over an empty sample mask")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-
-    n_features = data.f
-    if config.feature_fraction < 1.0:
-        k = max(1, int(np.ceil(config.feature_fraction * n_features)))
-        features = np.sort(rng.choice(n_features, size=k, replace=False))
-    else:
-        features = np.arange(n_features)
+    if features is None:
+        features = np.arange(data.f)
     n_bins = data.max_n_bins
 
     g = gh.g

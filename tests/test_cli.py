@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pgbm import DistSpec, load_csv, predict_moments, sample
+from pgbm.model_io import load as load_model
+from pgbm import cli
 from pgbm.cli import main
 
 from conftest import make_regression
@@ -383,6 +386,32 @@ class TestPredict:
         out = tmp_path / "missing" / "pred.csv"
         assert self.predict(workspace, out) == 3
 
+    @pytest.mark.parametrize("n_samples", [6, None])
+    def test_blocks_write_the_whole_file_bytes(
+        self, workspace, tmp_path, monkeypatch, n_samples
+    ):
+        # 80 rows in blocks of 7: eleven full blocks and a partial one.
+        monkeypatch.setattr(cli, "_PREDICT_BLOCK_ROWS", 7)
+        out = tmp_path / "pred.csv"
+        extra = ["--point-only"] if n_samples is None else ["--n-samples", "6"]
+        assert self.predict(workspace, out, [*extra, "--seed", "3"]) == 0
+
+        model = load_model(workspace["model"])
+        moments = predict_moments(model, load_csv(workspace["test_csv"], "y"))
+        header = ["row", "mu", "var"]
+        if n_samples is not None:
+            draws = sample(moments, DistSpec("normal"), n_samples, 3).samples
+            header.extend(f"s{j}" for j in range(n_samples))
+        lines = [",".join(header)]
+        for i in range(len(moments.mu)):
+            cells = [str(i), repr(float(moments.mu[i])), repr(float(moments.var[i]))]
+            if n_samples is not None:
+                cells.extend(repr(float(v)) for v in draws[:, i])
+            lines.append(",".join(cells))
+        assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+        rows = [line.split(",", 1)[0] for line in read_lines(out)[1:]]
+        assert rows == [str(i) for i in range(80)]
+
     @pytest.mark.parametrize("rho", ["nan", "inf", "2", "-1.5"])
     def test_rho_outside_unit_interval(self, workspace, tmp_path, capsys, rho):
         out = tmp_path / "pred.csv"
@@ -425,7 +454,85 @@ def predictions(workspace, tmp_path_factory):
     return out
 
 
+def replace_cell(lines, row, col, value):
+    cells = lines[row].split(",")
+    cells[col] = value
+    return lines[:row] + [",".join(cells)] + lines[row + 1 :]
+
+
+MALFORMED = {
+    "empty": lambda lines: [],
+    "header_only": lambda lines: lines[:1],
+    "foreign_header": lambda lines: replace_cell(lines, 0, 0, "index"),
+    "ragged_row": lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:],
+    "unparseable_cell": lambda lines: replace_cell(lines, 5, 4, "oops"),
+}
+
+
 class TestEvaluate:
+    def evaluate_fails(self, workspace, pred, capsys, metrics="crps,rmse"):
+        code = main(
+            [
+                "evaluate",
+                "--pred",
+                str(pred),
+                "--actual",
+                str(workspace["test_csv"]),
+                "--target",
+                "y",
+                "--metrics",
+                metrics,
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_predictions(
+        self, workspace, predictions, tmp_path, capsys, case
+    ):
+        bad = tmp_path / "bad.csv"
+        lines = MALFORMED[case](read_lines(predictions))
+        bad.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        err = self.evaluate_fails(workspace, bad, capsys)
+        assert str(bad) in err
+
+    @pytest.mark.parametrize("metric", ["rmse", "crps"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [1, 2, 3], ids=["mu", "var", "s0"])
+    def test_non_finite_prediction_cell(
+        self, workspace, predictions, tmp_path, capsys, column, value, metric
+    ):
+        bad = tmp_path / "bad.csv"
+        lines = replace_cell(read_lines(predictions), 5, column, value)
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = self.evaluate_fails(workspace, bad, capsys, metrics=metric)
+        assert "non-finite value at row 4" in err
+
+    def test_missing_predictions(self, workspace, tmp_path, capsys):
+        err = self.evaluate_fails(workspace, tmp_path / "absent.csv", capsys)
+        assert "cannot read" in err
+
+    def test_unwritable_out(self, workspace, predictions, tmp_path, capsys):
+        code = main(
+            [
+                "evaluate",
+                "--pred",
+                str(predictions),
+                "--actual",
+                str(workspace["test_csv"]),
+                "--target",
+                "y",
+                "--out",
+                str(tmp_path / "missing" / "rows.csv"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+
     def test_global_metrics(self, workspace, predictions, capsys):
         code = main(
             [
@@ -650,6 +757,28 @@ class TestSweep:
         )
         eval_crps = float(crps_line.split(",")[3])
         assert eval_crps == sweep_crps
+
+    def test_unwritable_out(self, workspace, tmp_path, capsys):
+        code = main(
+            [
+                "sweep",
+                "--model",
+                str(workspace["model"]),
+                "--data",
+                str(workspace["test_csv"]),
+                "--target",
+                "y",
+                "--rhos",
+                "0.0",
+                "--n-samples",
+                "10",
+                "--out",
+                str(tmp_path / "missing" / "grid.csv"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
 
     def test_rho_outside_range(self, workspace, capsys):
         code = main(

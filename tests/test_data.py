@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pgbm import (
     BinEdges,
@@ -12,9 +15,13 @@ from pgbm import (
     compute_bin_edges,
     load_csv,
 )
+from pgbm.boost import PredictiveMoments
+from pgbm.cli import _prediction_lines
+from pgbm.data import write_lines
 from pgbm.errors import (
     EmptyDataset,
     FeatureCountMismatch,
+    IoError,
     LengthMismatch,
     MissingColumn,
     NonFiniteValue,
@@ -85,6 +92,12 @@ class TestLoadCsv:
         assert info.value.row == 1
         assert info.value.col == 1
 
+    def test_unparseable_cell_reported_before_non_finite(self, tmp_path):
+        path = write(tmp_path, "a,y\nnan,2\noops,4\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(path, "y")
+        assert (info.value.row, info.value.col) == (1, 0)
+
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "")
         with pytest.raises(EmptyDataset):
@@ -106,6 +119,57 @@ class TestLoadCsv:
         path = write(tmp_path, "y\n1\n2\n")
         with pytest.raises(EmptyDataset):
             load_csv(path, "y")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(IoError, match="cannot read"):
+            load_csv(tmp_path / "absent.csv", "y")
+
+
+TINY = np.nextafter(0.0, 1.0)
+HUGE = np.finfo(np.float64).max
+NORMAL = np.finfo(np.float64).smallest_normal
+
+
+class TestWriteLines:
+    def test_lines_end_with_newlines(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_lines(path, iter(["a,b", "1,2"]))
+        assert path.read_bytes() == b"a,b\n1,2\n"
+
+    def test_missing_directory(self, tmp_path):
+        with pytest.raises(IoError, match="cannot write"):
+            write_lines(tmp_path / "missing" / "out.txt", ["a"])
+
+    def test_failure_mid_write_leaves_written_lines(self, tmp_path):
+        path = tmp_path / "out.txt"
+
+        def lines():
+            yield "first"
+            raise OSError("device full")
+
+        with pytest.raises(IoError, match="device full"):
+            write_lines(path, lines())
+        assert path.read_text(encoding="utf-8") == "first\n"
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(2, 6)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @example(np.array([[0.0, -0.0, TINY, -TINY], [HUGE, -HUGE, 1e-310, NORMAL]]))
+    def test_predict_rows_round_trip_bit_identical(self, tmp_path_factory, table):
+        """Columns of ``table`` are mu, var and the sample draws."""
+        path = tmp_path_factory.mktemp("round_trip") / "pred.csv"
+        moments = PredictiveMoments(mu=table[:, 0], var=table[:, 1])
+        samples = np.ascontiguousarray(table[:, 2:].T) if table.shape[1] > 2 else None
+        header = ["row", "mu", "var"] + [f"s{j}" for j in range(table.shape[1] - 2)]
+        write_lines(path, _prediction_lines(header, moments, samples))
+        loaded = load_csv(path, None)
+        assert loaded.feature_names == header
+        expected = np.column_stack([np.arange(len(table)), table])
+        assert loaded.features.tobytes() == expected.tobytes()
 
 
 class TestRawDataset:

@@ -16,7 +16,13 @@ from pgbm import (
     numeric_gradhess,
     parse_hierarchy,
 )
-from pgbm.errors import IndexOutOfRange, LengthMismatch, NonFiniteLoss, ParseError
+from pgbm.errors import (
+    IndexOutOfRange,
+    IoError,
+    LengthMismatch,
+    NonFiniteLoss,
+    ParseError,
+)
 
 
 def two_level_spec():
@@ -325,6 +331,10 @@ class TestParseHierarchy:
         path.write_text(HIERARCHY_TEXT, encoding="utf-8")
         spec = load_hierarchy(path)
         assert len(spec.levels) == 2
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(IoError, match="cannot read"):
+            load_hierarchy(tmp_path / "absent.txt")
 
     def test_missing_levels_header(self):
         with pytest.raises(ParseError):

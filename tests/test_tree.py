@@ -385,11 +385,10 @@ class TestGrowTree:
         edges = compute_bin_edges(data, 16)
         binned = apply_bins(data, edges)
         gh = GradHess(2.0 * (0.0 - data.target), np.full(300, 2.0))
-        cfg = TreeConfig(max_leaves=8, max_bins=16, lam=1.0, feature_fraction=0.25)
-        rng = np.random.default_rng(3)
-        tree = grow_tree(binned, gh, np.arange(300), cfg, rng=rng)
-        used = set(tree.nodes["feature"].tolist())
-        assert len(used) <= 1
+        cfg = TreeConfig(max_leaves=8, max_bins=16, lam=1.0)
+        tree = grow_tree(binned, gh, np.arange(300), cfg, features=np.array([2]))
+        assert len(tree.nodes) > 0
+        assert set(tree.nodes["feature"].tolist()) == {2}
 
 
 class TestTreeTables:
