@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .data import BinEdges, RawDataset, apply_bins, compute_bin_edges
-from .errors import FeatureCountMismatch, NonFiniteEstimate
+from .errors import FeatureCountMismatch, NonFiniteEstimate, TrainingDiverged
 from .loss import GradHess
 from .tree import Tree, TreeConfig, grow_tree, route_many
 
@@ -132,6 +132,10 @@ def train(
     reported through ``progress``, and the returned ensemble is
     truncated at the best iteration; ``early_stopping_rounds``
     additionally stops scanning after that many non-improving rounds.
+
+    When the loss reports its objective, training raises
+    TrainingDiverged as soon as the objective exceeds iteration 0's,
+    which is the constant model's.
     """
     if valid is None and config.early_stopping_rounds is not None:
         raise ValueError("early stopping needs a validation set")
@@ -168,6 +172,13 @@ def train(
 
     for k in range(config.n_estimators):
         gh = loss(y, mu)
+        if k == 0:
+            objective0 = gh.objective
+        elif objective0 is not None and gh.objective > objective0:
+            raise TrainingDiverged(
+                f"training objective {gh.objective:.6g} at iteration {k} exceeds "
+                f"the constant model's {objective0:.6g}; lower the learning rate"
+            )
         if bag_size < n:
             bag_rng = np.random.default_rng([config.seed, k, 0])
             mask = np.sort(bag_rng.choice(n, size=bag_size, replace=False))

@@ -1,10 +1,12 @@
 """Batch command line: train, predict, evaluate, sweep.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data or model
-error; every failure prints a one-line diagnosis to stderr. Options can
-come from a `--config <file>` of `key = value` lines (with `#`
-comments); keys are the long flag names with underscores, and explicit
-flags take precedence over file values.
+error; every failure, a usage error included, prints one `error:` line
+to stderr. Options can come from a `--config <file>` of `key = value`
+lines (with `#` comments). Each entry becomes the flag `--key=value`
+(underscores in the key become dashes; a boolean flag is given or left
+out), placed before the explicit flags, so the command's parser checks
+it like any flag and an explicit flag takes precedence.
 """
 
 from __future__ import annotations
@@ -45,12 +47,13 @@ MAX_SAMPLE_COLUMNS = 10_000
 # Rows per block of predict output: bounds the Python floats held at once.
 _PREDICT_BLOCK_ROWS = 256
 
-_REQUIRED = {
-    "train": ("data", "target", "model_out"),
-    "predict": ("model", "data", "out"),
-    "evaluate": ("pred", "actual"),
-    "sweep": ("model", "data"),
-}
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ValueError on a usage error instead of printing usage and
+    exiting, so that main reports it like any other error."""
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def _rho_argument(text: str):
@@ -58,7 +61,7 @@ def _rho_argument(text: str):
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pgbm",
         description="Probabilistic gradient boosting: train, predict, evaluate, sweep.",
     )
@@ -68,13 +71,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         metavar="FILE",
         help="read defaults from a `key = value` file; flags override it",
     )
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     sub: dict[str, argparse.ArgumentParser] = {}
 
     p = commands.add_parser("train", help="fit a model and save it")
-    p.add_argument("--data", help="training CSV")
-    p.add_argument("--target", help="target column name")
-    p.add_argument("--model-out", help="path for the saved model")
+    p.add_argument("--data", required=True, help="training CSV")
+    p.add_argument("--target", required=True, help="target column name")
+    p.add_argument("--model-out", required=True, help="path for the saved model")
     p.add_argument("--valid", help="validation CSV scored every iteration")
     p.add_argument("--valid-metric", choices=("rmse", "crps"), default="rmse",
                    help="validation score (crps uses the normal closed form)")
@@ -96,9 +99,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub["train"] = p
 
     p = commands.add_parser("predict", help="write moments and samples for a dataset")
-    p.add_argument("--model", help="saved model file")
-    p.add_argument("--data", help="input CSV (extra columns are ignored)")
-    p.add_argument("--out", help="output CSV path")
+    p.add_argument("--model", required=True, help="saved model file")
+    p.add_argument("--data", required=True, help="input CSV (extra columns are ignored)")
+    p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--dist", choices=FAMILIES, default="normal")
     p.add_argument("--rho", type=_rho_argument, default=None,
                    help="override the stored tree correlation")
@@ -111,8 +114,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub["predict"] = p
 
     p = commands.add_parser("evaluate", help="score predictions against actuals")
-    p.add_argument("--pred", help="CSV produced by predict")
-    p.add_argument("--actual", help="CSV with the realized targets")
+    p.add_argument("--pred", required=True, help="CSV produced by predict")
+    p.add_argument("--actual", required=True, help="CSV with the realized targets")
     p.add_argument("--target", help="target column in --actual")
     p.add_argument("--metrics", default="crps,rmse", help="comma list of crps,rmse")
     p.add_argument("--hierarchy", help="hierarchy spec file for per-level rows")
@@ -120,8 +123,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub["evaluate"] = p
 
     p = commands.add_parser("sweep", help="grid CRPS over distributions and rho")
-    p.add_argument("--model", help="saved model file")
-    p.add_argument("--data", help="validation CSV including the target column")
+    p.add_argument("--model", required=True, help="saved model file")
+    p.add_argument("--data", required=True,
+                   help="validation CSV including the target column")
     p.add_argument("--target", help="target column (defaults to the trained one)")
     p.add_argument("--dists", default="normal", help="comma list of families, or `all`")
     p.add_argument("--rhos", default="0:0.09:0.01",
@@ -164,69 +168,39 @@ def _parse_config_bool(key: str, value: str) -> bool:
     raise ValueError(f"config key {key!r}: expected a boolean, got {value!r}")
 
 
-def _apply_config(
+def _config_flags(
     subparser: argparse.ArgumentParser, entries: dict[str, str]
-) -> None:
-    actions: dict[str, argparse.Action] = {}
-    for action in subparser._actions:
-        for option in action.option_strings:
-            if option.startswith("--"):
-                actions[option[2:].replace("-", "_")] = action
-    defaults = {}
+) -> list[str]:
+    """Turn config entries into the command-line flags they name."""
+    flags = []
     for key, value in entries.items():
-        action = actions.get(key)
-        if action is None or key == "help":
-            raise ValueError(f"unknown config key {key!r}")
-        if isinstance(action, argparse._StoreTrueAction):
-            converted: object = _parse_config_bool(key, value)
-        elif action.type is not None:
-            try:
-                converted = action.type(value)
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from exc
+        flag = "--" + key.replace("_", "-")
+        if subparser.get_default(key) is False:
+            if _parse_config_bool(key, value):
+                flags.append(flag)
         else:
-            converted = value
-        if action.choices is not None and converted not in action.choices:
-            raise ValueError(
-                f"config key {key!r}: {converted!r} is not one of {list(action.choices)}"
-            )
-        defaults[action.dest] = converted
-    subparser.set_defaults(**defaults)
+            flags.append(f"{flag}={value}")
+    return flags
 
 
-def _check_required(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> None:
-    for dest in _REQUIRED[args.command]:
-        if getattr(args, dest) is None:
-            flag = "--" + dest.replace("_", "-")
-            parser.error(f"{args.command} requires {flag}")
-
-
-def _select_features(model: Ensemble, raw: RawDataset, source: str) -> np.ndarray:
+def _model_columns(model: Ensemble, path: str, target: str | None = None) -> RawDataset:
+    """Load a CSV keeping exactly the model's feature columns, in
+    training order; with a ``target`` name that column is the target,
+    otherwise a present target column is simply dropped."""
+    raw = load_csv(path, target)
     columns = []
     for name in model.feature_names:
         if name not in raw.feature_names:
-            raise MissingColumn(f"{source} is missing column {name!r}")
+            raise MissingColumn(f"{path} is missing column {name!r}")
         columns.append(raw.feature_names.index(name))
-    return raw.features[:, columns]
+    return RawDataset(raw.features[:, columns], raw.target, list(model.feature_names), target)
 
 
-def _feature_dataset(model: Ensemble, path: str) -> RawDataset:
-    """Load a CSV keeping exactly the model's feature columns, in
-    training order; a present target column is simply dropped."""
-    raw = load_csv(path, target_column=None)
-    features = _select_features(model, raw, path)
-    return RawDataset(features, np.zeros(raw.n), list(model.feature_names))
-
-
-def _target_dataset(model: Ensemble, path: str, target: str | None) -> RawDataset:
-    name = target if target is not None else model.target_name
-    if name is None:
-        raise ValueError("no target column recorded in the model; pass --target")
-    raw = load_csv(path, target_column=name)
-    features = _select_features(model, raw, path)
-    return RawDataset(features, raw.target, list(model.feature_names), name)
+def _check_sample_count(n_samples: int) -> None:
+    if n_samples > MAX_SAMPLE_COLUMNS:
+        raise ValueError(
+            f"--n-samples {n_samples} exceeds the cap of {MAX_SAMPLE_COLUMNS} sample columns"
+        )
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -276,19 +250,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    if not args.point_only:
+        _check_sample_count(args.n_samples)
     model = load_model(args.model)
-    data = _feature_dataset(model, args.data)
+    data = _model_columns(model, args.data)
     rho = None if args.rho in (None, "auto") else float(args.rho)
     moments = predict_moments(model, data, rho=rho)
 
     header = ["row", "mu", "var"]
     matrix = None
     if not args.point_only:
-        if args.n_samples > MAX_SAMPLE_COLUMNS:
-            raise ValueError(
-                f"--n-samples {args.n_samples} exceeds the cap of "
-                f"{MAX_SAMPLE_COLUMNS} sample columns; reduce it or use --point-only"
-            )
         spec = DistSpec(family=args.dist, clamp_nonneg=args.clamp_nonneg)
         result = sample(moments, spec, args.n_samples, args.seed)
         if result.fallback_rows:
@@ -395,27 +366,20 @@ def _parse_rhos(text: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.dists == "all":
-        families = list(FAMILIES)
-    else:
-        families = [d.strip() for d in args.dists.split(",") if d.strip()]
-        for family in families:
-            if family not in FAMILIES:
-                raise ValueError(
-                    f"unknown family {family!r}; choose from {', '.join(FAMILIES)}"
-                )
-    if not families:
+    families = FAMILIES if args.dists == "all" else args.dists.split(",")
+    specs = [DistSpec(family=f.strip()) for f in families if f.strip()]
+    if not specs:
         raise ValueError("no families requested")
     rhos = _parse_rhos(args.rhos)
     if not rhos:
         raise ValueError("no rho values requested")
-    if args.n_samples > MAX_SAMPLE_COLUMNS:
-        raise ValueError(
-            f"--n-samples {args.n_samples} exceeds the cap of {MAX_SAMPLE_COLUMNS}"
-        )
+    _check_sample_count(args.n_samples)
 
     model = load_model(args.model)
-    data = _target_dataset(model, args.data, args.target)
+    target = args.target if args.target is not None else model.target_name
+    if target is None:
+        raise ValueError("no target column recorded in the model; pass --target")
+    data = _model_columns(model, args.data, target)
     contrib_mu, contrib_var = tree_contributions(model, data)
     moments_by_rho = {
         rho: accumulate_moments(model.y0, model.alpha, rho, contrib_mu, contrib_var)
@@ -424,14 +388,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     lines = ["dist,rho,crps"]
     best: tuple[str, float, float] | None = None
-    for family in families:
-        spec = DistSpec(family=family)
+    for spec in specs:
         for rho in rhos:
             result = sample(moments_by_rho[rho], spec, args.n_samples, args.seed)
             value = float(np.mean(crps_empirical_rows(result.samples, data.target)))
-            lines.append(f"{family},{rho!r},{value!r}")
+            lines.append(f"{spec.family},{rho!r},{value!r}")
             if best is None or value < best[2]:
-                best = (family, rho, value)
+                best = (spec.family, rho, value)
 
     print("\n".join(lines))
     print(f"best: dist={best[0]} rho={best[1]!r} crps={best[2]!r}")
@@ -452,18 +415,16 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subparsers = _build_parser()
     try:
-        pre = argparse.ArgumentParser(add_help=False)
+        pre = _ArgumentParser(add_help=False)
         pre.add_argument("--config")
         pre_args, rest = pre.parse_known_args(argv)
         command = next((t for t in rest if not t.startswith("-")), None)
-        if pre_args.config is not None:
-            if command not in subparsers:
-                raise ValueError("--config requires a command (train/predict/evaluate/sweep)")
-            _apply_config(subparsers[command], _read_config_file(pre_args.config))
+        if pre_args.config is not None and command in subparsers:
+            at = rest.index(command) + 1
+            rest[at:at] = _config_flags(
+                subparsers[command], _read_config_file(pre_args.config)
+            )
         args = parser.parse_args(rest)
-        if args.command is None:
-            parser.error("a command is required (train/predict/evaluate/sweep)")
-        _check_required(parser, args)
         return _HANDLERS[args.command](args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0

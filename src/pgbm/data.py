@@ -1,6 +1,7 @@
 """Dataset ingestion, text output and equal-density histogram binning.
 
-``load_csv`` reads every numeric CSV; ``write_lines`` writes every output file.
+``load_csv`` reads every numeric CSV, ``read_text`` every other input
+file, and ``write_lines`` writes every output file.
 
 Features are quantized once, globally, before boosting starts: each
 feature gets a sorted table of upper bin edges placed at empirical
@@ -13,7 +14,6 @@ prediction never fails on new data.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -189,6 +189,14 @@ def load_csv(path: str | Path, target_column: str | None) -> RawDataset:
     return RawDataset(features, target, names, target_name=target_column)
 
 
+def read_text(path: str | Path) -> str:
+    """Return the whole of a UTF-8 text file. Raises IoError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each string of ``lines`` and a newline to a UTF-8 file.
 
@@ -203,17 +211,12 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _quantile_value(sorted_values: np.ndarray, q: float) -> float:
-    """Empirical quantile by sorted-order index ceil(q*n)-1, lower interpolation."""
-    n = sorted_values.size
-    idx = max(0, math.ceil(q * n) - 1)
-    return float(sorted_values[idx])
-
-
 def compute_bin_edges(data: RawDataset, max_bins: int) -> BinEdges:
     """Place per-feature edges at the k/max_bins quantiles, k=1..max_bins-1.
 
-    Duplicate quantile values collapse so edges stay strictly increasing.
+    The k-th quantile is the sorted value at index max(0, ceil(k/max_bins
+    * n) - 1). Duplicate quantile values collapse to the first of each
+    run, so edges stay strictly increasing.
     A feature with c <= max_bins distinct values gets one bin per value
     (edges at every distinct value except the largest), so low-cardinality
     features are never lumped by a skewed quantile grid.
@@ -227,9 +230,9 @@ def compute_bin_edges(data: RawDataset, max_bins: int) -> BinEdges:
         if distinct.size <= max_bins:
             edges.append(distinct[:-1].copy())
             continue
-        qs = [_quantile_value(values, k / max_bins) for k in range(1, max_bins)]
-        unique_edges = sorted(set(qs))
-        edges.append(np.asarray(unique_edges, dtype=np.float64))
+        q = np.arange(1, max_bins) / max_bins
+        qs = values[np.maximum(np.ceil(q * values.size).astype(np.int64) - 1, 0)]
+        edges.append(qs[np.concatenate(([True], qs[1:] != qs[:-1]))])
     return BinEdges(edges)
 
 

@@ -71,6 +71,10 @@ class NonFiniteEstimate(PgbmError):
     """A running estimate became non-finite during training."""
 
 
+class TrainingDiverged(PgbmError):
+    """The training objective rose above that of the constant model."""
+
+
 class InfeasibleMoments(PgbmError):
     """The requested family cannot represent the given mean and variance."""
 

@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
+from .data import read_text
 from .errors import (
     IndexOutOfRange,
-    IoError,
     LengthMismatch,
     NonFiniteLoss,
     ParseError,
@@ -37,10 +37,16 @@ DEFAULT_FD_STEP = 1e-5
 
 @dataclass(frozen=True)
 class GradHess:
-    """Per-sample gradient and hessian vectors for one iteration."""
+    """Per-sample gradient and hessian vectors for one iteration.
+
+    ``objective`` is the loss at the estimates the derivatives were taken
+    at, or None when the provider does not compute it; training uses it
+    to detect divergence.
+    """
 
     g: np.ndarray
     h: np.ndarray
+    objective: float | None = None
 
     def __post_init__(self):
         g = np.ascontiguousarray(self.g, dtype=np.float64)
@@ -131,29 +137,22 @@ def mse_gradhess(y: np.ndarray, yhat: np.ndarray) -> GradHess:
     yhat = np.asarray(yhat, dtype=np.float64)
     if y.shape != yhat.shape:
         raise LengthMismatch(f"y has shape {y.shape}, yhat has shape {yhat.shape}")
-    return GradHess(g=2.0 * (yhat - y), h=np.full(y.shape, 2.0))
+    residual = yhat - y
+    with np.errstate(over="ignore"):
+        objective = float(np.sum(residual**2))
+    return GradHess(g=2.0 * residual, h=np.full(y.shape, 2.0), objective=objective)
 
 
 def hier_wmse_loss(y: np.ndarray, yhat: np.ndarray, spec: HierarchySpec) -> float:
     """Weighted squared error of group sums, summed over all levels."""
-    y = np.asarray(y, dtype=np.float64)
-    yhat = np.asarray(yhat, dtype=np.float64)
-    if y.shape != yhat.shape:
-        raise LengthMismatch(f"y has shape {y.shape}, yhat has shape {yhat.shape}")
-    n = y.size
-    residual = y - yhat
-    total = 0.0
-    for a, level in enumerate(spec.levels):
-        ids, keys = spec.group_ids(a, n)
-        group_residual = np.bincount(ids, weights=residual, minlength=len(keys))
-        total += level.weight * float(np.sum(group_residual**2))
-    return total
+    return hier_wmse_gradhess(y, yhat, spec).objective
 
 
 def hier_wmse_gradhess(
     y: np.ndarray, yhat: np.ndarray, spec: HierarchySpec
 ) -> GradHess:
-    """Exact derivatives of hier_wmse_loss with respect to each yhat_i."""
+    """Exact derivatives of hier_wmse_loss with respect to each yhat_i,
+    with the loss itself as the objective."""
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
     if y.shape != yhat.shape:
@@ -162,12 +161,15 @@ def hier_wmse_gradhess(
     residual = y - yhat
     g = np.zeros(n)
     weight_sum = 0.0
+    total = 0.0
     for a, level in enumerate(spec.levels):
         ids, keys = spec.group_ids(a, n)
         group_residual = np.bincount(ids, weights=residual, minlength=len(keys))
         g -= 2.0 * level.weight * group_residual[ids]
         weight_sum += level.weight
-    return GradHess(g=g, h=np.full(n, 2.0 * weight_sum))
+        with np.errstate(over="ignore"):
+            total += level.weight * float(np.sum(group_residual**2))
+    return GradHess(g=g, h=np.full(n, 2.0 * weight_sum), objective=total)
 
 
 def numeric_gradhess(
@@ -181,7 +183,8 @@ def numeric_gradhess(
     ``loss_fn(y_i, v)`` evaluates the loss of one sample at estimate v.
     The step is relative: delta_i = step * max(1, |yhat_i|). Coupled
     losses cannot go through this path since each sample is probed
-    independently; they need an analytic provider.
+    independently; they need an analytic provider. The objective is the
+    sum of the per-sample losses at ``yhat``.
     """
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
@@ -191,6 +194,7 @@ def numeric_gradhess(
         raise ValueError("step must be positive")
     g = np.empty(y.size)
     h = np.empty(y.size)
+    total = 0.0
     for i in range(y.size):
         delta = step * max(1.0, abs(yhat[i]))
         lo = loss_fn(y[i], yhat[i] - delta)
@@ -200,7 +204,8 @@ def numeric_gradhess(
             raise NonFiniteLoss(f"loss not finite near yhat[{i}]={yhat[i]!r}")
         g[i] = (hi - lo) / (2.0 * delta)
         h[i] = (hi - 2.0 * mid + lo) / (delta * delta)
-    return GradHess(g=g, h=h)
+        total += mid
+    return GradHess(g=g, h=h, objective=float(total))
 
 
 def parse_hierarchy(text: str) -> HierarchySpec:
@@ -280,8 +285,4 @@ def parse_hierarchy(text: str) -> HierarchySpec:
 
 
 def load_hierarchy(path: str | Path) -> HierarchySpec:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    return parse_hierarchy(text)
+    return parse_hierarchy(read_text(path))

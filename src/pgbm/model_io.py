@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .boost import BoostConfig, Ensemble
-from .data import BinEdges, write_lines
-from .errors import CorruptModel, IoError, VersionMismatch
+from .data import BinEdges, read_text, write_lines
+from .errors import CorruptModel, VersionMismatch
 from .tree import LEAF_DTYPE, LeafStats, Tree, TreeConfig
 
 _HEADER = "pgbmfmt v1"
@@ -283,11 +283,7 @@ def _parse_tree(parser: _Parser, index: int, edge_counts: list[int]) -> Tree:
 
 
 def load(path: str | Path) -> Ensemble:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    parser = _Parser(text.splitlines())
+    parser = _Parser(read_text(path).splitlines())
 
     header = parser.peek()
     if header is None:

@@ -19,7 +19,7 @@ from pgbm import (
     train,
     tree_contributions,
 )
-from pgbm.errors import FeatureCountMismatch, NonFiniteEstimate
+from pgbm.errors import FeatureCountMismatch, NonFiniteEstimate, TrainingDiverged
 
 from conftest import make_regression
 
@@ -189,6 +189,25 @@ class TestTrain:
 
         with pytest.raises(NonFiniteEstimate):
             train(data, exploding, small_config(n_estimators=2))
+
+    def test_rising_objective_raises(self):
+        data = make_regression(17, 60, 1)
+
+        def ascending(y, yhat):
+            gh = mse_gradhess(y, yhat)
+            return GradHess(-gh.g, gh.h, gh.objective)
+
+        with pytest.raises(TrainingDiverged, match="at iteration 1 exceeds"):
+            train(data, ascending, small_config(n_estimators=3))
+
+    def test_loss_without_objective_is_not_guarded(self):
+        data = make_regression(17, 60, 1)
+
+        def ascending(y, yhat):
+            return GradHess(2.0 * (y - yhat), np.full(y.size, 2.0))
+
+        model = train(data, ascending, small_config(n_estimators=3))
+        assert len(model.trees) == 3
 
     def test_truncates_to_best_validation_iteration(self):
         rng = np.random.default_rng(16)

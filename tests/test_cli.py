@@ -7,7 +7,7 @@ import pytest
 
 from pgbm import DistSpec, load_csv, predict_moments, sample
 from pgbm.model_io import load as load_model
-from pgbm import cli
+from pgbm import cli, errors
 from pgbm.cli import main
 
 from conftest import make_regression
@@ -289,6 +289,28 @@ class TestConfigFile:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err.lower()
+
+
+    def test_config_supplies_required_flags(self, workspace, tmp_path, capsys):
+        config = tmp_path / "predict.conf"
+        config.write_text(
+            f"point_only = true\nclamp_nonneg = off\nmodel = {workspace['model']}\n"
+            f"data = {workspace['test_csv']}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "pred.csv"
+        assert main(["--config", str(config), "predict", "--out", str(out)]) == 0
+        assert read_lines(out)[0] == "row,mu,var"
+        assert len(read_lines(out)) == 81
+
+    def test_false_boolean_leaves_the_flag_out(self, workspace, tmp_path):
+        config = tmp_path / "predict.conf"
+        config.write_text("point_only = no\nn_samples = 3\n", encoding="utf-8")
+        out = tmp_path / "pred.csv"
+        argv = ["--config", str(config), "predict", "--model", str(workspace["model"]),
+                "--data", str(workspace["test_csv"]), "--out", str(out)]
+        assert main(argv) == 0
+        assert read_lines(out)[0] == "row,mu,var,s0,s1,s2"
 
 
 class TestPredict:
@@ -840,3 +862,155 @@ class TestTopLevel:
     def test_unknown_command(self, capsys):
         code = main(["frobnicate"])
         assert code == 2
+
+
+def _train(f, data, *extra, target="y"):
+    return ["train", "--data", str(f[data]), "--target", target,
+            "--model-out", str(f["root"] / "never.txt"), *extra]
+
+
+def _predict(f, model, *extra):
+    return ["predict", "--model", str(f[model]), "--data", str(f["test_csv"]),
+            "--out", str(f["root"] / "pred.csv"), *extra]
+
+
+def _configured(f, config, *argv):
+    return ["--config", str(f[config]), *argv]
+
+
+# Every failure a command can meet: case -> (argv from the files built by
+# the `failures` fixture, exit code, the error the handler raises or None
+# when argparse or the config reader rejects the line first).
+FAILURES = {
+    "missing_file": (lambda f: _train(f, "absent"), 3, errors.IoError),
+    "missing_target": (lambda f: _train(f, "train_csv", target="nope"), 3, errors.MissingColumn),
+    "unparseable_cell": (lambda f: _train(f, "unparseable"), 3, errors.ParseError),
+    "non_finite_cell": (lambda f: _train(f, "non_finite"), 3, errors.NonFiniteValue),
+    "header_only": (lambda f: _train(f, "header_only"), 3, errors.EmptyDataset),
+    "valid_feature_count": (
+        lambda f: _train(f, "train_csv", "--valid", str(f["one_feature"])),
+        3, errors.FeatureCountMismatch),
+    "prediction_rows": (
+        lambda f: ["evaluate", "--pred", str(f["one_prediction"]),
+                   "--actual", str(f["test_csv"]), "--target", "y", "--metrics", "rmse"],
+        3, errors.LengthMismatch),
+    "hierarchy_row": (
+        lambda f: _train(f, "train_csv", "--loss", "hierwmse",
+                         "--hierarchy", str(f["far_hierarchy"])),
+        3, errors.IndexOutOfRange),
+    "split_overflow": (lambda f: _train(f, "huge"), 3, errors.NonFiniteEstimate),
+    "diverged": (
+        lambda f: _train(f, "diverging", "--loss", "hierwmse", "--hierarchy",
+                         str(f["two_groups"]), "--learning-rate", "0.5"),
+        3, errors.TrainingDiverged),
+    "model_version": (lambda f: _predict(f, "future_model"), 3, errors.VersionMismatch),
+    "model_corrupt": (lambda f: _predict(f, "not_a_model"), 3, errors.CorruptModel),
+    "hierwmse_without_hierarchy": (
+        lambda f: _train(f, "train_csv", "--loss", "hierwmse"), 2, ValueError),
+    "sample_cap": (lambda f: _predict(f, "model", "--n-samples", "20000"), 2, ValueError),
+    "unknown_family": (
+        lambda f: ["sweep", "--model", str(f["model"]), "--data", str(f["test_csv"]),
+                   "--dists", "normal,gamma"],
+        2, ValueError),
+    "no_command": (lambda f: [], 2, None),
+    "unknown_command": (lambda f: ["frobnicate"], 2, None),
+    "missing_required_flag": (lambda f: ["train"], 2, None),
+    "bad_choice": (lambda f: _predict(f, "model", "--dist", "foo"), 2, None),
+    "bad_int": (lambda f: _train(f, "train_csv", "--n-estimators", "x"), 2, None),
+    "unknown_flag": (lambda f: _train(f, "train_csv", "--frobnicate"), 2, None),
+    "bare_config": (lambda f: ["train", "--config"], 2, None),
+    "config_without_command": (lambda f: ["--config", str(f["unknown_key"])], 2, None),
+    "config_unknown_key": (
+        lambda f: _configured(f, "unknown_key", *_train(f, "train_csv")), 2, None),
+    "config_help": (lambda f: _configured(f, "help_key", *_train(f, "train_csv")), 2, None),
+    "config_bad_int": (lambda f: _configured(f, "bad_int", *_train(f, "train_csv")), 2, None),
+    "config_bad_choice": (
+        lambda f: _configured(f, "bad_choice", *_predict(f, "model")), 2, None),
+    "config_bad_boolean": (
+        lambda f: _configured(f, "bad_boolean", *_predict(f, "model")), 2, None),
+    "config_bad_line": (lambda f: _configured(f, "bad_line", *_train(f, "train_csv")), 2, None),
+    "config_missing": (lambda f: _configured(f, "absent", *_train(f, "train_csv")), 2, None),
+}
+
+# PgbmError subclasses that no command can raise, and why.
+UNREACHABLE = {
+    "NonFiniteLoss": "only numeric_gradhess raises it, and no command uses it",
+    "DegenerateHessian": "every command's hessian is positive and lambda nonnegative",
+    "EmptyMask": "a bag always holds at least one row",
+    "InfeasibleMoments": "sample falls back to normal instead of raising it",
+    "EmptySamples": "sample rejects zero draws and evaluate needs sample columns first",
+}
+
+
+@pytest.fixture(scope="module")
+def failures(workspace, tmp_path_factory):
+    root = tmp_path_factory.mktemp("failures")
+    files = dict(workspace, root=root, absent=root / "absent.txt")
+    members = {"a": range(20), "b": range(20, 40)}
+    texts = {
+        "unparseable": "x,y\n1,oops\n",
+        "non_finite": "x,y\n1,nan\n",
+        "header_only": "x,y\n",
+        "one_feature": "x0,y\n0,1\n",
+        "one_prediction": "row,mu,var\n0,1.0,0.5\n",
+        "far_hierarchy": "levels=1\nlevel 0 weight=1\ngroup a: 0,999\n",
+        "huge": "x,y\n0,1e160\n1,-1e160\n2,3e160\n3,-2e160\n",
+        # Two groups of 20 rows: a leaf holding a whole group has about
+        # ten times the curvature of the diagonal hessian, so a step of
+        # 0.5 overshoots and the objective grows.
+        "diverging": "x,y\n" + "".join(
+            f"{i // 20},{1 if i < 20 else -1}\n" for i in range(40)),
+        "two_groups": "levels=2\nlevel 0 weight=1 identity\nlevel 1 weight=1\n" + "".join(
+            f"group {key}: {','.join(map(str, rows))}\n" for key, rows in members.items()),
+        "future_model": "pgbmfmt v2\n",
+        "not_a_model": "not a model\n",
+        "unknown_key": "definitely_not_a_flag = 1\n",
+        "help_key": "help = 1\n",
+        "bad_int": "n_estimators = many\n",
+        "bad_choice": "dist = foo\n",
+        "bad_boolean": "point_only = maybe\n",
+        "bad_line": "n_estimators\n",
+    }
+    for name, text in texts.items():
+        files[name] = root / f"{name}.txt"
+        files[name].write_text(text, encoding="utf-8")
+    return files
+
+
+class TestErrorPaths:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(FAILURES))
+    def test_failure_is_one_error_line(self, failures, monkeypatch, capsys, case):
+        build, code, error = FAILURES[case]
+        raised = []
+
+        def recording(handler):
+            def run(args):
+                try:
+                    return handler(args)
+                except Exception as exc:
+                    raised.append(type(exc))
+                    raise
+
+            return run
+
+        for name, handler in cli._HANDLERS.items():
+            monkeypatch.setitem(cli._HANDLERS, name, recording(handler))
+        assert main(build(failures)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert "usage:" not in err and "Traceback" not in err
+        assert raised == ([] if error is None else [error])
+
+    def test_every_pgbm_error_is_walked(self):
+        classes = {
+            name for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, errors.PgbmError)
+            and value is not errors.PgbmError
+        }
+        walked = {
+            error.__name__ for _, _, error in FAILURES.values()
+            if error is not None and issubclass(error, errors.PgbmError)
+        }
+        assert walked.isdisjoint(UNREACHABLE)
+        assert walked | set(UNREACHABLE) == classes

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -17,7 +19,7 @@ from pgbm import (
 )
 from pgbm.boost import PredictiveMoments
 from pgbm.cli import _prediction_lines
-from pgbm.data import write_lines
+from pgbm.data import read_text, write_lines
 from pgbm.errors import (
     EmptyDataset,
     FeatureCountMismatch,
@@ -172,6 +174,16 @@ class TestWriteLines:
         assert loaded.features.tobytes() == expected.tobytes()
 
 
+class TestReadText:
+    def test_reads_the_whole_file(self, tmp_path):
+        path = write(tmp_path, "levels=1\n\u00e9\n", name="h.txt")
+        assert read_text(path) == "levels=1\n\u00e9\n"
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(IoError, match="cannot read .*absent.txt"):
+            read_text(tmp_path / "absent.txt")
+
+
 class TestRawDataset:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -252,6 +264,42 @@ class TestComputeBinEdges:
             card = np.unique(values).size
             edges = simple_dataset(values, max_bins=16)
             assert edges.n_bins(0) == card
+
+
+def loop_bin_edges(values: np.ndarray, max_bins: int) -> np.ndarray:
+    """compute_bin_edges for one feature as a loop over the quantiles."""
+    values = np.sort(values)
+    distinct = np.unique(values)
+    if distinct.size <= max_bins:
+        return distinct[:-1]
+    qs = [
+        float(values[max(0, math.ceil(k / max_bins * values.size) - 1)])
+        for k in range(1, max_bins)
+    ]
+    return np.asarray(sorted(set(qs)), dtype=np.float64)
+
+
+@st.composite
+def binning_inputs(draw):
+    """Values drawn with ties from a pool of about max_bins distinct
+    floats that holds both zeros, so the distinct count often lands just
+    above max_bins."""
+    max_bins = draw(st.integers(2, 40))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(finite, min_size=1, max_size=max_bins + 3)) + [-0.0, 0.0]
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+    return np.array(values), max_bins
+
+
+class TestBinEdgesMatchLoop:
+    @given(binning_inputs())
+    @example((np.array([-0.0, 0.0, 0.0, -0.0, 1.0, 2.0, 2.0, 3.0]), 3))
+    @example((np.array([0.0, -0.0, 5.0, 5.0, 6.0, 7.0, 8.0]), 4))
+    @example((np.arange(42.0), 14))  # 9 / 14 * 42 rounds up to just above 27
+    def test_bit_identical_to_the_loop(self, inputs):
+        values, max_bins = inputs
+        edges = simple_dataset(values, max_bins=max_bins).edges[0]
+        assert edges.tobytes() == loop_bin_edges(values, max_bins).tobytes()
 
 
 class TestApplyBins:

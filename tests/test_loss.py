@@ -45,6 +45,10 @@ class TestMse:
         with pytest.raises(LengthMismatch):
             mse_gradhess(np.zeros(2), np.zeros(3))
 
+    def test_objective_is_the_squared_error(self):
+        gh = mse_gradhess(np.array([1.0, 2.0, 0.0]), np.array([3.0, 2.0, -1.0]))
+        assert gh.objective == 5.0
+
     def test_gradhess_container_validates(self):
         with pytest.raises(LengthMismatch):
             GradHess(np.zeros(2), np.zeros(3))
@@ -73,6 +77,24 @@ class TestHierWmse:
         gh = hier_wmse_gradhess(y, yhat, two_level_spec())
         np.testing.assert_allclose(gh.g, [-3.5, -4.0])
         np.testing.assert_allclose(gh.h, [1.5, 1.5])
+
+    def test_gradhess_objective_is_the_loss(self):
+        y = np.array([1.0, 2.0])
+        gh = hier_wmse_gradhess(y, np.array([0.0, 0.0]), two_level_spec())
+        assert gh.objective == pytest.approx(5.75)
+
+    def test_loss_matches_a_per_level_loop_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        spec = HierarchySpec(nested_levels(12))
+        for _ in range(5):
+            y = rng.normal(size=12) * 10.0 ** rng.integers(-3, 4)
+            yhat = rng.normal(size=12)
+            expected = 0.0
+            for a, level in enumerate(spec.levels):
+                ids, keys = spec.group_ids(a, 12)
+                sums = np.bincount(ids, weights=y - yhat, minlength=len(keys))
+                expected += level.weight * float(np.sum(sums**2))
+            assert hier_wmse_loss(y, yhat, spec) == expected
 
     def test_zero_residual_zero_loss(self):
         y = np.array([1.0, 2.0])
@@ -289,6 +311,13 @@ class TestNumericGradHess:
         gh = numeric_gradhess(absolute, y, yhat)
         np.testing.assert_allclose(gh.g, [1.0], rtol=1e-6)
         np.testing.assert_allclose(gh.h, [0.0], atol=1e-4)
+
+    def test_objective_sums_the_losses_at_yhat(self):
+        def sq(yt, yp):
+            return (yp - yt) ** 2
+
+        gh = numeric_gradhess(sq, np.array([1.0, 2.0]), np.array([3.0, 2.5]))
+        assert gh.objective == 4.25
 
     def test_constant_loss(self):
         def flat(yt, yp):
