@@ -34,6 +34,13 @@ LossProvider = Callable[[np.ndarray, np.ndarray], GradHess]
 # simply ignore the last argument.
 ValidMetric = Callable[[np.ndarray, np.ndarray, np.ndarray], float]
 
+# Training stops when a tree leaves the objective this many times above
+# the constant model's. A divergence grows geometrically and passes it
+# within a few trees. A bagged fit stays far below it, although each
+# bag's mean residual shifts the estimates by a constant that keeps the
+# objective a little above the constant model's.
+_DIVERGENCE_FACTOR = 10.0
+
 
 def _check_rho(rho: float) -> None:
     """Reject a tree correlation outside [-1, 1]; NaN fails the test too."""
@@ -134,8 +141,8 @@ def train(
     additionally stops scanning after that many non-improving rounds.
 
     When the loss reports its objective, training raises
-    TrainingDiverged as soon as the objective exceeds iteration 0's,
-    which is the constant model's.
+    TrainingDiverged as soon as a tree leaves the objective above
+    ten times the constant model's.
     """
     if valid is None and config.early_stopping_rounds is not None:
         raise ValueError("early stopping needs a validation set")
@@ -170,15 +177,9 @@ def train(
     best_value = np.inf
     best_iteration = -1
 
+    gh = loss(y, mu)
+    objective0 = gh.objective
     for k in range(config.n_estimators):
-        gh = loss(y, mu)
-        if k == 0:
-            objective0 = gh.objective
-        elif objective0 is not None and gh.objective > objective0:
-            raise TrainingDiverged(
-                f"training objective {gh.objective:.6g} at iteration {k} exceeds "
-                f"the constant model's {objective0:.6g}; lower the learning rate"
-            )
         if bag_size < n:
             bag_rng = np.random.default_rng([config.seed, k, 0])
             mask = np.sort(bag_rng.choice(n, size=bag_size, replace=False))
@@ -198,6 +199,13 @@ def train(
         if not np.all(np.isfinite(mu)):
             raise NonFiniteEstimate(
                 f"point estimates became non-finite at iteration {k}"
+            )
+        gh = loss(y, mu)
+        if objective0 is not None and gh.objective > _DIVERGENCE_FACTOR * objective0:
+            raise TrainingDiverged(
+                f"training objective {gh.objective:.6g} after tree {k + 1} exceeds "
+                f"{_DIVERGENCE_FACTOR:g} times the constant model's "
+                f"{objective0:.6g}; lower the learning rate"
             )
 
         value = None

@@ -6,14 +6,14 @@ to stderr. Options can come from a `--config <file>` of `key = value`
 lines (with `#` comments). Each entry becomes the flag `--key=value`
 (underscores in the key become dashes; a boolean flag is given or left
 out), placed before the explicit flags, so the command's parser checks
-it like any flag and an explicit flag takes precedence.
+it like any flag and an explicit flag takes precedence. No flag is
+abbreviated.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .boost import (
     train,
     tree_contributions,
 )
-from .data import RawDataset, load_csv, write_lines
+from .data import RawDataset, load_csv, read_text, write_lines
 from .dist import FAMILIES, DistSpec, sample
 from .errors import LengthMismatch, MissingColumn, ParseError, PgbmError
 from .loss import hier_wmse_gradhess, load_hierarchy, mse_gradhess
@@ -50,14 +50,24 @@ _PREDICT_BLOCK_ROWS = 256
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises ValueError on a usage error instead of printing usage and
-    exiting, so that main reports it like any other error."""
+    exiting, so that main reports it like any other error. Flags are
+    never abbreviated, so a misspelt config key is an unknown flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise ValueError(message)
 
 
 def _rho_argument(text: str):
-    return text if text == "auto" else float(text)
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        message = f"expected a number or `auto`, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -139,10 +149,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from exc
+    text = read_text(path)
     entries: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -174,8 +181,9 @@ def _config_flags(
     """Turn config entries into the command-line flags they name."""
     flags = []
     for key, value in entries.items():
-        flag = "--" + key.replace("_", "-")
-        if subparser.get_default(key) is False:
+        dest = key.replace("-", "_")
+        flag = "--" + dest.replace("_", "-")
+        if subparser.get_default(dest) is False:
             if _parse_config_bool(key, value):
                 flags.append(flag)
         else:

@@ -72,7 +72,7 @@ class NonFiniteEstimate(PgbmError):
 
 
 class TrainingDiverged(PgbmError):
-    """The training objective rose above that of the constant model."""
+    """The training objective rose far above that of the constant model."""
 
 
 class InfeasibleMoments(PgbmError):

@@ -197,8 +197,29 @@ class TestTrain:
             gh = mse_gradhess(y, yhat)
             return GradHess(-gh.g, gh.h, gh.objective)
 
-        with pytest.raises(TrainingDiverged, match="at iteration 1 exceeds"):
-            train(data, ascending, small_config(n_estimators=3))
+        with pytest.raises(TrainingDiverged, match="exceeds 10 times the constant"):
+            train(data, ascending, small_config(n_estimators=100))
+
+    def test_last_tree_is_checked(self):
+        data = make_regression(17, 60, 1)
+
+        def overshooting(y, yhat):
+            gh = mse_gradhess(y, yhat)
+            return GradHess(gh.g, gh.h / 100.0, gh.objective)
+
+        with pytest.raises(TrainingDiverged, match="after tree 1 exceeds"):
+            train(data, overshooting, small_config(n_estimators=1, learning_rate=1.0))
+
+    @pytest.mark.parametrize("fraction,rate", [(0.8, 0.1), (0.05, 1.0)])
+    def test_bagged_trees_without_splits_train(self, fraction, rate):
+        # Each tree fits its bag's mean residual, so every estimate moves
+        # by a constant and the objective stays above the constant model's.
+        data = make_regression(18, 200, 3)
+        config = small_config(
+            bagging_fraction=fraction, learning_rate=rate, tree=TreeConfig(max_leaves=1)
+        )
+        model = train(data, mse_gradhess, config)
+        assert len(model.trees) == 40
 
     def test_loss_without_objective_is_not_guarded(self):
         data = make_regression(17, 60, 1)

@@ -291,10 +291,11 @@ class TestConfigFile:
         assert "error" in capsys.readouterr().err.lower()
 
 
-    def test_config_supplies_required_flags(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("point_only", ["point_only", "point-only"])
+    def test_config_supplies_required_flags(self, workspace, tmp_path, capsys, point_only):
         config = tmp_path / "predict.conf"
         config.write_text(
-            f"point_only = true\nclamp_nonneg = off\nmodel = {workspace['model']}\n"
+            f"{point_only} = true\nclamp_nonneg = off\nmodel = {workspace['model']}\n"
             f"data = {workspace['test_csv']}\n",
             encoding="utf-8",
         )
@@ -442,6 +443,13 @@ class TestPredict:
         assert err.startswith("error: rho") and "outside [-1, 1]" in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_rho_that_is_not_a_number(self, workspace, tmp_path, capsys):
+        out = tmp_path / "pred.csv"
+        assert self.predict(workspace, out, ["--rho", "sideways"]) == 2
+        assert capsys.readouterr().err == (
+            "error: argument --rho: expected a number or `auto`, got 'sideways'\n"
+        )
 
     def test_rho_override_changes_var(self, workspace, tmp_path):
         a = tmp_path / "a.csv"
@@ -903,6 +911,10 @@ FAILURES = {
         lambda f: _train(f, "diverging", "--loss", "hierwmse", "--hierarchy",
                          str(f["two_groups"]), "--learning-rate", "0.5"),
         3, errors.TrainingDiverged),
+    "diverged_last_tree": (
+        lambda f: _train(f, "diverging", "--loss", "hierwmse", "--hierarchy",
+                         str(f["two_groups"]), "--learning-rate", "0.5", "--n-estimators", "1"),
+        3, errors.TrainingDiverged),
     "model_version": (lambda f: _predict(f, "future_model"), 3, errors.VersionMismatch),
     "model_corrupt": (lambda f: _predict(f, "not_a_model"), 3, errors.CorruptModel),
     "hierwmse_without_hierarchy": (
@@ -918,10 +930,13 @@ FAILURES = {
     "bad_choice": (lambda f: _predict(f, "model", "--dist", "foo"), 2, None),
     "bad_int": (lambda f: _train(f, "train_csv", "--n-estimators", "x"), 2, None),
     "unknown_flag": (lambda f: _train(f, "train_csv", "--frobnicate"), 2, None),
+    "abbreviated_flag": (lambda f: _train(f, "train_csv", "--n-est", "4"), 2, None),
     "bare_config": (lambda f: ["train", "--config"], 2, None),
     "config_without_command": (lambda f: ["--config", str(f["unknown_key"])], 2, None),
     "config_unknown_key": (
         lambda f: _configured(f, "unknown_key", *_train(f, "train_csv")), 2, None),
+    "config_abbreviated_key": (
+        lambda f: _configured(f, "abbreviated_key", *_train(f, "train_csv")), 2, None),
     "config_help": (lambda f: _configured(f, "help_key", *_train(f, "train_csv")), 2, None),
     "config_bad_int": (lambda f: _configured(f, "bad_int", *_train(f, "train_csv")), 2, None),
     "config_bad_choice": (
@@ -929,7 +944,7 @@ FAILURES = {
     "config_bad_boolean": (
         lambda f: _configured(f, "bad_boolean", *_predict(f, "model")), 2, None),
     "config_bad_line": (lambda f: _configured(f, "bad_line", *_train(f, "train_csv")), 2, None),
-    "config_missing": (lambda f: _configured(f, "absent", *_train(f, "train_csv")), 2, None),
+    "config_missing": (lambda f: _configured(f, "absent", *_train(f, "train_csv")), 3, None),
 }
 
 # PgbmError subclasses that no command can raise, and why.
@@ -965,6 +980,7 @@ def failures(workspace, tmp_path_factory):
         "future_model": "pgbmfmt v2\n",
         "not_a_model": "not a model\n",
         "unknown_key": "definitely_not_a_flag = 1\n",
+        "abbreviated_key": "n_est = 4\n",
         "help_key": "help = 1\n",
         "bad_int": "n_estimators = many\n",
         "bad_choice": "dist = foo\n",
