@@ -211,6 +211,12 @@ def _check_sample_count(n_samples: int) -> None:
         )
 
 
+def _warn_fallback(rows: int, family: str, where: str = "") -> None:
+    if rows:
+        message = f"{rows} rows were infeasible for {family}{where} and fell back to normal"
+        print(f"warning: {message}", file=sys.stderr)
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     data = load_csv(args.data, args.target)
     if args.loss == "hierwmse":
@@ -270,12 +276,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not args.point_only:
         spec = DistSpec(family=args.dist, clamp_nonneg=args.clamp_nonneg)
         result = sample(moments, spec, args.n_samples, args.seed)
-        if result.fallback_rows:
-            print(
-                f"warning: {result.fallback_rows} rows were infeasible for "
-                f"{args.dist} and fell back to normal",
-                file=sys.stderr,
-            )
+        _warn_fallback(result.fallback_rows, args.dist)
         matrix = result.samples
         header.extend(f"s{j}" for j in range(args.n_samples))
 
@@ -399,6 +400,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for spec in specs:
         for rho in rhos:
             result = sample(moments_by_rho[rho], spec, args.n_samples, args.seed)
+            _warn_fallback(result.fallback_rows, spec.family, f" at rho {rho!r}")
             value = float(np.mean(crps_empirical_rows(result.samples, data.target)))
             lines.append(f"{spec.family},{rho!r},{value!r}")
             if best is None or value < best[2]:

@@ -460,6 +460,24 @@ class TestPredict:
         var_b = [float(line.split(",")[2]) for line in read_lines(b)[1:]]
         assert sum(var_a) > sum(var_b)
 
+    def test_fallback_warning(self, workspace, tmp_path, capsys):
+        out = tmp_path / "pred.csv"
+        extra = ["--dist", "negativebinomial", "--n-samples", "5", "--rho", "0.02"]
+        assert self.predict(workspace, out, extra) == 0
+        moments = predict_moments(
+            load_model(workspace["model"]), load_csv(workspace["test_csv"], "y"), rho=0.02
+        )
+        fell = sample(moments, DistSpec("negativebinomial"), 5).fallback_rows
+        assert fell > 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"warning: {fell} rows were infeasible for negativebinomial "
+            "and fell back to normal\n"
+        )
+        assert captured.out == f"wrote {out} (80 rows)\n"
+        assert self.predict(workspace, out, ["--n-samples", "5"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 @pytest.fixture(scope="module")
 def predictions(workspace, tmp_path_factory):
@@ -787,6 +805,32 @@ class TestSweep:
         )
         eval_crps = float(crps_line.split(",")[3])
         assert eval_crps == sweep_crps
+
+    def test_fallback_warning_per_cell(self, workspace, tmp_path, capsys):
+        argv = [
+            "sweep", "--model", str(workspace["model"]), "--data",
+            str(workspace["test_csv"]), "--target", "y", "--dists",
+            "normal,negativebinomial,lognormal", "--rhos", "0.0,0.3", "--n-samples", "5",
+        ]
+        out = tmp_path / "grid.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        model = load_model(workspace["model"])
+        data = load_csv(workspace["test_csv"], "y")
+        expected = []
+        for family in ("normal", "negativebinomial", "lognormal"):
+            for rho in (0.0, 0.3):
+                moments = predict_moments(model, data, rho=rho)
+                fell = sample(moments, DistSpec(family), 5).fallback_rows
+                if fell:
+                    expected.append(
+                        f"warning: {fell} rows were infeasible for {family} "
+                        f"at rho {rho!r} and fell back to normal"
+                    )
+        assert len(expected) >= 3
+        assert captured.err.splitlines() == expected
+        *grid, best = captured.out.splitlines()
+        assert read_lines(out) == grid and best.startswith("best: ")
 
     def test_unwritable_out(self, workspace, tmp_path, capsys):
         code = main(

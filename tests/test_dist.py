@@ -3,18 +3,25 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pgbm import (
     FAMILIES,
     DistSpec,
     PredictiveMoments,
+    dist,
     match_params,
     sample,
 )
-from pgbm.errors import InfeasibleMoments
+from pgbm.errors import InfeasibleMoments, PgbmError
+
+# A RuntimeWarning from an infeasible row would reach the CLI's stderr.
+pytestmark = pytest.mark.filterwarnings("error")
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -62,6 +69,45 @@ CONTINUOUS = (
     "lognormal",
     "gumbel",
     "weibull",
+)
+
+
+def moments(mu, var) -> PredictiveMoments:
+    return PredictiveMoments(np.asarray(mu, dtype=float), np.asarray(var, dtype=float))
+
+
+def reference_weibull_shape(mu: float, var: float) -> float:
+    """The scalar bisection the vectorized solver must reproduce bit for bit."""
+
+    def ratio(k: float) -> float:
+        return math.gamma(1.0 + 2.0 / k) / math.gamma(1.0 + 1.0 / k) ** 2
+
+    target = 1.0 + var / (mu * mu)
+    lo, hi = 0.1, 50.0
+    f_lo = ratio(lo) - target
+    f_hi = ratio(hi) - target
+    if f_lo < 0 or f_hi > 0:
+        raise InfeasibleMoments("weibull", mu, var)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = ratio(mid) - target
+        if abs(f_mid) <= 1e-10:
+            return mid
+        if f_mid > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# Moments that are feasible for some families and not for others:
+# nonpositive means, zero and underdispersed variances, and extremes.
+MU_VALUES = (-2.0, 0.0, 1e-200, 0.3, 2.0, 7.5, 1e300)
+VAR_VALUES = (0.0, 0.2, 1.0, 4.0, 60.0, 1e10, 1e300)
+ROWS = st.lists(
+    st.tuples(st.sampled_from(MU_VALUES), st.sampled_from(VAR_VALUES)),
+    min_size=1,
+    max_size=9,
 )
 
 
@@ -142,6 +188,79 @@ class TestMatchParams:
         with pytest.raises(InfeasibleMoments):
             match_params("weibull", 1.0, 1e12)
 
+    @pytest.mark.parametrize(
+        "family,mu,var,infeasible",
+        [
+            ("lognormal", 1e-200, 1.0, True),
+            ("weibull", 1e-200, 1.0, True),
+            ("lognormal", 1e-160, 1e10, True),
+            ("gumbel", 0.0, 1e308, False),
+            ("logistic", 0.0, 1e308, False),
+            ("poisson", 1e300, 1.0, True),
+            ("negativebinomial", 1e-300, 1.0, True),
+        ],
+    )
+    def test_extreme_moments(self, family, mu, var, infeasible):
+        # Matching these naively raises (ZeroDivisionError, numpy's domain
+        # checks) or draws NaN/inf.
+        if infeasible:
+            with pytest.raises(InfeasibleMoments):
+                match_params(family, mu, var)
+        else:
+            assert all(map(math.isfinite, match_params(family, mu, var).values()))
+        result = sample(moments([mu], [var]), DistSpec(family), 50, seed=1)
+        assert result.fallback_rows == int(infeasible)
+        assert np.all(np.isfinite(result.samples))
+
+    def test_poisson_rate_at_numpy_limit(self):
+        limit = float(dist._POISSON_LAM_MAX)
+        assert match_params("poisson", limit, 1.0) == {"rate": limit}
+        with pytest.raises(InfeasibleMoments):
+            match_params("poisson", float(np.nextafter(limit, np.inf)), 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_moments_rejected(self, value):
+        with pytest.raises(ValueError):
+            match_params("normal", value, 1.0)
+        with pytest.raises(ValueError):
+            sample(moments([0.0, 1.0], [1.0, value]), DistSpec(), 4)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(1e-6, 1e6),
+                st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(1e6, 1e18)),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_weibull_shape_bit_identical_to_scalar_bisection(self, rows):
+        mu, var = (np.array(column) for column in zip(*rows))
+        params, ok = dist._match("weibull", mu, var)
+        for i, (mu_i, var_i) in enumerate(rows):
+            try:
+                expected = reference_weibull_shape(mu_i, var_i)
+            except InfeasibleMoments:
+                assert not ok[i]
+            else:
+                assert ok[i]
+                assert params["shape"][i] == expected
+
+    def test_weibull_shape_on_many_rows(self):
+        rng = np.random.default_rng(11)
+        mu = np.exp(rng.uniform(-5.0, 5.0, 3000))
+        var = mu * mu * np.exp(rng.uniform(-12.0, 14.0, 3000))
+        params, ok = dist._match("weibull", mu, var)
+        for i in range(0, 3000, 7):
+            try:
+                expected = reference_weibull_shape(float(mu[i]), float(var[i]))
+            except InfeasibleMoments:
+                assert not ok[i]
+            else:
+                assert ok[i] and params["shape"][i] == expected
+        assert 0 < ok.sum() < 3000
+
 
 class TestSampling:
     @pytest.mark.parametrize("family", CONTINUOUS + ("poisson", "negativebinomial"))
@@ -180,6 +299,79 @@ class TestSampling:
         full = sample(a, DistSpec(), 32, seed=3)
         solo = sample(first_only, DistSpec(), 32, seed=3)
         np.testing.assert_array_equal(full.samples[:, 0], solo.samples[:, 0])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @given(rows=ROWS, others=ROWS, data=st.data())
+    def test_row_draws_ignore_other_rows(self, family, rows, others, data):
+        # Other rows change moments, feasibility and blocks of 3 rows.
+        i = data.draw(st.integers(0, len(rows) - 1))
+        changed = [others[j % len(others)] if j != i else rows[i] for j in range(len(rows) + 4)]
+        spec = DistSpec(family)
+        with mock.patch.object(dist, "_BLOCK_ROWS", 3):
+            a = sample(moments(*zip(*rows)), spec, 6, seed=4).samples
+            b = sample(moments(*zip(*changed)), spec, 6, seed=4).samples
+        np.testing.assert_array_equal(a[:, i], b[:, i])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_prefix_of_rows_reproduces_across_blocks(self, family):
+        rng = np.random.default_rng(2)
+        mu = rng.uniform(-1.0, 6.0, 700)
+        var = rng.uniform(0.0, 9.0, 700)
+        full = sample(moments(mu, var), DistSpec(family), 7, seed=8)
+        head = sample(moments(mu[:300], var[:300]), DistSpec(family), 7, seed=8)
+        if family in ("lognormal", "weibull", "poisson", "negativebinomial"):
+            assert 0 < head.fallback_rows < 300
+        np.testing.assert_array_equal(full.samples[:, :300], head.samples)
+
+    def test_shared_stream_is_keyed_apart_from_row_streams(self):
+        seed, m = 7, 64
+        draws = sample(moments([0.0], [1.0]), DistSpec(), m, seed=seed).samples[:, 0]
+        assert not np.array_equal(draws, np.random.default_rng([seed, 0]).standard_normal(m))
+        shared = np.random.SeedSequence(seed, spawn_key=(dist._SHARED,))
+        np.testing.assert_array_equal(draws, np.random.default_rng(shared).standard_normal(m))
+
+    def test_fallback_stream_is_keyed_apart_from_shared_stream(self):
+        seed, m = 7, 64
+        fell = sample(moments([-1.0], [1.0]), DistSpec("weibull"), m, seed=seed)
+        normal = sample(moments([-1.0], [1.0]), DistSpec(), m, seed=seed)
+        assert fell.fallback_rows == 1
+        assert not np.array_equal(fell.samples, normal.samples)
+        key = np.random.SeedSequence(seed, spawn_key=(dist._FALLBACK, 0))
+        expected = -1.0 + np.random.default_rng(key).standard_normal(m)
+        np.testing.assert_array_equal(fell.samples[:, 0], expected)
+
+    @pytest.mark.parametrize("family", ["poisson", "negativebinomial"])
+    def test_feasible_discrete_rows_keep_their_own_stream(self, family):
+        mu, var = [3.0, -1.0, 2.5], [7.0, 1.0, 5.0]
+        result = sample(moments(mu, var), DistSpec(family), 40, seed=6)
+        assert result.fallback_rows == 1
+        for i in (0, 2):
+            rng = np.random.default_rng([6, i])
+            if family == "poisson":
+                expected = rng.poisson(mu[i], 40)
+            else:
+                params = match_params(family, mu[i], var[i])
+                expected = rng.negative_binomial(params["r"], params["p"], 40)
+            np.testing.assert_array_equal(result.samples[:, i], expected)
+
+    @given(
+        st.sampled_from(FAMILIES),
+        st.lists(
+            st.tuples(st.floats(-1e300, 1e300), st.floats(0.0, 1e300)),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @example("lognormal", [(1e-160, 1e10)])
+    @example("gumbel", [(1e300, 1e300)])
+    @example("poisson", [(1e300, 0.0)])
+    @example("negativebinomial", [(1e-300, 1e300)])
+    def test_draws_are_finite(self, family, rows):
+        try:
+            result = sample(moments(*zip(*rows)), DistSpec(family), 20, seed=3)
+        except PgbmError:
+            return
+        assert np.all(np.isfinite(result.samples))
 
     def test_shape_and_seed_recorded(self):
         moments = PredictiveMoments(np.zeros(3), np.ones(3))
