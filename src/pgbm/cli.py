@@ -13,6 +13,7 @@ abbreviated.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -44,6 +45,8 @@ from .model_io import save as save_model
 from .tree import TreeConfig
 
 MAX_SAMPLE_COLUMNS = 10_000
+# Most rho values one `sweep --rhos start:stop:step` range may give.
+MAX_RHO_VALUES = 1_000
 # Rows per block of predict output: bounds the Python floats held at once.
 _PREDICT_BLOCK_ROWS = 256
 
@@ -308,7 +311,8 @@ def _read_predictions(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     # Row-major layout keeps metric reductions bit-identical to in-process
     # sample matrices, so sweep cells match predict + evaluate exactly.
     matrix = np.ascontiguousarray(raw.features[:, 3:].T) if raw.f > 3 else None
-    return raw.features[:, 1], matrix
+    # A copy, so that the parsed file is freed before scoring starts.
+    return raw.features[:, 1].copy(), matrix
 
 
 def _actual_targets(path: str, target: str | None) -> np.ndarray:
@@ -366,9 +370,18 @@ def _parse_rhos(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"range {text!r} must have a finite start, stop and step")
         if step <= 0:
             raise ValueError("range step must be positive")
-        count = int(round((stop - start) / step)) + 1
+        if not (-1.0 <= start <= 1.0 and -1.0 <= stop <= 1.0):
+            raise ValueError(f"range {text!r} must start and stop within [-1, 1]")
+        span = (stop - start) / step  # inf when a tiny step overflows
+        count = round(span) + 1 if math.isfinite(span) else math.inf
+        if count > MAX_RHO_VALUES:
+            raise ValueError(
+                f"range {text!r} gives more than the cap of {MAX_RHO_VALUES} rho values"
+            )
         values = [round(start + i * step, 12) for i in range(count)]
         return [v for v in values if v <= stop + 1e-12]
     return [float(p) for p in text.split(",") if p.strip()]

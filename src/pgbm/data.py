@@ -14,6 +14,8 @@ prediction never fails on new data.
 from __future__ import annotations
 
 import csv
+import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -32,6 +34,10 @@ from .errors import (
 
 # Bin indices are stored as uint16.
 MAX_BINS = 65536
+# Bytes numpy's float parser strips as whitespace and float() rejects.
+_SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Read size of the line count that guards the C reader.
+_SCAN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,12 @@ def load_csv(path: str | Path, target_column: str | None) -> RawDataset:
     every column is a feature and the target is a zero vector, which is
     the shape prediction-only inputs arrive in.
 
+    Cells are split as ``csv.reader`` splits them (quotes, CRLF or CR
+    line ends) and read as ``float()`` reads them (surrounding spaces,
+    ``1_000``, every spelling of nan and inf). numpy's C reader parses
+    every file on which it is certain to agree; ``_parse_rows`` parses
+    the rest and gives every error.
+
     Raises IoError, MissingColumn, ParseError(row, col),
     NonFiniteValue(row, col) or EmptyDataset; an unparseable cell is
     reported before any non-finite one. Row indices count data rows
@@ -139,40 +151,12 @@ def load_csv(path: str | Path, target_column: str | None) -> RawDataset:
     positions in the file.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [name.strip() for name in next(reader)]
-            except StopIteration:
-                raise EmptyDataset(f"{path} is empty") from None
-            if target_column is not None:
-                if target_column not in header:
-                    raise MissingColumn(
-                        f"column {target_column!r} not found in {path}"
-                    )
-                target_idx = header.index(target_column)
-            else:
-                target_idx = -1
-
-            rows: list[list[float]] = []
-            for r, cells in enumerate(reader):
-                if len(cells) != len(header):
-                    raise ParseError(r, len(cells), f"{path}: wrong number of cells")
-                try:
-                    rows.append([float(cell) for cell in cells])
-                except ValueError:
-                    for c, cell in enumerate(cells):
-                        try:
-                            float(cell)
-                        except ValueError:
-                            message = f"{path}: unparseable value {cell!r}"
-                            raise ParseError(r, c, message) from None
+        parsed = _parse_fast(path)
+        header, matrix = parsed if parsed is not None else _parse_rows(path, target_column)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
-    if not rows:
-        raise EmptyDataset(f"{path} has a header but no data rows")
-    matrix = np.asarray(rows, dtype=np.float64)
+    target_idx = _column_index(header, target_column, path)
     if not np.isfinite(matrix).all():
         row, col = np.argwhere(~np.isfinite(matrix))[0]
         raise NonFiniteValue(int(row), int(col))
@@ -187,6 +171,114 @@ def load_csv(path: str | Path, target_column: str | None) -> RawDataset:
     if features.shape[1] == 0:
         raise EmptyDataset(f"{path} has no feature columns besides the target")
     return RawDataset(features, target, names, target_name=target_column)
+
+
+def _column_index(header: list[str], target_column: str | None, path: str | Path) -> int:
+    """Position of the target column in the header, -1 for no target."""
+    if target_column is None:
+        return -1
+    if target_column not in header:
+        raise MissingColumn(f"column {target_column!r} not found in {path}")
+    return header.index(target_column)
+
+
+def _parse_rows(path: str | Path, target_column: str | None) -> tuple[list[str], np.ndarray]:
+    """Parse with ``csv.reader`` and ``float()``, one cell at a time.
+
+    This parser defines what ``load_csv`` accepts and raises every parse
+    error; a missing target column is reported before any bad cell."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [name.strip() for name in next(reader)]
+        except StopIteration:
+            raise EmptyDataset(f"{path} is empty") from None
+        _column_index(header, target_column, path)
+
+        rows: list[list[float]] = []
+        for r, cells in enumerate(reader):
+            if len(cells) != len(header):
+                raise ParseError(r, len(cells), f"{path}: wrong number of cells")
+            try:
+                rows.append([float(cell) for cell in cells])
+            except ValueError:
+                for c, cell in enumerate(cells):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        message = f"{path}: unparseable value {cell!r}"
+                        raise ParseError(r, c, message) from None
+    if not rows:
+        raise EmptyDataset(f"{path} has a header but no data rows")
+    return header, np.asarray(rows, dtype=np.float64)
+
+
+def _parse_fast(path: str | Path) -> tuple[list[str], np.ndarray] | None:
+    """Parse with numpy's C reader, or return None when its result could
+    differ from ``_parse_rows``'s. The C reader
+
+    - has no quoting and rejects cells that ``float()`` takes (``1_000``,
+      non-ASCII digits): it raises, and the file goes to ``_parse_rows``;
+    - warns on a file without data lines: the warning is raised too;
+    - skips blank lines, which csv reports as rows of the wrong width: its
+      row count must equal the number of lines after the header.
+
+    The header line is split by csv in strict mode, so that a quoted field
+    left open at the line end, which csv would continue on the next line,
+    raises. A pipe cannot be read twice, so only a regular file is parsed
+    here."""
+    if not os.path.isfile(path):
+        return None
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        fh.seek(0)
+        lines = _count_plain_lines(fh)
+    if lines is None or lines < 2:
+        return None
+    try:
+        cells = next(csv.reader([first.decode("utf-8")], strict=True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = np.loadtxt(
+                path, delimiter=",", skiprows=1, comments=None, ndmin=2,
+                dtype=np.float64, encoding="utf-8",
+            )
+    except (ValueError, UserWarning, csv.Error):
+        return None
+    if matrix.shape != (lines - 1, len(cells)):
+        return None
+    return [name.strip() for name in cells], matrix
+
+
+def _count_plain_lines(fh) -> int | None:
+    """Count the lines of a binary file, or return None if it holds a
+    lone CR (csv ends a line there, the scan does not), a byte 0x1c-0x1f
+    (numpy strips them around a number, ``float()`` does not) or a field
+    longer than csv's limit (csv raises on it)."""
+    limit = csv.field_size_limit()
+    lines = offset = 0
+    last_separator = -1
+    tail = b"\n"
+    while chunk := fh.read(_SCAN_BYTES):
+        if chunk.endswith(b"\r"):  # keep a CRLF within one chunk
+            chunk += fh.read(1)
+        if any(byte in chunk for byte in _SEPARATOR_BYTES):
+            return None
+        if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
+            return None
+        codes = np.frombuffer(chunk, dtype=np.uint8)
+        newline = codes == ord("\n")
+        lines += int(np.count_nonzero(newline))
+        separators = np.flatnonzero(newline | (codes == ord(","))) + offset
+        if np.diff(separators, prepend=last_separator).max(initial=0) > limit + 1:
+            return None
+        if separators.size:
+            last_separator = int(separators[-1])
+        offset += len(chunk)
+        tail = chunk[-1:]
+    if offset - last_separator > limit + 1:
+        return None
+    return lines + (tail != b"\n")
 
 
 def read_text(path: str | Path) -> str:

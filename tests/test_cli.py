@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -559,6 +561,17 @@ class TestEvaluate:
         err = self.evaluate_fails(workspace, bad, capsys, metrics=metric)
         assert "non-finite value at row 4" in err
 
+    @pytest.mark.parametrize(
+        "text", ["row,mu,var,s0\n", "row,mu,var,s0\n\n"], ids=["header_only", "blank_line"]
+    )
+    def test_no_data_rows_print_no_warning(self, workspace, tmp_path, capsys, text):
+        pred = tmp_path / "empty.csv"
+        pred.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            err = self.evaluate_fails(workspace, pred, capsys)
+        assert "Warning" not in err
+
     def test_missing_predictions(self, workspace, tmp_path, capsys):
         err = self.evaluate_fails(workspace, tmp_path / "absent.csv", capsys)
         assert "cannot read" in err
@@ -872,6 +885,11 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err == "error: rho 1.5 outside [-1, 1]\n"
 
+    def test_rho_range_at_the_cap(self):
+        rhos = cli._parse_rhos("0:0.999:0.001")
+        assert len(rhos) == cli.MAX_RHO_VALUES
+        assert (rhos[0], rhos[-1]) == (0.0, 0.999)
+
     def test_all_families_token(self, workspace, capsys):
         code = main(
             [
@@ -926,6 +944,10 @@ def _predict(f, model, *extra):
             "--out", str(f["root"] / "pred.csv"), *extra]
 
 
+def _sweep(f, *extra):
+    return ["sweep", "--model", str(f["model"]), "--data", str(f["test_csv"]), *extra]
+
+
 def _configured(f, config, *argv):
     return ["--config", str(f[config]), *argv]
 
@@ -968,6 +990,15 @@ FAILURES = {
         lambda f: ["sweep", "--model", str(f["model"]), "--data", str(f["test_csv"]),
                    "--dists", "normal,gamma"],
         2, ValueError),
+    "rho_range_overflow": (lambda f: _sweep(f, "--rhos", "0:1e300:1e-300"), 2, ValueError),
+    "rho_range_infinite_step": (lambda f: _sweep(f, "--rhos", "0:0.1:inf"), 2, ValueError),
+    "rho_range_nan_start": (lambda f: _sweep(f, "--rhos", "nan:1:0.1"), 2, ValueError),
+    "rho_range_tiny_step": (lambda f: _sweep(f, "--rhos=-1:1:1e-300"), 2, ValueError),
+    "rho_range_above_cap": (lambda f: _sweep(f, "--rhos", "0:1:0.001"), 2, ValueError),
+    "header_only_predictions": (
+        lambda f: ["evaluate", "--pred", str(f["header_only_predictions"]),
+                   "--actual", str(f["test_csv"]), "--target", "y"],
+        3, errors.EmptyDataset),
     "no_command": (lambda f: [], 2, None),
     "unknown_command": (lambda f: ["frobnicate"], 2, None),
     "missing_required_flag": (lambda f: ["train"], 2, None),
@@ -1012,6 +1043,7 @@ def failures(workspace, tmp_path_factory):
         "header_only": "x,y\n",
         "one_feature": "x0,y\n0,1\n",
         "one_prediction": "row,mu,var\n0,1.0,0.5\n",
+        "header_only_predictions": "row,mu,var,s0,s1\n",
         "far_hierarchy": "levels=1\nlevel 0 weight=1\ngroup a: 0,999\n",
         "huge": "x,y\n0,1e160\n1,-1e160\n2,3e160\n3,-2e160\n",
         # Two groups of 20 rows: a leaf holding a whole group has about

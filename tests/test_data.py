@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,6 +20,7 @@ from pgbm import (
     compute_bin_edges,
     load_csv,
 )
+from pgbm import data as data_module
 from pgbm.boost import PredictiveMoments
 from pgbm.cli import _prediction_lines
 from pgbm.data import read_text, write_lines
@@ -29,6 +33,10 @@ from pgbm.errors import (
     NonFiniteValue,
     ParseError,
 )
+
+from conftest import DATA_DIR
+
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -125,6 +133,239 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError, match="cannot read"):
             load_csv(tmp_path / "absent.csv", "y")
+
+
+def reference_load_csv(path, target_column):
+    """``load_csv`` as it was when every file went through csv.reader and
+    float(): the behaviour the C reader path must reproduce exactly."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [name.strip() for name in next(reader)]
+            except StopIteration:
+                raise EmptyDataset(f"{path} is empty") from None
+            if target_column is not None:
+                if target_column not in header:
+                    raise MissingColumn(
+                        f"column {target_column!r} not found in {path}"
+                    )
+                target_idx = header.index(target_column)
+            else:
+                target_idx = -1
+
+            rows = []
+            for r, cells in enumerate(reader):
+                if len(cells) != len(header):
+                    raise ParseError(r, len(cells), f"{path}: wrong number of cells")
+                try:
+                    rows.append([float(cell) for cell in cells])
+                except ValueError:
+                    for c, cell in enumerate(cells):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            message = f"{path}: unparseable value {cell!r}"
+                            raise ParseError(r, c, message) from None
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+    if not rows:
+        raise EmptyDataset(f"{path} has a header but no data rows")
+    matrix = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(matrix).all():
+        row, col = np.argwhere(~np.isfinite(matrix))[0]
+        raise NonFiniteValue(int(row), int(col))
+    if target_idx >= 0:
+        target = matrix[:, target_idx]
+        features = np.delete(matrix, target_idx, axis=1)
+        names = [name for i, name in enumerate(header) if i != target_idx]
+    else:
+        target = np.zeros(matrix.shape[0])
+        features = matrix
+        names = list(header)
+    if features.shape[1] == 0:
+        raise EmptyDataset(f"{path} has no feature columns besides the target")
+    return RawDataset(features, target, names, target_name=target_column)
+
+
+def load_outcome(load, path, target_column):
+    """Everything a caller can observe of one load: the arrays' bits and
+    names, or the exception's class, message, row and column."""
+    try:
+        data = load(path, target_column)
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None))
+    return (
+        data.features.shape, data.features.tobytes(), data.target.tobytes(),
+        data.feature_names, data.target_name,
+    )
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from([
+        "1e5", "-2.5E-3", "+7", ".5", "5.", "-0", "1.5e+3", "1e400", "-1e-400", "1e-320",
+    ]),
+)
+NON_FINITE = st.sampled_from([
+    "nan", "NaN", "-nan", "+NAN", "inf", "-inf", "+Inf", "infinity",
+    "-Infinity", "INFINITY",
+])
+# Cells that float() reads and the C reader does not, and cells neither reads.
+ODD_CELLS = st.sampled_from([
+    "1_000", "-1_0.5", "\u0661\u0662", "\uff11.5", "", "oops", "infinit", "1__0",
+    "_1", "0x10", "1 2", "+ 1", "\x00", "1\x002", "\ufeff1", "1\u20282",
+])
+PADDING = st.text(alphabet=" \t\x0b\x0c\x1c\x1f\xa0\x85\u2003", min_size=1, max_size=2)
+NAMES = st.sampled_from(
+    ["y", " y ", "x 1", '"y"', '" q "', '"q,r"', '"multi\nline"', '"open', 'q"r', ""]
+)
+LINE_ENDS = {"lf": ["\n"], "crlf": ["\r\n"], "cr": ["\r"], "mixed": ["\n", "\r\n", "\r"]}
+
+
+@st.composite
+def cells(draw, kind):
+    if kind == "non_finite":
+        return draw(NON_FINITE)
+    if kind == "odd":
+        return draw(ODD_CELLS)
+    if kind == "padded":
+        return draw(PADDING) + draw(NUMBERS) + draw(PADDING)
+    if kind == "quoted":
+        return f'"{draw(NUMBERS)}"'
+    return draw(NUMBERS)
+
+
+@st.composite
+def csv_files(draw):
+    """Bytes of a small CSV file and a target column. Each file mixes
+    plain numbers with at most one kind of unusual cell, so that many
+    files are accepted."""
+    width = draw(st.integers(1, 4))
+    header = [draw(st.sampled_from(["a", "b", "c", "y"])) for _ in range(width)]
+    if draw(st.integers(0, 3)) == 0:
+        header[draw(st.integers(0, width - 1))] = draw(NAMES)
+    unusual = draw(st.sampled_from(
+        ["number"] * 4 + ["non_finite", "odd", "padded", "quoted", "blank_lines", "ragged"]
+    ))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 4))):
+        row_width = width
+        if unusual == "ragged" and draw(st.booleans()):
+            row_width += draw(st.sampled_from([-1, 1]))
+        kinds = [unusual if draw(st.integers(0, 2)) == 0 else "number" for _ in range(row_width)]
+        lines.append(",".join(draw(cells(kind)) for kind in kinds))
+        if unusual == "blank_lines" and draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    ends = LINE_ENDS[draw(st.sampled_from(["lf", "lf", "crlf", "crlf", "cr", "mixed"]))]
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    if draw(st.integers(0, 9)) == 0:
+        text += draw(st.sampled_from(ends))  # a trailing blank line
+    if draw(st.integers(0, 9)) == 0:
+        text = "\ufeff" + text
+    raw = text.encode("utf-8")
+    if draw(st.integers(0, 19)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    target = draw(st.sampled_from(["y", "y", "a", "absent", None]))
+    return raw, target
+
+
+class TestCReaderParity:
+    @settings(max_examples=600)
+    @given(csv_files())
+    @example((b"a,y\n1,2\n\n", "y"))
+    @example((b"a,y\n1,2\n3,4\n\n5,6\n", "y"))
+    @example((b"a,y\r1,2\r3,4\r", "y"))
+    @example((b"a,y\n1,2\r3,4\n\n", "y"))
+    @example((b"a,y\n", "y"))
+    @example((b"a,y\r\n", None))
+    @example((b"a,y", "y"))
+    @example((b"", None))
+    @example((b'"a\nb",y\n1,2\n3,4\n', "y"))
+    @example((b'"a\n1\n2\n', None))
+    @example((b"a,y\n\x1c1,2\n", "y"))
+    @example((b"a,y\n1_000,2\n", "y"))
+    @example((b'a,y\n"1",2\n', "y"))
+    @example((b"a,y\n \xc2\xa01\t,2\r\n3,nan\r\n", "y"))
+    @example((b"a,y\n1,2\n ", "y"))
+    def test_same_matrix_or_same_error(self, tmp_path_factory, case):
+        raw, target = case
+        path = tmp_path_factory.mktemp("parity") / "data.csv"
+        path.write_bytes(raw)
+        expected = load_outcome(reference_load_csv, path, target)
+        assert load_outcome(load_csv, path, target) == expected
+
+    def test_field_over_the_csv_limit_is_left_to_csv(self, tmp_path):
+        long_number = "0." + "0" * csv.field_size_limit() + "1"
+        path = tmp_path / "long.csv"
+        path.write_text(f"a,y\n{long_number},1\n", encoding="utf-8")
+        expected = load_outcome(reference_load_csv, path, "y")
+        assert expected[0] is csv.Error
+        assert load_outcome(load_csv, path, "y") == expected
+
+
+    def test_no_warning_for_a_file_without_data(self, tmp_path):
+        path = write(tmp_path, "a,y\n\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError):
+                load_csv(path, "y")
+        assert caught == []
+
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_once(self):
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"a,y\n1,2\n3,4\n")
+        os.close(write_end)
+        try:
+            data = load_csv(f"/dev/fd/{read_end}", "y")
+        finally:
+            os.close(read_end)
+        np.testing.assert_array_equal(data.target, [2.0, 4.0])
+
+
+class TestCReaderTaken:
+    """The files the CLI and the benchmark read never reach the Python parser."""
+
+    @pytest.fixture(autouse=True)
+    def no_python_parser(self, monkeypatch):
+        def refuse(path, target_column):
+            raise AssertionError(f"{path} went to the Python parser")
+
+        monkeypatch.setattr(data_module, "_parse_rows", refuse)
+
+    def test_predict_output(self, tmp_path):
+        rng = np.random.default_rng(3)
+        moments = PredictiveMoments(mu=rng.normal(size=300), var=rng.uniform(0.1, 2.0, 300))
+        samples = rng.normal(size=(20, 300))
+        header = ["row", "mu", "var"] + [f"s{j}" for j in range(20)]
+        path = tmp_path / "pred.csv"
+        write_lines(path, _prediction_lines(header, moments, samples))
+        loaded = load_csv(path, None)
+        expected = np.column_stack([np.arange(300), moments.mu, moments.var, samples.T])
+        assert loaded.features.tobytes() == expected.tobytes()
+        assert loaded.feature_names == header
+
+    def test_wine(self):
+        loaded = load_csv(DATA_DIR / "winequality-red.csv", "quality")
+        assert (loaded.n, loaded.f) == (1599, 11)
+        assert loaded.feature_names[0] == "fixed acidity"
+        np.testing.assert_array_equal(loaded.features[0, :3], [7.4, 0.7, 0.0])
+        assert loaded.target[0] == 5.0
+
+    def test_crlf_with_target_in_the_middle(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"a,y,b\r\n1,2,3\r\n-4.5, 5e1 ,6")
+        loaded = load_csv(path, "y")
+        assert loaded.feature_names == ["a", "b"]
+        np.testing.assert_array_equal(loaded.features, [[1.0, 3.0], [-4.5, 6.0]])
+        np.testing.assert_array_equal(loaded.target, [2.0, 50.0])
 
 
 TINY = np.nextafter(0.0, 1.0)
