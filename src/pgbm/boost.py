@@ -42,10 +42,11 @@ ValidMetric = Callable[[np.ndarray, np.ndarray, np.ndarray], float]
 _DIVERGENCE_FACTOR = 10.0
 
 
-def _check_rho(rho: float) -> None:
-    """Reject a tree correlation outside [-1, 1]; NaN fails the test too."""
+def _check_rho(rho: float) -> float:
+    """Return ``rho`` if it lies in [-1, 1]; NaN fails the test too."""
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho {rho} outside [-1, 1]")
+    return rho
 
 
 @dataclass(frozen=True)

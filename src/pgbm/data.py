@@ -186,28 +186,33 @@ def _parse_rows(path: str | Path, target_column: str | None) -> tuple[list[str],
     """Parse with ``csv.reader`` and ``float()``, one cell at a time.
 
     This parser defines what ``load_csv`` accepts and raises every parse
-    error; a missing target column is reported before any bad cell."""
+    error; a missing target column is reported before any bad cell. A
+    field longer than ``csv.field_size_limit()`` is a ParseError."""
+    header: list[str] | None = None
+    rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [name.strip() for name in next(reader)]
+            _column_index(header, target_column, path)
+            for r, cells in enumerate(reader):
+                if len(cells) != len(header):
+                    raise ParseError(r, len(cells), f"{path}: wrong number of cells")
+                try:
+                    rows.append([float(cell) for cell in cells])
+                except ValueError:
+                    for c, cell in enumerate(cells):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            message = f"{path}: unparseable value {cell!r}"
+                            raise ParseError(r, c, message) from None
         except StopIteration:
             raise EmptyDataset(f"{path} is empty") from None
-        _column_index(header, target_column, path)
-
-        rows: list[list[float]] = []
-        for r, cells in enumerate(reader):
-            if len(cells) != len(header):
-                raise ParseError(r, len(cells), f"{path}: wrong number of cells")
-            try:
-                rows.append([float(cell) for cell in cells])
-            except ValueError:
-                for c, cell in enumerate(cells):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        message = f"{path}: unparseable value {cell!r}"
-                        raise ParseError(r, c, message) from None
+        except csv.Error as exc:
+            # A field longer than csv.field_size_limit(); row -1 is the header.
+            row = -1 if header is None else len(rows)
+            raise ParseError(row, 0, f"{path}: {exc}") from None
     if not rows:
         raise EmptyDataset(f"{path} has a header but no data rows")
     return header, np.asarray(rows, dtype=np.float64)

@@ -87,8 +87,8 @@ class HierarchySpec:
     def __post_init__(self):
         if not self.levels:
             raise ValueError("a hierarchy needs at least one level")
-        if any(level.weight < 0 for level in self.levels):
-            raise ValueError("level weights must be nonnegative")
+        if not all(np.isfinite(level.weight) and level.weight >= 0 for level in self.levels):
+            raise ValueError("level weights must be finite and nonnegative")
         if all(level.weight == 0 for level in self.levels):
             raise ValueError("level weights must not all be zero")
 
@@ -267,9 +267,9 @@ def parse_hierarchy(text: str) -> HierarchySpec:
                 raise ParseError(lineno, 0, f"bad or duplicate group key {key!r}")
             try:
                 members = [int(tok) for tok in tail.split(",") if tok.strip()]
-            except ValueError:
+                current_groups[key] = np.asarray(members, dtype=np.int64)
+            except (ValueError, OverflowError):
                 raise ParseError(lineno, 0, "bad member index") from None
-            current_groups[key] = np.asarray(members, dtype=np.int64)
         else:
             raise ParseError(lineno, 0, f"unrecognized line {line!r}")
     if declared is None:

@@ -6,7 +6,9 @@ per-tree blocks of `node` and `leaf` lines. All reals are rendered with
 repr(), the shortest decimal that round-trips the double exactly, so
 save -> load -> save is byte-identical and reloaded models predict
 bit-for-bit the same. Child references inside a node line use N<id> for
-split nodes and L<id> for leaves.
+split nodes and L<id> for leaves. The loader reads exactly the layout
+``save`` writes: scalars in order, then each tree's node lines and leaf
+lines in id order. Anything else raises CorruptModel.
 """
 
 from __future__ import annotations
@@ -16,36 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .boost import BoostConfig, Ensemble
+from .boost import BoostConfig, Ensemble, _check_rho
 from .data import BinEdges, read_text, write_lines
 from .errors import CorruptModel, VersionMismatch
-from .tree import LEAF_DTYPE, LeafStats, Tree, TreeConfig
+from .tree import Tree, TreeConfig
 
 _HEADER = "pgbmfmt v1"
-# Leaf counts are stored as int64 (the ``n`` field of ``LEAF_DTYPE``).
-_MAX_COUNT = int(np.iinfo(LEAF_DTYPE["n"]).max)
-
-_SCALAR_KEYS = (
-    "n_estimators",
-    "learning_rate",
-    "bagging_fraction",
-    "feature_fraction",
-    "max_leaves",
-    "max_bins",
-    "lambda",
-    "min_split_gain",
-    "min_data_in_leaf",
-    "rho_config",
-    "early_stopping_rounds",
-    "seed",
-    "y0",
-    "alpha",
-    "rho",
-    "n_train",
-    "n_features",
-    "feature_names",
-    "n_trees",
-)
+# Leaf counts and child references are stored as int64.
+_MAX_INT = int(np.iinfo(np.int64).max)
 
 
 def _real(value) -> str:
@@ -117,228 +97,163 @@ def save(model: Ensemble, path: str | Path) -> None:
     write_lines(path, _format_lines(model))
 
 
-class _Parser:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self.pos = 0
-
-    @property
-    def lineno(self) -> int:
-        return self.pos + 1
-
-    def peek(self) -> str | None:
-        if self.pos < len(self.lines):
-            return self.lines[self.pos]
-        return None
-
-    def take(self, what: str) -> str:
-        line = self.peek()
-        if line is None:
-            raise CorruptModel(len(self.lines) + 1, f"unexpected end of file, expected {what}")
-        self.pos += 1
-        return line
-
-
-def _parse_ref(token: str, lineno: int) -> int:
-    kind, body = token[:1], token[1:]
-    if kind not in ("N", "L") or not body.isdigit():
-        raise CorruptModel(lineno, f"bad child reference {token!r}")
-    value = int(body)
-    return value if kind == "N" else ~value
-
-
-def _finite(value: float, what: str, lineno: int) -> float:
+def _finite(text: str, what: str = "value") -> float:
+    value = float(text)
     if not math.isfinite(value):
-        raise CorruptModel(lineno, f"non-finite {what} {value!r}")
+        raise ValueError(f"non-finite {what} {value!r}")
     return value
 
 
-def _parse_scalar(key: str, value: str, lineno: int):
-    try:
-        if key in ("n_estimators", "max_leaves", "max_bins", "min_data_in_leaf",
-                   "seed", "n_train", "n_features", "n_trees"):
-            return int(value)
-        if key in ("learning_rate", "bagging_fraction", "feature_fraction",
-                   "lambda", "min_split_gain", "y0", "alpha"):
-            return _finite(float(value), key, lineno)
-        if key == "rho":
-            rho = _finite(float(value), key, lineno)
-            if not -1.0 <= rho <= 1.0:
-                raise CorruptModel(lineno, f"rho {rho!r} outside [-1, 1]")
-            return rho
-        if key == "rho_config":
-            return value if value == "auto" else _finite(float(value), key, lineno)
-        if key == "early_stopping_rounds":
-            return None if value == "none" else int(value)
-        if key == "feature_names":
-            return value.split(",")
-        if key == "target_column":
-            return value
-    except ValueError as exc:
-        raise CorruptModel(lineno, f"bad value for {key}: {exc}") from exc
-    raise CorruptModel(lineno, f"unknown key {key!r}")
+# Every scalar key in the order ``save`` writes it, with the reader of
+# its value. Only ``target_column`` may be absent.
+_SCALARS = {
+    "n_estimators": int,
+    "learning_rate": _finite,
+    "bagging_fraction": _finite,
+    "feature_fraction": _finite,
+    "max_leaves": int,
+    "max_bins": int,
+    "lambda": _finite,
+    "min_split_gain": _finite,
+    "min_data_in_leaf": int,
+    "rho_config": lambda text: text if text == "auto" else _finite(text),
+    "early_stopping_rounds": lambda text: None if text == "none" else int(text),
+    "seed": int,
+    "y0": _finite,
+    "alpha": _finite,
+    "rho": lambda text: _check_rho(_finite(text)),
+    "n_train": int,
+    "n_features": int,
+    "feature_names": lambda text: text.split(","),
+    "target_column": str,
+    "n_trees": int,
+}
 
 
-def _parse_tree(parser: _Parser, index: int, edge_counts: list[int]) -> Tree:
-    """Parse one tree block and check that it is a tree the grower could
-    have made: features in range, thresholds that split their feature's
-    bins, and children that follow their parent (the grower numbers
-    split nodes in split order) and are referenced exactly once. Those
-    checks rule out cycles and unreachable nodes, so routing terminates.
-    """
-    header_lineno = parser.lineno
-    header = parser.take(f"tree {index}")
-    if header != f"tree {index}":
-        raise CorruptModel(header_lineno, f"expected 'tree {index}', got {header!r}")
-    nodes: dict[int, tuple[int, int, int, int, float]] = {}
-    leaves: dict[int, LeafStats] = {}
-    while True:
-        line = parser.peek()
-        if line is None or line.startswith("tree "):
-            break
-        lineno = parser.lineno
-        parts = parser.take("node or leaf line").split()
-        try:
-            if parts[0] == "node" and len(parts) == 7:
-                node_id = int(parts[1])
-                feature = int(parts[2])
-                threshold = int(parts[3])
-                left = _parse_ref(parts[4], lineno)
-                right = _parse_ref(parts[5], lineno)
-                gain = _finite(float(parts[6]), "gain", lineno)
-                if not 0 <= feature < len(edge_counts):
-                    raise CorruptModel(
-                        lineno,
-                        f"feature {feature} outside 0..{len(edge_counts) - 1}",
-                    )
-                n_edges = edge_counts[feature]
-                if not 0 <= threshold < n_edges:
-                    raise CorruptModel(
-                        lineno,
-                        f"threshold {threshold} does not split the "
-                        f"{n_edges + 1} bins of feature {feature}",
-                    )
-                if node_id in nodes:
-                    raise CorruptModel(lineno, f"duplicate node id {node_id}")
-                nodes[node_id] = (feature, threshold, left, right, gain)
-            elif parts[0] == "leaf" and len(parts) == 5:
-                leaf_id = int(parts[1])
-                leaf = LeafStats(
-                    mu=_finite(float(parts[2]), "leaf mean", lineno),
-                    var=_finite(float(parts[3]), "leaf variance", lineno),
-                    n=int(parts[4]),
-                )
-                if leaf.var < 0:
-                    raise CorruptModel(lineno, f"negative leaf variance {leaf.var!r}")
-                if leaf.n < 1:
-                    raise CorruptModel(lineno, f"empty leaf {leaf_id}")
-                if leaf.n > _MAX_COUNT:
-                    raise CorruptModel(
-                        lineno, f"leaf {leaf_id} count {leaf.n} too large"
-                    )
-                if leaf_id in leaves:
-                    raise CorruptModel(lineno, f"duplicate leaf id {leaf_id}")
-                leaves[leaf_id] = leaf
-            else:
-                raise CorruptModel(lineno, f"expected node or leaf line, got {parts[0]!r}")
-        except ValueError as exc:
-            raise CorruptModel(lineno, f"bad tree line: {exc}") from exc
-    if not leaves:
-        raise CorruptModel(header_lineno, f"tree {index} has no leaves")
-    if sorted(nodes) != list(range(len(nodes))):
-        raise CorruptModel(header_lineno, f"tree {index} node ids are not 0..{len(nodes) - 1}")
-    if sorted(leaves) != list(range(len(leaves))):
-        raise CorruptModel(header_lineno, f"tree {index} leaf ids are not 0..{len(leaves) - 1}")
-    if len(leaves) != len(nodes) + 1:
-        raise CorruptModel(
-            header_lineno,
-            f"tree {index} has {len(nodes)} nodes but {len(leaves)} leaves",
+def _line(lines: list[str], pos: int, what: str) -> str:
+    if pos >= len(lines):
+        raise CorruptModel(pos + 1, f"unexpected end of file, expected {what}")
+    return lines[pos]
+
+
+def _parse_ref(token: str) -> int:
+    kind, body = token[:1], token[1:]
+    if kind not in ("N", "L") or not body.isdigit() or int(body) > _MAX_INT:
+        raise ValueError(f"bad child reference {token!r}")
+    return int(body) if kind == "N" else ~int(body)
+
+
+def _read_node(fields: list[str], edge_counts: list[int]) -> tuple:
+    feature, threshold, left, right, gain = fields
+    feature, threshold = int(feature), int(threshold)
+    if not 0 <= feature < len(edge_counts):
+        raise ValueError(f"feature {feature} outside 0..{len(edge_counts) - 1}")
+    if not 0 <= threshold < edge_counts[feature]:
+        raise ValueError(
+            f"threshold {threshold} does not split the "
+            f"{edge_counts[feature] + 1} bins of feature {feature}"
         )
-    referenced: set[int] = set()
-    for node_id, (_, _, left, right, _) in nodes.items():
-        for ref in (left, right):
-            target = ref if ref >= 0 else ~ref
-            pool = nodes if ref >= 0 else leaves
-            if target not in pool:
-                raise CorruptModel(
-                    header_lineno,
-                    f"tree {index} node {node_id} references missing child {_ref_token(ref)}",
-                )
-            if 0 <= ref <= node_id:
-                raise CorruptModel(
-                    header_lineno,
-                    f"tree {index} node {node_id} has child {_ref_token(ref)}, "
-                    "which does not follow it",
-                )
-            if ref in referenced:
-                raise CorruptModel(
-                    header_lineno,
-                    f"tree {index} references {_ref_token(ref)} more than once",
-                )
-            referenced.add(ref)
-    return Tree(
-        nodes=[nodes[i] for i in range(len(nodes))],
-        leaves=[leaves[i] for i in range(len(leaves))],
-    )
+    return feature, threshold, _parse_ref(left), _parse_ref(right), _finite(gain, "gain")
+
+
+def _read_leaf(fields: list[str]) -> tuple:
+    mu, var, n = fields
+    mu, var, n = _finite(mu, "leaf mean"), _finite(var, "leaf variance"), int(n)
+    if var < 0:
+        raise ValueError(f"negative leaf variance {var!r}")
+    if not 1 <= n <= _MAX_INT:
+        raise ValueError(f"leaf count {n} outside 1..{_MAX_INT}")
+    return mu, var, n
+
+
+def _read_edges(fields: list[str]) -> np.ndarray:
+    (text,) = fields or [""]
+    values = np.array([_finite(v) for v in text.split(",")] if text else [])
+    if values.size > 1 and not np.all(np.diff(values) > 0):
+        raise ValueError("values are not strictly increasing")
+    return values
+
+
+def _parse_line(lines: list[str], pos: int, kind: str, ident: int | str, read):
+    """Read line ``pos`` as ``<kind> <ident>`` and the fields ``read`` takes."""
+    line = _line(lines, pos, f"{kind} {ident}")
+    parts = line.split()
+    if parts[:2] != [kind, str(ident)]:
+        raise CorruptModel(pos + 1, f"expected '{kind} {ident} ...', got {line!r}")
+    try:
+        return read(parts[2:])
+    except ValueError as exc:
+        raise CorruptModel(pos + 1, f"bad {kind} line: {exc}") from exc
+
+
+def _parse_tree(
+    lines: list[str], pos: int, index: int, edge_counts: list[int]
+) -> tuple[Tree, int]:
+    """Read tree block ``index`` from line ``pos`` on: its header, node
+    lines 0..N-1 and leaf lines 0..N. ``Tree`` checks the links. Returns
+    the tree and the position after the block."""
+    header = _line(lines, pos, f"tree {index}")
+    if header != f"tree {index}":
+        raise CorruptModel(pos + 1, f"expected 'tree {index}', got {header!r}")
+    header_lineno = pos + 1
+    nodes, leaves = [], []
+    while pos + 1 < len(lines) and lines[pos + 1].startswith("node "):
+        pos += 1
+        nodes.append(_parse_line(
+            lines, pos, "node", len(nodes), lambda fields: _read_node(fields, edge_counts)
+        ))
+    while len(leaves) <= len(nodes):
+        pos += 1
+        leaves.append(_parse_line(lines, pos, "leaf", len(leaves), _read_leaf))
+    try:
+        return Tree(nodes=nodes, leaves=leaves), pos + 1
+    except ValueError as exc:
+        raise CorruptModel(header_lineno, f"tree {index}: {exc}") from exc
 
 
 def load(path: str | Path) -> Ensemble:
-    parser = _Parser(read_text(path).splitlines())
-
-    header = parser.peek()
-    if header is None:
+    lines = read_text(path).splitlines()
+    if not lines:
         raise CorruptModel(1, "empty file")
-    if header != _HEADER:
-        if header.startswith("pgbmfmt"):
-            raise VersionMismatch(f"unsupported format {header!r}, expected {_HEADER!r}")
-        raise CorruptModel(1, f"not a model file (header {header!r})")
-    parser.take("header")
+    if lines[0] != _HEADER:
+        if lines[0].startswith("pgbmfmt"):
+            raise VersionMismatch(f"unsupported format {lines[0]!r}, expected {_HEADER!r}")
+        raise CorruptModel(1, f"not a model file (header {lines[0]!r})")
 
     scalars: dict[str, object] = {}
-    while True:
-        line = parser.peek()
-        if line is None or line.startswith("edges ") or line.startswith("tree "):
-            break
-        lineno = parser.lineno
-        key, sep, value = parser.take("scalar line").partition(" = ")
-        if not sep:
-            raise CorruptModel(lineno, f"expected 'key = value', got {key!r}")
-        if key in scalars:
-            raise CorruptModel(lineno, f"duplicate key {key!r}")
-        scalars[key] = _parse_scalar(key, value, lineno)
-    for key in _SCALAR_KEYS:
-        if key not in scalars:
-            raise CorruptModel(parser.lineno, f"missing key {key!r}")
+    pos = 1
+    for key, reader in _SCALARS.items():
+        line = _line(lines, pos, f"'{key} = ...'")
+        name, sep, value = line.partition(" = ")
+        if key == "target_column" and name != key:
+            scalars[key] = None
+            continue
+        if name != key or not sep:
+            raise CorruptModel(pos + 1, f"expected '{key} = ...', got {line!r}")
+        try:
+            scalars[key] = reader(value)
+        except ValueError as exc:
+            raise CorruptModel(pos + 1, f"bad value for {key}: {exc}") from exc
+        pos += 1
 
     n_features = scalars["n_features"]
     feature_names = scalars["feature_names"]
     if len(feature_names) != n_features:
         raise CorruptModel(
-            parser.lineno, f"{len(feature_names)} feature names for {n_features} features"
+            pos + 1, f"{len(feature_names)} feature names for {n_features} features"
         )
 
-    edge_arrays = []
-    for j in range(n_features):
-        lineno = parser.lineno
-        line = parser.take(f"edges {j}")
-        prefix, sep, rest = line.partition(":")
-        if not sep or prefix != f"edges {j}":
-            raise CorruptModel(lineno, f"expected 'edges {j}:', got {line!r}")
-        rest = rest.strip()
-        try:
-            values = np.array([float(v) for v in rest.split(",")] if rest else [])
-        except ValueError as exc:
-            raise CorruptModel(lineno, f"bad edge value: {exc}") from exc
-        if not np.all(np.isfinite(values)):
-            raise CorruptModel(lineno, f"edges {j} hold a non-finite value")
-        if values.size > 1 and not np.all(np.diff(values) > 0):
-            raise CorruptModel(lineno, f"edges {j} are not strictly increasing")
-        edge_arrays.append(values)
-
+    edge_arrays = [
+        _parse_line(lines, pos + j, "edges", f"{j}:", _read_edges) for j in range(n_features)
+    ]
+    pos += n_features
     edge_counts = [values.size for values in edge_arrays]
-    trees = [_parse_tree(parser, k, edge_counts) for k in range(scalars["n_trees"])]
-    if parser.peek() is not None:
-        raise CorruptModel(parser.lineno, f"trailing content {parser.peek()!r}")
+    trees = []
+    for k in range(scalars["n_trees"]):
+        tree, pos = _parse_tree(lines, pos, k, edge_counts)
+        trees.append(tree)
+    if pos < len(lines):
+        raise CorruptModel(pos + 1, f"trailing content {lines[pos]!r}")
 
     try:
         tree_config = TreeConfig(

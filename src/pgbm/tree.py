@@ -31,7 +31,8 @@ fields ``mu``, ``var`` and ``n`` (the leaf's instance count). A child
 reference is a node row for a nonnegative value and the leaf row
 ``~ref`` for a negative one, so a single integer routes to either
 table. The root is node row 0, or leaf row 0 when the tree has no
-split.
+split. Constructing a ``Tree`` raises ValueError unless the links form
+a tree, so routing always ends at a leaf.
 """
 
 from __future__ import annotations
@@ -107,6 +108,28 @@ class Tree:
             table = np.array(getattr(self, name), dtype=dtype)
             table.flags.writeable = False
             object.__setattr__(self, name, table)
+        self._check_links()
+
+    def _check_links(self) -> None:
+        """Raise ValueError unless there is one more leaf than nodes and
+        each child reference exists, follows its parent's node id and is
+        made once. The 2N references then cover the N - 1 nodes below the
+        root and the N + 1 leaves, and routing takes at most N steps."""
+        n_nodes, n_leaves = len(self.nodes), len(self.leaves)
+        if n_leaves != n_nodes + 1:
+            raise ValueError(f"{n_nodes} nodes need {n_nodes + 1} leaves, got {n_leaves}")
+        seen: set[int] = set()
+        links = zip(self.nodes["left"].tolist(), self.nodes["right"].tolist())
+        for node_id, children in enumerate(links):
+            for ref in children:
+                child = f"node {ref}" if ref >= 0 else f"leaf {~ref}"
+                if not -n_leaves <= ref < n_nodes:
+                    raise ValueError(f"node {node_id} references missing child {child}")
+                if 0 <= ref <= node_id:
+                    raise ValueError(f"{child} does not follow its parent node {node_id}")
+                if ref in seen:
+                    raise ValueError(f"{child} is referenced more than once")
+                seen.add(ref)
 
 
 @dataclass(frozen=True)

@@ -983,6 +983,21 @@ FAILURES = {
         3, errors.TrainingDiverged),
     "model_version": (lambda f: _predict(f, "future_model"), 3, errors.VersionMismatch),
     "model_corrupt": (lambda f: _predict(f, "not_a_model"), 3, errors.CorruptModel),
+    "model_blank_tree_line": (lambda f: _predict(f, "blank_line_model"), 3, errors.CorruptModel),
+    "csv_field_over_limit": (lambda f: _train(f, "long_cell"), 3, errors.ParseError),
+    "hierarchy_member_beyond_int64": (
+        lambda f: _train(f, "train_csv", "--loss", "hierwmse",
+                         "--hierarchy", str(f["huge_member"])),
+        3, errors.ParseError),
+    "hierarchy_nan_weight": (
+        lambda f: _train(f, "train_csv", "--loss", "hierwmse",
+                         "--hierarchy", str(f["nan_weight"])),
+        3, errors.ParseError),
+    "evaluate_hierarchy_inf_weight": (
+        lambda f: ["evaluate", "--pred", str(f["point_predictions"]),
+                   "--actual", str(f["test_csv"]), "--target", "y", "--metrics", "rmse",
+                   "--hierarchy", str(f["inf_weight"])],
+        3, errors.ParseError),
     "hierwmse_without_hierarchy": (
         lambda f: _train(f, "train_csv", "--loss", "hierwmse"), 2, ValueError),
     "sample_cap": (lambda f: _predict(f, "model", "--n-samples", "20000"), 2, ValueError),
@@ -1053,6 +1068,13 @@ def failures(workspace, tmp_path_factory):
             f"{i // 20},{1 if i < 20 else -1}\n" for i in range(40)),
         "two_groups": "levels=2\nlevel 0 weight=1 identity\nlevel 1 weight=1\n" + "".join(
             f"group {key}: {','.join(map(str, rows))}\n" for key, rows in members.items()),
+        "long_cell": "x,y\n0." + "0" * 131072 + "1,1\n",
+        "huge_member": "levels=1\nlevel 0 weight=1\ngroup b: 20,99999999999999999999\n",
+        "nan_weight": "levels=1\nlevel 0 weight=nan identity\n",
+        "inf_weight": "levels=1\nlevel 0 weight=inf identity\n",
+        "point_predictions": "row,mu,var\n" + "".join(f"{i},1.0,0.5\n" for i in range(80)),
+        "blank_line_model": workspace["model"].read_text(encoding="utf-8").replace(
+            "tree 0\n", "tree 0\n\n", 1),
         "future_model": "pgbmfmt v2\n",
         "not_a_model": "not a model\n",
         "unknown_key": "definitely_not_a_flag = 1\n",

@@ -300,13 +300,16 @@ class TestCReaderParity:
         expected = load_outcome(reference_load_csv, path, target)
         assert load_outcome(load_csv, path, target) == expected
 
-    def test_field_over_the_csv_limit_is_left_to_csv(self, tmp_path):
-        long_number = "0." + "0" * csv.field_size_limit() + "1"
+    def test_field_over_the_csv_limit_is_a_parse_error(self, tmp_path):
+        long_cell = "0." + "0" * csv.field_size_limit() + "1"
         path = tmp_path / "long.csv"
-        path.write_text(f"a,y\n{long_number},1\n", encoding="utf-8")
-        expected = load_outcome(reference_load_csv, path, "y")
-        assert expected[0] is csv.Error
-        assert load_outcome(load_csv, path, "y") == expected
+        # A data cell is reported at its row, a header cell at row -1.
+        for text, row in ((f"a,y\n{long_cell},1\n", 0), (f"{long_cell},y\n1,2\n", -1)):
+            path.write_text(text, encoding="utf-8")
+            assert data_module._parse_fast(path) is None
+            with pytest.raises(ParseError, match="field larger than field limit") as info:
+                load_csv(path, None)
+            assert (info.value.row, info.value.col) == (row, 0)
 
 
     def test_no_warning_for_a_file_without_data(self, tmp_path):

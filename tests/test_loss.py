@@ -150,6 +150,11 @@ class TestHierarchySpecValidation:
         with pytest.raises(ValueError):
             HierarchySpec([HierarchyLevel(weight=-0.1, identity=True)])
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            HierarchySpec([HierarchyLevel(weight=weight, identity=True)])
+
     def test_rejects_all_zero_weights(self):
         with pytest.raises(ValueError):
             HierarchySpec(
@@ -382,6 +387,18 @@ class TestParseHierarchy:
         with pytest.raises(ParseError) as info:
             parse_hierarchy(text)
         assert info.value.row == 3
+
+    def test_member_beyond_int64(self):
+        text = "levels=1\nlevel 0 weight=1\ngroup all: 0,99999999999999999999\n"
+        with pytest.raises(ParseError, match="bad member index") as info:
+            parse_hierarchy(text)
+        assert info.value.row == 3
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_level_weight(self, weight):
+        text = f"levels=1\nlevel 0 weight={weight} identity\n"
+        with pytest.raises(ParseError, match="finite and nonnegative"):
+            parse_hierarchy(text)
 
     def test_empty_text(self):
         with pytest.raises(ParseError):

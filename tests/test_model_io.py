@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from pgbm import (
     train,
 )
 from pgbm.errors import CorruptModel, IoError, VersionMismatch
+from pgbm.model_io import _SCALARS
 
 from conftest import make_regression
 
@@ -300,6 +302,54 @@ def set_token(lines, prefix, position, value):
     raise AssertionError(f"no line starting with {prefix!r}")
 
 
+class TestLayout:
+    @pytest.mark.parametrize("target_name", [None, "y"])
+    def test_save_writes_the_scalar_keys_in_reader_order(self, fitted, tmp_path, target_name):
+        _, model = fitted
+        model = dataclasses.replace(model, target_name=target_name)
+        path = tmp_path / "model.txt"
+        save(model, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        keys = [line.partition(" = ")[0] for line in lines if " = " in line]
+        expected = [k for k in _SCALARS if target_name is not None or k != "target_column"]
+        assert keys == expected
+
+    @pytest.mark.parametrize("blank", ["", "   ", "\t"])
+    def test_blank_line_in_a_tree_block(self, saved, blank):
+        path, tmp = saved
+        lines = path.read_text(encoding="utf-8").splitlines()
+        at = lines.index("tree 0") + 2
+        lines.insert(at, blank)
+        bad = tmp / "blank.txt"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptModel) as info:
+            load(bad)
+        assert info.value.line == at + 1
+
+    def test_nodes_out_of_id_order(self, saved):
+        path, tmp = saved
+        lines = path.read_text(encoding="utf-8").splitlines()
+        first = lines.index("tree 0") + 1
+        assert lines[first + 1].startswith("node 1 ")
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        bad = tmp / "order.txt"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptModel, match="expected 'node 0") as info:
+            load(bad)
+        assert info.value.line == first + 1
+
+    def test_child_reference_beyond_int64(self, saved):
+        path, tmp = saved
+        lines = []
+
+        def corrupt(text):
+            lines.append(set_token(text, "node 0 ", 4, f"N{2**64}"))
+
+        with pytest.raises(CorruptModel, match="bad child reference") as info:
+            load(mutate(path, tmp / "ref.txt", corrupt))
+        assert info.value.line == lines[0]
+
+
 class TestTreeStructure:
     def test_self_referencing_node_is_rejected_at_load(self, saved):
         path, tmp = saved
@@ -436,10 +486,16 @@ def numeric_tokens(lines):
 @st.composite
 def mutated_lines(draw, lines):
     lines = list(lines)
-    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "integer", "real"]))
+    kind = draw(st.sampled_from(
+        ["delete", "duplicate", "swap", "integer", "real", "blank", "whitespace"]
+    ))
     index = st.integers(0, len(lines) - 1)
     if kind == "delete":
         del lines[draw(index)]
+    elif kind == "blank":
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    elif kind == "whitespace":
+        lines[draw(index)] = draw(st.sampled_from([" ", "\t", "  \t "]))
     elif kind == "duplicate":
         i = draw(index)
         lines.insert(i, lines[i])

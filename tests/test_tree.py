@@ -6,7 +6,7 @@ import heapq
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -412,6 +412,74 @@ class TestTreeTables:
         assert tree.nodes.dtype == NODE_DTYPE and tree.nodes.shape == (0,)
         np.testing.assert_array_equal(
             route_many(tree, np.zeros((3, 2), dtype=np.uint16)), [0, 0, 0]
+        )
+
+
+@st.composite
+def link_tables(draw):
+    """(nodes, leaf count) for up to 8 nodes: a tree the grower could have
+    made, with or without one reference redrawn, or links drawn at random."""
+    n_nodes = draw(st.integers(0, 8))
+    n_leaves = draw(st.sampled_from([n_nodes + 1, n_nodes + 1, n_nodes, n_nodes + 2]))
+    ref = st.integers(-n_leaves - 1, n_nodes)
+    if draw(st.booleans()):
+        links = [[draw(ref), draw(ref)] for _ in range(n_nodes)]
+    else:
+        links = [[None, None] for _ in range(n_nodes)]
+        for child in range(1, n_nodes):
+            free = [(j, s) for j in range(child) for s in (0, 1) if links[j][s] is None]
+            j, side = draw(st.sampled_from(free))
+            links[j][side] = child
+        leaf_ids = iter(draw(st.permutations(range(n_nodes + 1))))
+        links = [[~next(leaf_ids) if r is None else r for r in pair] for pair in links]
+        if n_nodes and draw(st.booleans()):
+            links[draw(st.integers(0, n_nodes - 1))][draw(st.integers(0, 1))] = draw(ref)
+    nodes = [(draw(st.integers(0, 2)), draw(st.integers(0, 3)), left, right, 1.0)
+             for left, right in links]
+    return nodes, n_leaves
+
+
+class TestTreeLinks:
+    @given(tables=link_tables(), bins=arrays(np.uint16, (6, 3)))
+    @example(tables=([(0, 0, 0, -1, 1.0)], 2), bins=np.zeros((6, 3), dtype=np.uint16))
+    def test_a_tree_that_constructs_routes_every_row_to_a_leaf(self, tables, bins):
+        nodes, n_leaves = tables
+        try:
+            tree = Tree(nodes=nodes, leaves=[(0.0, 0.0, 1)] * n_leaves)
+        except ValueError:
+            return
+        for row in bins:
+            ref = 0 if nodes else ~0
+            for _ in range(len(nodes)):
+                if ref < 0:
+                    break
+                feature, threshold, left, right, _ = nodes[ref]
+                ref = left if row[feature] <= threshold else right
+            assert ref < 0, "routing did not reach a leaf in len(nodes) steps"
+        ids = route_many(tree, bins)
+        assert ids.dtype == np.int64
+        assert np.all((0 <= ids) & (ids < n_leaves))
+        np.testing.assert_array_equal(ids, [walk(tree, row) for row in bins])
+
+    @pytest.mark.parametrize(
+        "nodes, n_leaves, match",
+        [
+            ([(0, 0, 0, -1, 1.0)], 2, "does not follow"),
+            ([(0, 0, -1, -1, 1.0)], 2, "more than once"),
+            ([(0, 0, 1, -1, 1.0)], 2, "missing child node 1"),
+            ([(0, 0, -1, -3, 1.0)], 2, "missing child leaf 2"),
+            ([(0, 0, -1, -2, 1.0)], 3, "need 2 leaves"),
+            ([], 0, "need 1 leaves"),
+        ],
+    )
+    def test_broken_links_are_rejected(self, nodes, n_leaves, match):
+        with pytest.raises(ValueError, match=match):
+            Tree(nodes=nodes, leaves=[(0.0, 0.0, 1)] * n_leaves)
+
+    def test_the_empty_tree_is_valid(self):
+        tree = Tree(nodes=[], leaves=[(0.5, 0.0, 1)])
+        np.testing.assert_array_equal(
+            route_many(tree, np.zeros((2, 1), dtype=np.uint16)), [0, 0]
         )
 
 
