@@ -69,6 +69,10 @@ class HierarchyLevel:
     groups: dict[str, np.ndarray] | None = None
     identity: bool = False
 
+    def __post_init__(self):
+        if not (np.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError("level weights must be finite and nonnegative")
+
 
 @dataclass(frozen=True)
 class HierarchySpec:
@@ -87,8 +91,6 @@ class HierarchySpec:
     def __post_init__(self):
         if not self.levels:
             raise ValueError("a hierarchy needs at least one level")
-        if not all(np.isfinite(level.weight) and level.weight >= 0 for level in self.levels):
-            raise ValueError("level weights must be finite and nonnegative")
         if all(level.weight == 0 for level in self.levels):
             raise ValueError("level weights must not all be zero")
 
@@ -219,15 +221,6 @@ def parse_hierarchy(text: str) -> HierarchySpec:
     """
     declared: int | None = None
     levels: list[HierarchyLevel] = []
-    current_groups: dict[str, np.ndarray] | None = None
-
-    def finish_level():
-        nonlocal current_groups
-        if current_groups is not None and not levels[-1].identity:
-            levels[-1] = HierarchyLevel(
-                weight=levels[-1].weight, groups=current_groups
-            )
-        current_groups = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -242,8 +235,6 @@ def parse_hierarchy(text: str) -> HierarchySpec:
                 raise ParseError(lineno, 0, "bad level count") from None
             continue
         if line.startswith("level "):
-            if levels:
-                finish_level()
             parts = line.split()
             identity = "identity" in parts[2:]
             weight_part = next((p for p in parts if p.startswith("weight=")), None)
@@ -256,26 +247,27 @@ def parse_hierarchy(text: str) -> HierarchySpec:
                 raise ParseError(lineno, 0, "bad level index or weight") from None
             if index != len(levels):
                 raise ParseError(lineno, 0, f"expected level {len(levels)}")
-            levels.append(HierarchyLevel(weight=weight, identity=identity))
-            current_groups = None if identity else {}
+            try:
+                levels.append(HierarchyLevel(weight, None if identity else {}, identity))
+            except ValueError as exc:
+                raise ParseError(lineno, 0, str(exc)) from None
         elif line.startswith("group "):
-            if not levels or current_groups is None:
+            groups = levels[-1].groups if levels else None
+            if groups is None:
                 raise ParseError(lineno, 0, "group line outside a non-identity level")
             head, _, tail = line[len("group ") :].partition(":")
             key = head.strip()
-            if not key or key in current_groups:
+            if not key or key in groups:
                 raise ParseError(lineno, 0, f"bad or duplicate group key {key!r}")
             try:
                 members = [int(tok) for tok in tail.split(",") if tok.strip()]
-                current_groups[key] = np.asarray(members, dtype=np.int64)
+                groups[key] = np.asarray(members, dtype=np.int64)
             except (ValueError, OverflowError):
                 raise ParseError(lineno, 0, "bad member index") from None
         else:
             raise ParseError(lineno, 0, f"unrecognized line {line!r}")
     if declared is None:
         raise ParseError(1, 0, "empty hierarchy file")
-    if levels:
-        finish_level()
     if len(levels) != declared:
         raise ParseError(1, 0, f"declared {declared} levels, found {len(levels)}")
     try:

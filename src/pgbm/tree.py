@@ -31,8 +31,11 @@ fields ``mu``, ``var`` and ``n`` (the leaf's instance count). A child
 reference is a node row for a nonnegative value and the leaf row
 ``~ref`` for a negative one, so a single integer routes to either
 table. The root is node row 0, or leaf row 0 when the tree has no
-split. Constructing a ``Tree`` raises ValueError unless the links form
-a tree, so routing always ends at a leaf.
+split. The leaf rows are the regions left unsplit, in creation order:
+the root, then each split's left child and right child, in split order.
+Model bytes depend on this numbering. Constructing a ``Tree`` raises
+ValueError unless the links form a tree, so routing always ends at a
+leaf.
 """
 
 from __future__ import annotations
@@ -105,7 +108,10 @@ class Tree:
 
     def __post_init__(self):
         for name, dtype in (("nodes", NODE_DTYPE), ("leaves", LEAF_DTYPE)):
-            table = np.array(getattr(self, name), dtype=dtype)
+            try:
+                table = np.array(getattr(self, name), dtype=dtype)
+            except OverflowError as exc:
+                raise ValueError(f"{name}: a value does not fit its field ({exc})") from None
             table.flags.writeable = False
             object.__setattr__(self, name, table)
         self._check_links()
@@ -295,19 +301,6 @@ def leaf_stats(g_slice: np.ndarray, h_slice: np.ndarray, lam: float) -> LeafStat
     return LeafStats(mu=mu, var=max(0.0, var), n=n)
 
 
-class _Region:
-    """A node under construction: its rows, histogram and best candidate."""
-
-    __slots__ = ("indices", "hist", "totals", "best", "order")
-
-    def __init__(self, indices, hist, totals, best, order):
-        self.indices = indices
-        self.hist = hist
-        self.totals = totals
-        self.best = best
-        self.order = order
-
-
 def grow_tree(
     data: BinnedDataset,
     gh: GradHess,
@@ -324,7 +317,8 @@ def grow_tree(
     gets a histogram and a split search only while the tree has room to
     split it: the two children of the split that reaches max_leaves stay
     leaves without either, so a tree that reaches L >= 2 leaves runs
-    2L-3 searches.
+    2L-3 searches. Regions are numbered in creation order, which breaks
+    gain ties and numbers the leaves (module docstring).
     """
     indices = np.asarray(sample_mask)
     if indices.dtype == bool:
@@ -335,79 +329,54 @@ def grow_tree(
     if features is None:
         features = np.arange(data.f)
     n_bins = data.max_n_bins
+    g, h = gh.g, gh.h
 
-    g = gh.g
-    h = gh.h
+    rows: list[np.ndarray] = []  # each region's row indices, by region number
+    heap: list[tuple] = []  # (-gain, region, hist, totals, best)
 
-    regions: list[_Region] = []
-    heap: list[tuple[float, int, _Region]] = []
-
-    def add_region(idx, hist, totals):
+    def add(idx, hist=None, totals=None) -> int:
+        region = len(rows)
+        rows.append(idx)
         best = None if hist is None else find_best_split(hist, config, totals)
-        region = _Region(idx, hist, totals, best, len(regions))
-        regions.append(region)
         if best is not None:
-            heapq.heappush(heap, (-best[2], region.order, region))
+            heapq.heappush(heap, (-best[2], region, hist, totals, best))
         return region
 
     if config.max_leaves > 1:
-        add_region(
-            indices,
-            build_histogram(data.bins, g, h, indices, features, n_bins),
-            (
-                float(np.sum(g[indices])),
-                float(np.sum(h[indices])),
-                int(indices.size),
-            ),
-        )
+        totals = (float(np.sum(g[indices])), float(np.sum(h[indices])), int(indices.size))
+        add(indices, build_histogram(data.bins, g, h, indices, features, n_bins), totals)
     else:
-        add_region(indices, None, None)
+        add(indices)
 
-    splits: list[tuple[_Region, int, int, float, _Region, _Region]] = []
-    n_leaves = 1
-
-    while n_leaves < config.max_leaves and heap:
-        _, _, region = heapq.heappop(heap)
-        feature, threshold, gain = region.best
-        go_left = data.bins[region.indices, feature] <= threshold
-        left_idx = region.indices[go_left]
-        right_idx = region.indices[~go_left]
-        n_leaves += 1
-
-        if n_leaves < config.max_leaves:
+    splits: list[tuple[int, int, int, float, int, int]] = []
+    while len(splits) + 1 < config.max_leaves and heap:
+        _, region, hist, totals, (feature, threshold, gain) = heapq.heappop(heap)
+        idx = rows[region]
+        go_left = data.bins[idx, feature] <= threshold
+        left_idx, right_idx = idx[go_left], idx[~go_left]
+        if len(splits) + 2 < config.max_leaves:
             row = int(np.searchsorted(features, feature))
-            left_g = float(np.cumsum(region.hist.g[row])[threshold])
-            left_h = float(np.cumsum(region.hist.h[row])[threshold])
-            left_n = int(np.cumsum(region.hist.count[row])[threshold])
-            total_g, total_h, total_n = region.totals
-            left_hist = build_histogram(data.bins, g, h, left_idx, features, n_bins)
-            right_hist = subtract_histogram(region.hist, left_hist)
-            left = add_region(left_idx, left_hist, (left_g, left_h, left_n))
-            right = add_region(
-                right_idx,
-                right_hist,
-                (total_g - left_g, total_h - left_h, total_n - left_n),
+            left_totals = (
+                float(np.cumsum(hist.g[row])[threshold]),
+                float(np.cumsum(hist.h[row])[threshold]),
+                int(np.cumsum(hist.count[row])[threshold]),
             )
+            right_totals = tuple(t - lt for t, lt in zip(totals, left_totals))
+            left_hist = build_histogram(data.bins, g, h, left_idx, features, n_bins)
+            left = add(left_idx, left_hist, left_totals)
+            right = add(right_idx, subtract_histogram(hist, left_hist), right_totals)
         else:
-            left = add_region(left_idx, None, None)
-            right = add_region(right_idx, None, None)
+            left, right = add(left_idx), add(right_idx)
         splits.append((region, feature, threshold, gain, left, right))
 
-    split_ids = {id(entry[0]): node_id for node_id, entry in enumerate(splits)}
-    leaf_regions = [r for r in regions if id(r) not in split_ids]
-    leaf_ids = {id(r): leaf_id for leaf_id, r in enumerate(leaf_regions)}
-
-    def ref(region: _Region) -> int:
-        node_id = split_ids.get(id(region))
-        return node_id if node_id is not None else ~leaf_ids[id(region)]
-
+    ref = {split[0]: node for node, split in enumerate(splits)}
+    leaf_regions = [region for region in range(len(rows)) if region not in ref]
+    ref.update((region, ~leaf) for leaf, region in enumerate(leaf_regions))
     nodes = [
-        (feature, threshold, ref(left), ref(right), gain)
+        (feature, threshold, ref[left], ref[right], gain)
         for _, feature, threshold, gain, left, right in splits
     ]
-    leaves = [
-        leaf_stats(g[r.indices], h[r.indices], config.lam) for r in leaf_regions
-    ]
+    leaves = [leaf_stats(g[rows[r]], h[rows[r]], config.lam) for r in leaf_regions]
     return Tree(nodes=nodes, leaves=leaves)
 
 

@@ -1092,7 +1092,6 @@ def failures(workspace, tmp_path_factory):
 
 
 class TestErrorPaths:
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", sorted(FAILURES))
     def test_failure_is_one_error_line(self, failures, monkeypatch, capsys, case):
         build, code, error = FAILURES[case]

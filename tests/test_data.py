@@ -36,8 +36,6 @@ from pgbm.errors import (
 
 from conftest import DATA_DIR
 
-pytestmark = pytest.mark.filterwarnings("error")
-
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name

@@ -397,7 +397,7 @@ class TestParseHierarchy:
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_non_finite_level_weight(self, weight):
         text = f"levels=1\nlevel 0 weight={weight} identity\n"
-        with pytest.raises(ParseError, match="finite and nonnegative"):
+        with pytest.raises(ParseError, match="finite and nonnegative at row 2, column 0"):
             parse_hierarchy(text)
 
     def test_empty_text(self):

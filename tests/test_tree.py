@@ -470,6 +470,9 @@ class TestTreeLinks:
             ([(0, 0, -1, -3, 1.0)], 2, "missing child leaf 2"),
             ([(0, 0, -1, -2, 1.0)], 3, "need 2 leaves"),
             ([], 0, "need 1 leaves"),
+            ([(0, 0, 2**64, -1, 1.0)], 2, "does not fit"),
+            ([(2**63, 0, -1, -2, 1.0)], 2, "does not fit"),
+            ([(0, 2**64, -1, -2, 1.0)], 2, "does not fit"),
         ],
     )
     def test_broken_links_are_rejected(self, nodes, n_leaves, match):
@@ -605,25 +608,29 @@ class TestVectorizedAgainstOracles:
         )
 
 
-def grow_searching_every_child(data, gh, cfg):
-    """Best-first growth that searches every node, the final split's
-    children included; returns split triples and leaves numbered as in
+def grow_searching_every_child(data, gh, cfg, rows=None, features=None, links=False):
+    """Best-first growth over ``rows`` (default: all) that searches every
+    node on ``features`` (default: all), the final split's children
+    included. Returns the splits, as (feature, threshold, gain) triples
+    or with ``links`` as full node rows, and the leaves, numbered as in
     ``Tree``."""
-    features = np.arange(data.f)
-    regions = []
+    rows = np.arange(data.n) if rows is None else rows
+    features = np.arange(data.f) if features is None else features
+    regions, heap = [], []
 
     def add(rows, hist, totals):
-        regions.append([rows, hist, totals, find_best_split(hist, cfg, totals)])
+        best = find_best_split(hist, cfg, totals)
+        regions.append([rows, hist, totals, best])
+        if best is not None:
+            heapq.heappush(heap, (-best[2], len(regions) - 1))
         return len(regions) - 1
 
-    rows = np.arange(data.n)
     add(
         rows,
         build_histogram(data.bins, gh.g, gh.h, rows, features, data.max_n_bins),
-        (float(np.sum(gh.g)), float(np.sum(gh.h)), data.n),
+        (float(np.sum(gh.g[rows])), float(np.sum(gh.h[rows])), rows.size),
     )
-    heap = [(-regions[0][3][2], 0)]
-    splits, split_at = [], set()
+    splits = []
     while len(splits) + 1 < cfg.max_leaves and heap:
         _, at = heapq.heappop(heap)
         rows, hist, (tg, th, tn), (feature, threshold, gain) = regions[at]
@@ -631,26 +638,89 @@ def grow_searching_every_child(data, gh, cfg):
         left_hist = build_histogram(
             data.bins, gh.g, gh.h, rows[go_left], features, data.max_n_bins
         )
-        lg = float(np.cumsum(hist.g[feature])[threshold])
-        lh = float(np.cumsum(hist.h[feature])[threshold])
-        ln = int(np.cumsum(hist.count[feature])[threshold])
+        row = list(features).index(feature)
+        lg = float(np.cumsum(hist.g[row])[threshold])
+        lh = float(np.cumsum(hist.h[row])[threshold])
+        ln = int(np.cumsum(hist.count[row])[threshold])
         left = add(rows[go_left], left_hist, (lg, lh, ln))
         right = add(
             rows[~go_left],
             subtract_histogram(hist, left_hist),
             (tg - lg, th - lh, tn - ln),
         )
-        for child in (left, right):
-            if regions[child][3] is not None:
-                heapq.heappush(heap, (-regions[child][3][2], child))
-        splits.append((feature, threshold, gain))
-        split_at.add(at)
-    leaves = [
-        leaf_stats(gh.g[r[0]], gh.h[r[0]], cfg.lam)
-        for i, r in enumerate(regions)
-        if i not in split_at
+        splits.append((at, feature, threshold, gain, left, right))
+    split_at = [split[0] for split in splits]
+    leaf_at = [i for i in range(len(regions)) if i not in split_at]
+
+    def ref(i):
+        return split_at.index(i) if i in split_at else ~leaf_at.index(i)
+
+    nodes = [
+        (feature, threshold, ref(left), ref(right), gain)
+        if links
+        else (feature, threshold, gain)
+        for _, feature, threshold, gain, left, right in splits
     ]
-    return splits, leaves
+    leaves = [leaf_stats(gh.g[regions[i][0]], gh.h[regions[i][0]], cfg.lam) for i in leaf_at]
+    return nodes, leaves
+
+
+@st.composite
+def growth_problems(draw):
+    """Binned data with tied and free gradients, a bag (sorted row
+    indices or a boolean mask), a feature subset and a tree config."""
+    n_features = draw(st.integers(1, 4))
+    width = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 40))
+
+    def column(dtype, elements, shape=n):
+        return draw(arrays(dtype, shape, elements=elements, fill=st.nothing()))
+
+    bins = column(np.uint16, st.integers(0, width - 1), (n, n_features))
+    edges = BinEdges([np.arange(0.5, width - 1)] * n_features)
+    data = BinnedDataset(bins=bins, edges=edges, target=np.zeros(n))
+    g = column(np.float64, st.one_of(TIED_VALUES, st.floats(-10, 10)))
+    h = column(np.float64, st.sampled_from([0.5, 1.0, 2.0]))
+    keep = column(bool, st.booleans())
+    keep[draw(st.integers(0, n - 1))] = True
+    bag = keep if draw(st.booleans()) else np.nonzero(keep)[0]
+    features = sorted(draw(st.sets(st.integers(0, n_features - 1), min_size=1)))
+    cfg = TreeConfig(
+        max_leaves=draw(st.integers(1, 20)),
+        max_bins=width,
+        lam=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        min_split_gain=draw(st.sampled_from([0.0, 0.01, 0.5])),
+        min_data_in_leaf=draw(st.integers(1, 5)),
+    )
+    return data, GradHess(g, h), bag, np.array(features, dtype=np.int64), cfg
+
+
+def tied_children_problem():
+    """The root splits on feature 1 into two children whose best splits,
+    on feature 0, tie at gain 2 exactly; with room for one more split,
+    the tie goes to the child made first, the left one."""
+    bins = np.array([[0, 0], [0, 0], [0, 1], [0, 1], [1, 0], [1, 0], [1, 1], [1, 1]])
+    data = BinnedDataset(
+        bins=bins.astype(np.uint16), edges=BinEdges([np.array([0.5])] * 2), target=np.zeros(8)
+    )
+    g = np.array([3.0, 3.0, -1.0, -1.0, 1.0, 1.0, -3.0, -3.0])
+    cfg = TreeConfig(max_leaves=3, max_bins=2, lam=0.0)
+    return data, GradHess(g, np.ones(8)), np.arange(8), np.arange(2), cfg
+
+
+class TestGrowerAgainstOracle:
+    @given(growth_problems())
+    @example(tied_children_problem())
+    def test_grow_tree_matches_searching_every_child(self, problem):
+        data, gh, bag, features, cfg = problem
+        tree = grow_tree(data, gh, bag, cfg, features)
+        rows = np.nonzero(bag)[0] if bag.dtype == bool else bag
+        nodes, leaves = grow_searching_every_child(data, gh, cfg, rows, features, links=True)
+        expected_nodes = np.array(nodes, dtype=NODE_DTYPE)
+        expected_leaves = np.array(leaves, dtype=LEAF_DTYPE)
+        assert tree.nodes.dtype == NODE_DTYPE and tree.leaves.dtype == LEAF_DTYPE
+        assert np.array_equal(tree.nodes, expected_nodes)
+        assert np.array_equal(tree.leaves, expected_leaves)
 
 
 class TestFinalSplitSkip:
