@@ -76,6 +76,8 @@ class BoostConfig:
             _check_rho(float(self.rho))
         if self.early_stopping_rounds is not None and self.early_stopping_rounds < 1:
             raise ValueError("early_stopping_rounds must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -418,6 +418,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             lines.append(f"{spec.family},{rho!r},{value!r}")
             if best is None or value < best[2]:
                 best = (spec.family, rho, value)
+            del result  # so the next cell's draws do not coexist with these
 
     print("\n".join(lines))
     print(f"best: dist={best[0]} rho={best[1]!r} crps={best[2]!r}")

@@ -145,6 +145,8 @@ def sample(
     versions that gave every row its own stream."""
     if n_samples_out < 1:
         raise ValueError("n_samples_out must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     mu, var = np.asarray(moments.mu, np.float64), np.asarray(moments.var, np.float64)
     family, m = spec.family, n_samples_out
     params, ok = _match(family, mu, var)

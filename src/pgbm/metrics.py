@@ -49,10 +49,13 @@ def crps_empirical_rows(samples: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise LengthMismatch(
             f"sample matrix has {samples.shape[1]} rows, y has {y.shape[0]}"
         )
-    term1 = np.mean(np.abs(samples - y[None, :]), axis=0)
-    xs = np.sort(samples, axis=0)
+    # One work matrix: |samples - y| for term1, then the sorted samples.
+    work = samples - y[None, :]
+    term1 = np.mean(np.abs(work, out=work), axis=0)
+    np.copyto(work, samples)
+    work.sort(axis=0)
     weights = 2.0 * np.arange(m) - m + 1.0
-    term2 = (weights @ xs) / (m * m)
+    term2 = (weights @ work) / (m * m)
     return term1 - term2
 
 

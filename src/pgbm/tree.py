@@ -1,12 +1,15 @@
 """Histogram decision trees with stochastic leaf weights.
 
-One tree is grown per boosting iteration over binned features. A node's
-gradient, hessian and count histograms are (features x bins) matrices,
-and its split search scores every (feature, bin) candidate in one pass
-over them: cumulative sums along the bin axis, one masked gain matrix
-and one row-major argmax. The tree expands best-first (the open leaf
-with the largest qualifying gain splits next) until ``max_leaves`` is
-reached or no leaf can improve. The children of the split that reaches
+One tree is grown per boosting iteration over binned features. A
+per-tree key table gives every (row, feature) cell its flat (feature,
+bin) key, so a node's gradient, hessian and count histograms, (features
+x bins) each, take one ``bincount`` per statistic. One split search
+scores a stack of nodes, the root alone or a split's two children:
+cumulative sums along the bin axis, one masked gain tensor and one
+row-major argmax per node, whose winning cumulative sums are the left
+child's totals. The tree expands best-first (the open leaf with the
+largest qualifying gain splits next) until ``max_leaves`` is reached or
+no leaf can improve. The children of the split that reaches
 ``max_leaves`` can never split, so they get neither a histogram nor a
 search.
 
@@ -140,52 +143,52 @@ class Tree:
 
 @dataclass(frozen=True)
 class NodeHistogram:
-    """Per-(feature, bin) sums of gradient, hessian and count for one node.
-
-    ``features`` holds the actual feature indices of the rows; the bin
-    axis is padded to the widest feature, with empty bins contributing
-    zeros everywhere.
+    """Per-(feature, bin) sums of gradient, hessian and count for a stack
+    of nodes: ``stats`` is a (3, nodes, features, bins) float64 array
+    (counts are exact in float64) and ``g``, ``h`` and ``count`` are its
+    views. ``features`` holds the actual feature indices of the feature
+    axis; the bin axis is padded to the widest feature, with empty bins
+    contributing zeros everywhere.
     """
 
     features: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-    count: np.ndarray
+    stats: np.ndarray
+
+    g = property(lambda self: self.stats[0])
+    h = property(lambda self: self.stats[1])
+    count = property(lambda self: self.stats[2])
 
 
 def build_histogram(
-    bins: np.ndarray,
+    keys: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     indices: np.ndarray,
     features: np.ndarray,
     n_bins: int,
 ) -> NodeHistogram:
-    """Accumulate the (feature, bin) sums for one node's instance set.
+    """Accumulate the (feature, bin) sums for one node's instance set, as
+    a stack of one node.
 
-    Each (row, feature) cell gets the flat key ``bin + position * n_bins``
-    and one ``bincount`` per statistic fills every feature at once. Keys
-    are laid out row by row, so each bin still adds its rows in the
-    order of ``indices``.
+    ``keys`` is the tree's key table: cell (row, j) holds the flat key
+    ``bins[row, features[j]] + j * n_bins``, so one ``bincount`` per
+    statistic fills every feature at once. Keys are laid out row by row,
+    so each bin still adds its rows in the order of ``indices``.
     """
-    rows = len(features)
-    keys = bins[np.ix_(indices, features)] + np.arange(rows) * n_bins
-    keys = keys.ravel()
-    size = rows * n_bins
-    hg = np.bincount(keys, weights=np.repeat(g[indices], rows), minlength=size)
-    hh = np.bincount(keys, weights=np.repeat(h[indices], rows), minlength=size)
-    hc = np.bincount(keys, minlength=size)
-    shape = (rows, n_bins)
-    return NodeHistogram(
-        features=features,
-        g=hg.reshape(shape),
-        h=hh.reshape(shape),
-        count=hc.reshape(shape),
-    )
+    width = len(features)
+    node_keys = keys[indices].ravel()
+    size = width * n_bins
+    stats = np.concatenate((
+        np.bincount(node_keys, weights=np.repeat(g[indices], width), minlength=size),
+        np.bincount(node_keys, weights=np.repeat(h[indices], width), minlength=size),
+        np.bincount(node_keys, minlength=size),
+    ))
+    return NodeHistogram(features, stats.reshape(3, 1, width, n_bins))
 
 
 def subtract_histogram(parent: NodeHistogram, left: NodeHistogram) -> NodeHistogram:
-    """Sibling histogram by subtraction, with empty bins forced to zero.
+    """The sibling pair as a stack of two: ``left``, then the right child
+    by subtraction from ``parent``, with its empty bins forced to zero.
 
     Counts subtract exactly, but the float sums keep rounding residue in
     bins whose rows all went left when the parent histogram is itself a
@@ -193,75 +196,74 @@ def subtract_histogram(parent: NodeHistogram, left: NodeHistogram) -> NodeHistog
     gain ties between thresholds that span empty bins, and the tie then
     resolves to an arbitrary bin instead of the lowest one.
     """
-    count = parent.count - left.count
-    g = parent.g - left.g
-    h = parent.h - left.h
-    empty = count == 0
-    g[empty] = 0.0
-    h[empty] = 0.0
-    return NodeHistogram(features=parent.features, g=g, h=h, count=count)
+    stats = np.concatenate((left.stats, parent.stats - left.stats), axis=1)
+    right = stats[:, 1]
+    np.copyto(right[:2], 0.0, where=right[2] == 0)
+    return NodeHistogram(parent.features, stats)
 
 
 def find_best_split(
     hist: NodeHistogram,
     config: TreeConfig,
-    node_totals: tuple[float, float, int],
-) -> tuple[int, int, float] | None:
-    """Score all (feature, bin) candidates at once; return the best qualifying one.
+    node_totals: list[tuple[float, float, int]],
+) -> list[tuple[int, int, float, tuple[float, float, int]] | None]:
+    """Score every (feature, bin) candidate of a stack of nodes at once.
 
-    A candidate qualifies when its gain strictly exceeds min_split_gain,
-    both children hold at least min_data_in_leaf samples, and both child
+    Returns, per node, None or its best qualifying (feature, threshold,
+    gain, left), with ``left`` the left child's (gradient, hessian,
+    count) sums, as ``node_totals`` gives each node's. A candidate
+    qualifies when its gain strictly exceeds min_split_gain, both
+    children hold at least min_data_in_leaf samples, and both child
     hessian sums plus lam stay above the positivity guard. Ties break to
-    the lowest feature index, then the lowest bin: the row-major argmax
-    returns the first maximum. A non-finite parent objective, or a
-    non-finite gain at a candidate that passes the count and hessian
+    the lowest feature index, then the lowest bin: each node's row-major
+    argmax returns the first maximum. A non-finite parent objective, or
+    a non-finite gain at a candidate that passes the count and hessian
     checks, raises NonFiniteEstimate.
     """
-    total_g, total_h, total_n = node_totals
-    parent_denom = total_h + config.lam
-    if parent_denom <= EPS_HESSIAN:
-        return None
-    try:
-        parent_term = total_g**2 / parent_denom
-    except OverflowError:
-        parent_term = math.inf
-    if not math.isfinite(parent_term):
-        raise NonFiniteEstimate(
-            f"split search overflows: node gradient sum {total_g!r}, "
-            f"hessian sum {total_h!r}"
-        )
+    terms = []  # each node's parent objective; NaN for a node that cannot split
+    for total_g, total_h, _ in node_totals:
+        parent_denom = total_h + config.lam
+        if parent_denom <= EPS_HESSIAN:
+            terms.append(math.nan)
+            continue
+        try:
+            terms.append(total_g**2 / parent_denom)
+        except OverflowError:
+            terms.append(math.inf)
+        if not math.isfinite(terms[-1]):
+            raise NonFiniteEstimate(
+                f"split search overflows: node gradient sum {total_g!r}, "
+                f"hessian sum {total_h!r}"
+            )
 
-    gl = np.cumsum(hist.g, axis=1)[:, :-1]
-    hl = np.cumsum(hist.h, axis=1)[:, :-1]
-    nl = np.cumsum(hist.count, axis=1)[:, :-1]
-    if gl.size == 0:
-        return None
-    gr = total_g - gl
-    hr = total_h - hl
-    nr = total_n - nl
+    # The last bin sends every row left; min_data_in_leaf >= 1 masks it.
+    sums = hist.stats.cumsum(axis=-1)
+    gl, hl, nl = sums
+    gr, hr, nr = np.array(node_totals, dtype=np.float64).T[..., None, None] - sums
     dl = hl + config.lam
     dr = hr + config.lam
-    ok = (
-        (nl >= config.min_data_in_leaf)
-        & (nr >= config.min_data_in_leaf)
-        & (dl > EPS_HESSIAN)
-        & (dr > EPS_HESSIAN)
-    )
+    ok = (np.minimum(nl, nr) >= config.min_data_in_leaf) & (np.minimum(dl, dr) > EPS_HESSIAN)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gains = 0.5 * (gl**2 / dl + gr**2 / dr - parent_term)
-    gains = np.where(ok, gains, -np.inf)
-    flat = int(np.argmax(gains))
-    gain = float(gains.flat[flat])
-    # argmax returns the first NaN if there is one, else the maximum, so
-    # a NaN or +inf here is exactly a qualifying non-finite gain.
-    if math.isnan(gain) or gain == math.inf:
-        raise NonFiniteEstimate(
-            f"split search overflows: a candidate gain is {gain!r}"
-        )
-    if gain <= config.min_split_gain:
-        return None
-    row, bin_idx = divmod(flat, gains.shape[1])
-    return int(hist.features[row]), bin_idx, gain
+        gains = 0.5 * (gl**2 / dl + gr**2 / dr - np.array(terms)[:, None, None])
+    gains = np.where(ok, gains, -np.inf).reshape(len(terms), -1)
+    found = []
+    for node, (term, node_gains) in enumerate(zip(terms, gains)):
+        flat = int(node_gains.argmax())
+        gain = float(node_gains[flat])
+        if math.isnan(term) or gain <= config.min_split_gain:
+            # NaN and +inf never compare <= min_split_gain; they reach the raise.
+            found.append(None)
+            continue
+        # argmax returns the first NaN if there is one, else the maximum, so
+        # a NaN or +inf here is exactly a qualifying non-finite gain.
+        if math.isnan(gain) or gain == math.inf:
+            raise NonFiniteEstimate(
+                f"split search overflows: a candidate gain is {gain!r}"
+            )
+        row, bin_idx = divmod(flat, sums.shape[-1])
+        lg, lh, ln = sums[:, node, row, bin_idx].tolist()
+        found.append((int(hist.features[row]), bin_idx, gain, (lg, lh, int(ln))))
+    return found
 
 
 def leaf_stats(g_slice: np.ndarray, h_slice: np.ndarray, lam: float) -> LeafStats:
@@ -277,8 +279,8 @@ def leaf_stats(g_slice: np.ndarray, h_slice: np.ndarray, lam: float) -> LeafStat
     if n == 0:
         raise EmptyMask("leaf statistics need at least one sample")
     lam_bar = lam / n
-    g_bar = float(np.mean(g_slice))
-    h_bar = float(np.mean(h_slice))
+    g_bar = float(g_slice.sum() / n)
+    h_bar = float(h_slice.sum() / n)
     denom = h_bar + lam_bar
     if denom <= EPS_HESSIAN:
         raise DegenerateHessian(
@@ -287,9 +289,9 @@ def leaf_stats(g_slice: np.ndarray, h_slice: np.ndarray, lam: float) -> LeafStat
     if n > 1:
         dg = g_slice - g_bar
         dh = h_slice - h_bar
-        var_g = float(np.sum(dg * dg) / (n - 1))
-        var_h = float(np.sum(dh * dh) / (n - 1))
-        cov_gh = float(np.sum(dg * dh) / (n - 1))
+        var_g = float((dg * dg).sum() / (n - 1))
+        var_h = float((dh * dh).sum() / (n - 1))
+        cov_gh = float((dg * dh).sum() / (n - 1))
     else:
         var_g = var_h = cov_gh = 0.0
     mu = g_bar / denom - cov_gh / denom**2 + g_bar * var_h / denom**3
@@ -313,12 +315,14 @@ def grow_tree(
     ``sample_mask`` is an array of row indices (a boolean mask is also
     accepted). Splits use only ``features``, sorted distinct feature
     indices (default: all features). The right child's histogram is
-    obtained by subtracting the left child's from the parent's. A node
-    gets a histogram and a split search only while the tree has room to
-    split it: the two children of the split that reaches max_leaves stay
-    leaves without either, so a tree that reaches L >= 2 leaves runs
-    2L-3 searches. Regions are numbered in creation order, which breaks
-    gain ties and numbers the leaves (module docstring).
+    obtained by subtracting the left child's from the parent's, over a
+    key table made once per tree. A node gets a histogram and a split
+    search only while the tree has room to split it: the two children of
+    the split that reaches max_leaves stay leaves without either, so a
+    tree that reaches L >= 2 leaves searches 2L-3 nodes in L-1 calls,
+    the root alone and then each split's children as one stack. Regions
+    are numbered in creation order, which breaks gain ties and numbers
+    the leaves (module docstring).
     """
     indices = np.asarray(sample_mask)
     if indices.dtype == bool:
@@ -330,43 +334,42 @@ def grow_tree(
         features = np.arange(data.f)
     n_bins = data.max_n_bins
     g, h = gh.g, gh.h
+    keys = data.bins[:, features] + np.arange(len(features)) * n_bins
 
     rows: list[np.ndarray] = []  # each region's row indices, by region number
     heap: list[tuple] = []  # (-gain, region, hist, totals, best)
 
-    def add(idx, hist=None, totals=None) -> int:
-        region = len(rows)
-        rows.append(idx)
-        best = None if hist is None else find_best_split(hist, config, totals)
-        if best is not None:
-            heapq.heappush(heap, (-best[2], region, hist, totals, best))
-        return region
+    def add(group, hist=None, totals=None) -> range:
+        """Number the regions of ``group``; given their stacked histogram
+        and totals, search them in one call and queue each that can split."""
+        found = [None] * len(group) if hist is None else find_best_split(hist, config, totals)
+        first = len(rows)
+        rows.extend(group)
+        for node, best in enumerate(found):
+            if best is not None:
+                node_hist = NodeHistogram(features, hist.stats[:, node : node + 1])
+                heapq.heappush(heap, (-best[2], first + node, node_hist, totals[node], best))
+        return range(first, len(rows))
 
     if config.max_leaves > 1:
         totals = (float(np.sum(g[indices])), float(np.sum(h[indices])), int(indices.size))
-        add(indices, build_histogram(data.bins, g, h, indices, features, n_bins), totals)
+        add([indices], build_histogram(keys, g, h, indices, features, n_bins), [totals])
     else:
-        add(indices)
+        add([indices])
 
     splits: list[tuple[int, int, int, float, int, int]] = []
     while len(splits) + 1 < config.max_leaves and heap:
-        _, region, hist, totals, (feature, threshold, gain) = heapq.heappop(heap)
+        _, region, hist, totals, (feature, threshold, gain, left_totals) = heapq.heappop(heap)
         idx = rows[region]
         go_left = data.bins[idx, feature] <= threshold
-        left_idx, right_idx = idx[go_left], idx[~go_left]
+        group = (idx[go_left], idx[~go_left])
         if len(splits) + 2 < config.max_leaves:
-            row = int(np.searchsorted(features, feature))
-            left_totals = (
-                float(np.cumsum(hist.g[row])[threshold]),
-                float(np.cumsum(hist.h[row])[threshold]),
-                int(np.cumsum(hist.count[row])[threshold]),
-            )
             right_totals = tuple(t - lt for t, lt in zip(totals, left_totals))
-            left_hist = build_histogram(data.bins, g, h, left_idx, features, n_bins)
-            left = add(left_idx, left_hist, left_totals)
-            right = add(right_idx, subtract_histogram(hist, left_hist), right_totals)
+            left_hist = build_histogram(keys, g, h, group[0], features, n_bins)
+            pair = subtract_histogram(hist, left_hist)
+            left, right = add(group, pair, [left_totals, right_totals])
         else:
-            left, right = add(left_idx), add(right_idx)
+            left, right = add(group)
         splits.append((region, feature, threshold, gain, left, right))
 
     ref = {split[0]: node for node, split in enumerate(splits)}

@@ -50,6 +50,11 @@ class TestBoostConfig:
         with pytest.raises(ValueError, match="rho"):
             BoostConfig(rho=value)
 
+    def test_seed_must_be_nonnegative(self):
+        assert BoostConfig(seed=0).seed == 0
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            BoostConfig(seed=-1)
+
 
 class TestDefaultRho:
     def test_values(self):

@@ -1005,6 +1005,12 @@ FAILURES = {
         lambda f: ["sweep", "--model", str(f["model"]), "--data", str(f["test_csv"]),
                    "--dists", "normal,gamma"],
         2, ValueError),
+    "negative_seed_train": (lambda f: _train(f, "train_csv", "--seed", "-1"), 2, ValueError),
+    "negative_seed_bagged": (
+        lambda f: _train(f, "train_csv", "--seed", "-1", "--bagging-fraction", "0.5"),
+        2, ValueError),
+    "negative_seed_predict": (lambda f: _predict(f, "model", "--seed", "-5"), 2, ValueError),
+    "negative_seed_sweep": (lambda f: _sweep(f, "--seed", "-3"), 2, ValueError),
     "rho_range_overflow": (lambda f: _sweep(f, "--rhos", "0:1e300:1e-300"), 2, ValueError),
     "rho_range_infinite_step": (lambda f: _sweep(f, "--rhos", "0:0.1:inf"), 2, ValueError),
     "rho_range_nan_start": (lambda f: _sweep(f, "--rhos", "nan:1:0.1"), 2, ValueError),
@@ -1114,6 +1120,14 @@ class TestErrorPaths:
         assert err.startswith("error:") and len(err.splitlines()) == 1, err
         assert "usage:" not in err and "Traceback" not in err
         assert raised == ([] if error is None else [error])
+
+    @pytest.mark.parametrize("case", sorted(c for c in FAILURES if c.startswith("negative_seed")))
+    def test_negative_seed_is_named_before_any_output(self, failures, capsys, case):
+        argv = FAILURES[case][0](failures)
+        assert main(argv) == 2
+        seed = argv[argv.index("--seed") + 1]
+        assert capsys.readouterr() == ("", f"error: seed must be nonnegative, got {seed}\n")
+        assert not (failures["root"] / "never.txt").exists()
 
     def test_every_pgbm_error_is_walked(self):
         classes = {

@@ -404,6 +404,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(moments, DistSpec(), 0)
 
+    @pytest.mark.parametrize("family", ["normal", "poisson"])
+    def test_rejects_negative_seed(self, family):
+        moments = PredictiveMoments(np.array([4.0]), np.array([6.0]))
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -5"):
+            sample(moments, DistSpec(family=family), 10, seed=-5)
+
 
 class TestDistSpec:
     def test_family_list(self):

@@ -71,7 +71,9 @@ class TestCrpsEmpirical:
         rng = np.random.default_rng(32)
         samples = rng.normal(size=(25, 6))
         y = rng.normal(size=6)
+        before = samples.copy()
         per_row = crps_empirical_rows(samples, y)
+        np.testing.assert_array_equal(samples, before)  # scored in a work copy
         for j in range(6):
             assert per_row[j] == pytest.approx(
                 crps_empirical(samples[:, j], float(y[j])), rel=1e-12

@@ -204,6 +204,16 @@ class TestCorruption:
             load(bad)
         assert info.value.line == len(kept) + 1
 
+    def test_negative_seed(self, saved):
+        path, tmp = saved
+
+        def negate(lines):
+            at = lines.index(next(line for line in lines if line.startswith("seed = ")))
+            lines[at] = "seed = -1"
+
+        with pytest.raises(CorruptModel, match="seed must be nonnegative"):
+            load(mutate(path, tmp / "seed.txt", negate))
+
     def test_missing_final_leaf_line(self, saved):
         path, tmp = saved
         lines = path.read_text(encoding="utf-8").splitlines()

@@ -27,6 +27,7 @@ from pgbm.tree import (
     EPS_HESSIAN,
     LEAF_DTYPE,
     NODE_DTYPE,
+    NodeHistogram,
     build_histogram,
     grow_tree,
     route_many,
@@ -60,6 +61,19 @@ def walk(tree, binned_row):
     return ~ref
 
 
+def histogram(bins, g, h, indices, features, n_bins):
+    """``build_histogram`` over the key table ``grow_tree`` makes for
+    ``features``."""
+    keys = bins[:, features] + np.arange(len(features)) * n_bins
+    return build_histogram(keys, g, h, indices, features, n_bins)
+
+
+def search_one(hist, cfg, totals):
+    """The stacked search on a stack of one node."""
+    (found,) = find_best_split(hist, cfg, [totals])
+    return found
+
+
 def assert_same_tree(a, b):
     for table in ("nodes", "leaves"):
         x, y = getattr(a, table), getattr(b, table)
@@ -70,7 +84,7 @@ def assert_same_tree(a, b):
 class TestFindBestSplit:
     def make_hist(self, data, gh, cfg):
         indices = np.arange(data.n)
-        hist = build_histogram(
+        hist = histogram(
             data.bins, gh.g, gh.h, indices, np.arange(data.f), data.max_n_bins
         )
         totals = (float(gh.g.sum()), float(gh.h.sum()), data.n)
@@ -80,25 +94,26 @@ class TestFindBestSplit:
         data, gh = four_sample_case()
         cfg = TreeConfig(max_bins=2, lam=0.0)
         hist, totals = self.make_hist(data, gh, cfg)
-        found = find_best_split(hist, cfg, totals)
+        found = search_one(hist, cfg, totals)
         assert found is not None
-        feature, threshold, gain = found
+        feature, threshold, gain, left = found
         assert (feature, threshold) == (0, 0)
         assert gain == pytest.approx(2.0)
+        assert left == (2.0, 2.0, 2)
 
     def test_no_signal_returns_none(self):
         data = binned_single_feature([0, 0, 1, 1])
         gh = GradHess(np.full(4, 0.5), np.ones(4))
         cfg = TreeConfig(max_bins=2, lam=0.0)
         hist, totals = self.make_hist(data, gh, cfg)
-        assert find_best_split(hist, cfg, totals) is None
+        assert search_one(hist, cfg, totals) is None
 
     def test_min_data_filters_candidate(self):
         data = binned_single_feature([0, 1, 1, 1])
         gh = GradHess(np.array([5.0, -1.0, -1.0, -1.0]), np.ones(4))
         cfg = TreeConfig(max_bins=2, lam=0.0, min_data_in_leaf=2)
         hist, totals = self.make_hist(data, gh, cfg)
-        assert find_best_split(hist, cfg, totals) is None
+        assert search_one(hist, cfg, totals) is None
 
     def test_feature_tie_breaks_low(self):
         bins = np.array([[0, 0], [0, 0], [1, 1], [1, 1]], dtype=np.uint16)
@@ -109,10 +124,10 @@ class TestFindBestSplit:
         )
         gh = GradHess(np.array([1.0, 1.0, -1.0, -1.0]), np.ones(4))
         cfg = TreeConfig(max_bins=2, lam=0.0)
-        hist = build_histogram(
+        hist = histogram(
             data.bins, gh.g, gh.h, np.arange(4), np.arange(2), data.max_n_bins
         )
-        found = find_best_split(hist, cfg, (0.0, 4.0, 4))
+        found = search_one(hist, cfg, (0.0, 4.0, 4))
         assert found is not None
         assert found[0] == 0
 
@@ -121,17 +136,18 @@ class TestFindBestSplit:
         gh = GradHess(np.array([1.0, -1.0, 1.0, -1.0]), np.ones(4))
         cfg = TreeConfig(max_bins=4, lam=0.0)
         hist, totals = self.make_hist(data, gh, cfg)
-        found = find_best_split(hist, cfg, totals)
+        found = search_one(hist, cfg, totals)
         assert found is not None
-        feature, threshold, gain = found
+        feature, threshold, gain, left = found
         assert (feature, threshold) == (0, 0)
         assert gain == pytest.approx(0.5 * (1.0 + 1.0 / 3.0))
+        assert left == (1.0, 1.0, 1)
 
     def test_min_split_gain_strict(self):
         data, gh = four_sample_case()
         cfg = TreeConfig(max_bins=2, lam=0.0, min_split_gain=2.0)
         hist, totals = self.make_hist(data, gh, cfg)
-        assert find_best_split(hist, cfg, totals) is None
+        assert search_one(hist, cfg, totals) is None
 
     @pytest.mark.parametrize(
         "g",
@@ -146,14 +162,25 @@ class TestFindBestSplit:
         cfg = TreeConfig(max_bins=4, lam=0.0)
         hist, totals = self.make_hist(data, gh, cfg)
         with pytest.raises(NonFiniteEstimate):
-            find_best_split(hist, cfg, totals)
+            search_one(hist, cfg, totals)
 
     def test_single_bin_has_no_candidate(self):
         data = binned_single_feature([0, 0, 0])
         gh = GradHess(np.array([1.0, -1.0, 2.0]), np.ones(3))
         hist, totals = self.make_hist(data, gh, TreeConfig())
-        assert hist.g.shape == (1, 1)
-        assert find_best_split(hist, TreeConfig(), totals) is None
+        assert hist.g.shape == (1, 1, 1)
+        assert search_one(hist, TreeConfig(), totals) is None
+
+    def test_a_node_that_cannot_split_leaves_its_sibling_searched(self):
+        # The first node's hessian sum plus lam is not positive, so only
+        # the second node of the stack gets a split.
+        data, gh = four_sample_case()
+        cfg = TreeConfig(max_bins=2, lam=0.0)
+        hist, totals = self.make_hist(data, gh, cfg)
+        stack = NodeHistogram(hist.features, np.concatenate([hist.stats] * 2, axis=1))
+        dead = (totals[0], 0.0, totals[2])
+        found = find_best_split(stack, cfg, [dead, totals])
+        assert found == [None, search_one(hist, cfg, totals)]
 
 
 class TestTreeConfig:
@@ -175,12 +202,13 @@ class TestSubtractHistogram:
         bins = np.array([[0], [0], [1], [2]], dtype=np.uint16)
         g = np.array([1.0, 2.0, 4.0, 8.0])
         h = np.array([0.5, 0.5, 1.0, 1.5])
-        parent = build_histogram(bins, g, h, np.arange(4), np.array([0]), 3)
-        left = build_histogram(bins, g, h, np.array([0, 1]), np.array([0]), 3)
-        right = subtract_histogram(parent, left)
-        np.testing.assert_array_equal(right.count, [[0, 1, 1]])
-        np.testing.assert_allclose(right.g, [[0.0, 4.0, 8.0]])
-        np.testing.assert_allclose(right.h, [[0.0, 1.0, 1.5]])
+        parent = histogram(bins, g, h, np.arange(4), np.array([0]), 3)
+        left = histogram(bins, g, h, np.array([0, 1]), np.array([0]), 3)
+        pair = subtract_histogram(parent, left)
+        np.testing.assert_array_equal(pair.stats[:, 0], left.stats[:, 0])
+        np.testing.assert_array_equal(pair.count[1], [[0, 1, 1]])
+        np.testing.assert_allclose(pair.g[1], [[0.0, 4.0, 8.0]])
+        np.testing.assert_allclose(pair.h[1], [[0.0, 1.0, 1.5]])
 
     def test_empty_bins_are_exactly_zero(self):
         # Summation order makes 0.1+0.2+0.3 and 0.3+0.2+0.1 differ in
@@ -189,19 +217,19 @@ class TestSubtractHistogram:
         features = np.array([0])
         bins = np.array([[0], [0], [0]], dtype=np.uint16)
         rows = np.arange(3)
-        parent = build_histogram(
+        parent = histogram(
             bins, np.array([0.1, 0.2, 0.3]), np.array([0.1, 0.2, 0.3]),
             rows, features, 2,
         )
-        left = build_histogram(
+        left = histogram(
             bins, np.array([0.3, 0.2, 0.1]), np.array([0.3, 0.2, 0.1]),
             rows, features, 2,
         )
-        assert parent.g[0, 0] != left.g[0, 0]
-        right = subtract_histogram(parent, left)
-        assert right.count[0, 0] == 0
-        assert right.g[0, 0] == 0.0
-        assert right.h[0, 0] == 0.0
+        assert parent.g[0, 0, 0] != left.g[0, 0, 0]
+        right = subtract_histogram(parent, left).stats[:, 1]
+        assert right[2, 0, 0] == 0
+        assert right[0, 0, 0] == 0.0
+        assert right[1, 0, 0] == 0.0
 
 
 class TestLeafStats:
@@ -499,18 +527,18 @@ class TestRouting:
         np.testing.assert_array_equal(vector, single)
 
 
-def scan_features_oracle(hist, config, node_totals):
-    """Per-feature split scan, one feature at a time in ascending order."""
+def scan_features_oracle(features, sums, config, node_totals):
+    """Per-feature split scan of one node, one feature at a time in
+    ascending order, over its (g, h, count) histograms ``sums``. Returns
+    (feature, bin, gain, left child's sums) or None."""
     total_g, total_h, total_n = node_totals
     parent_denom = total_h + config.lam
     if parent_denom <= EPS_HESSIAN:
         return None
     parent_term = total_g**2 / parent_denom
     best = None
-    for row, feature in enumerate(hist.features):
-        gl = np.cumsum(hist.g[row])[:-1]
-        hl = np.cumsum(hist.h[row])[:-1]
-        nl = np.cumsum(hist.count[row])[:-1]
+    for row, feature in enumerate(features):
+        gl, hl, nl = (np.cumsum(s[row])[:-1] for s in sums)
         gr = total_g - gl
         hr = total_h - hl
         nr = total_n - nl
@@ -530,7 +558,8 @@ def scan_features_oracle(hist, config, node_totals):
         bin_idx = int(np.argmax(gains))
         gain = float(gains[bin_idx])
         if gain > config.min_split_gain and (best is None or gain > best[2]):
-            best = (int(feature), bin_idx, gain)
+            left = (float(gl[bin_idx]), float(hl[bin_idx]), int(nl[bin_idx]))
+            best = (int(feature), bin_idx, gain, left)
     return best
 
 
@@ -580,74 +609,82 @@ TIED_VALUES = st.sampled_from([1.0, -2.0, 0.5, -1.0, 3.0, 0.0])
 ANY_VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
+@st.composite
+def node_stacks(draw):
+    """A histogram problem whose single node becomes one to three nodes,
+    each with its own row subset."""
+    bins, g, h, indices, features, width = draw(
+        histogram_problems(st.one_of(TIED_VALUES, st.floats(-10, 10)))
+    )
+    nodes = [indices]
+    for _ in range(draw(st.integers(0, 2))):
+        rows = draw(st.permutations(range(len(g))))
+        nodes.append(np.array(rows[: draw(st.integers(1, len(g)))], dtype=np.int64))
+    return bins, g, h, nodes, features, width
+
+
 class TestVectorizedAgainstOracles:
     @given(histogram_problems(ANY_VALUES))
     def test_build_histogram_matches_per_feature_bincount(self, problem):
-        hist = build_histogram(*problem)
-        expected_g, expected_h, expected_count = bincount_oracle(*problem)
-        np.testing.assert_array_equal(hist.g, expected_g)
-        np.testing.assert_array_equal(hist.h, expected_h)
-        np.testing.assert_array_equal(hist.count, expected_count)
+        hist = histogram(*problem)
+        assert hist.stats.shape == (3, 1, len(problem[4]), problem[5])
+        for got, expected in zip((hist.g, hist.h, hist.count), bincount_oracle(*problem)):
+            np.testing.assert_array_equal(got, [expected])
         np.testing.assert_array_equal(hist.features, problem[4])
 
     @given(
-        histogram_problems(st.one_of(TIED_VALUES, st.floats(-10, 10))),
+        node_stacks(),
         st.sampled_from([0.0, 0.5, 1.0]),
         st.integers(1, 3),
         st.sampled_from([0.0, 0.1, 1.0]),
     )
     def test_find_best_split_matches_per_feature_scan(
-        self, problem, lam, min_data, min_gain
+        self, stack, lam, min_data, min_gain
     ):
-        _, g, h, indices, _, _ = problem
-        hist = build_histogram(*problem)
+        bins, g, h, nodes, features, width = stack
+        sums = [bincount_oracle(bins, g, h, rows, features, width) for rows in nodes]
+        hist = NodeHistogram(features, np.stack([np.array(s, dtype=np.float64) for s in sums], 1))
         cfg = TreeConfig(lam=lam, min_data_in_leaf=min_data, min_split_gain=min_gain)
-        totals = (float(np.sum(g[indices])), float(np.sum(h[indices])), indices.size)
-        assert find_best_split(hist, cfg, totals) == scan_features_oracle(
-            hist, cfg, totals
-        )
+        totals = [(float(np.sum(g[rows])), float(np.sum(h[rows])), rows.size) for rows in nodes]
+        assert find_best_split(hist, cfg, totals) == [
+            scan_features_oracle(features, s, cfg, t) for s, t in zip(sums, totals)
+        ]
 
 
 def grow_searching_every_child(data, gh, cfg, rows=None, features=None, links=False):
     """Best-first growth over ``rows`` (default: all) that searches every
     node on ``features`` (default: all), the final split's children
-    included. Returns the splits, as (feature, threshold, gain) triples
+    included, each node alone with ``scan_features_oracle``. Histograms
+    come from ``bincount_oracle``; a right child's is its parent's minus
+    its sibling's with the empty bins zeroed, so its float sums match the
+    grower's. Returns the splits, as (feature, threshold, gain) triples
     or with ``links`` as full node rows, and the leaves, numbered as in
     ``Tree``."""
     rows = np.arange(data.n) if rows is None else rows
     features = np.arange(data.f) if features is None else features
     regions, heap = [], []
 
-    def add(rows, hist, totals):
-        best = find_best_split(hist, cfg, totals)
-        regions.append([rows, hist, totals, best])
+    def add(rows, sums, totals):
+        best = scan_features_oracle(features, sums, cfg, totals)
+        regions.append([rows, sums, totals, best])
         if best is not None:
             heapq.heappush(heap, (-best[2], len(regions) - 1))
         return len(regions) - 1
 
-    add(
-        rows,
-        build_histogram(data.bins, gh.g, gh.h, rows, features, data.max_n_bins),
-        (float(np.sum(gh.g[rows])), float(np.sum(gh.h[rows])), rows.size),
-    )
+    def sums_of(rows):
+        return bincount_oracle(data.bins, gh.g, gh.h, rows, features, data.max_n_bins)
+
+    add(rows, sums_of(rows), (float(np.sum(gh.g[rows])), float(np.sum(gh.h[rows])), rows.size))
     splits = []
     while len(splits) + 1 < cfg.max_leaves and heap:
         _, at = heapq.heappop(heap)
-        rows, hist, (tg, th, tn), (feature, threshold, gain) = regions[at]
+        rows, (pg, ph, pc), (tg, th, tn), (feature, threshold, gain, lt) = regions[at]
         go_left = data.bins[rows, feature] <= threshold
-        left_hist = build_histogram(
-            data.bins, gh.g, gh.h, rows[go_left], features, data.max_n_bins
-        )
-        row = list(features).index(feature)
-        lg = float(np.cumsum(hist.g[row])[threshold])
-        lh = float(np.cumsum(hist.h[row])[threshold])
-        ln = int(np.cumsum(hist.count[row])[threshold])
-        left = add(rows[go_left], left_hist, (lg, lh, ln))
-        right = add(
-            rows[~go_left],
-            subtract_histogram(hist, left_hist),
-            (tg - lg, th - lh, tn - ln),
-        )
+        lg, lh, lc = sums_of(rows[go_left])
+        rc = pc - lc
+        right_sums = (np.where(rc == 0, 0.0, pg - lg), np.where(rc == 0, 0.0, ph - lh), rc)
+        left = add(rows[go_left], (lg, lh, lc), lt)
+        right = add(rows[~go_left], right_sums, (tg - lt[0], th - lt[1], tn - lt[2]))
         splits.append((at, feature, threshold, gain, left, right))
     split_at = [split[0] for split in splits]
     leaf_at = [i for i in range(len(regions)) if i not in split_at]
@@ -742,7 +779,9 @@ class TestFinalSplitSkip:
         monkeypatch.setattr(pgbm.tree, "find_best_split", counted)
         tree = grow_tree(binned, gh, np.arange(data.n), cfg)
         assert len(tree.leaves) == max_leaves
-        assert len(calls) == max(0, 2 * max_leaves - 3)
+        # The root alone, then each split's two children as one stack.
+        assert len(calls) == max(0, max_leaves - 1)
+        assert sum(len(totals) for *_, totals in calls) == max(0, 2 * max_leaves - 3)
         splits = [(f, t, gain) for f, t, _, _, gain in tree.nodes.tolist()]
         assert splits == expected_splits
         assert np.array_equal(tree.leaves, np.array(expected_leaves, dtype=LEAF_DTYPE))
