@@ -29,7 +29,7 @@ from .boost import (
     tree_contributions,
 )
 from .data import RawDataset, load_csv, read_text, write_lines
-from .dist import FAMILIES, DistSpec, sample
+from .dist import FAMILIES, DistSpec, check_draws, sample
 from .errors import LengthMismatch, MissingColumn, ParseError, PgbmError
 from .loss import hier_wmse_gradhess, load_hierarchy, mse_gradhess
 from .metrics import (
@@ -207,7 +207,9 @@ def _model_columns(model: Ensemble, path: str, target: str | None = None) -> Raw
     return RawDataset(raw.features[:, columns], raw.target, list(model.feature_names), target)
 
 
-def _check_sample_count(n_samples: int) -> None:
+def _check_sampling(n_samples: int, seed: int) -> None:
+    """Refuse a sampling request before any file is read."""
+    check_draws(n_samples, seed)
     if n_samples > MAX_SAMPLE_COLUMNS:
         raise ValueError(
             f"--n-samples {n_samples} exceeds the cap of {MAX_SAMPLE_COLUMNS} sample columns"
@@ -268,7 +270,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     if not args.point_only:
-        _check_sample_count(args.n_samples)
+        _check_sampling(args.n_samples, args.seed)
     model = load_model(args.model)
     data = _model_columns(model, args.data)
     rho = None if args.rho in (None, "auto") else float(args.rho)
@@ -395,7 +397,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rhos = _parse_rhos(args.rhos)
     if not rhos:
         raise ValueError("no rho values requested")
-    _check_sample_count(args.n_samples)
+    _check_sampling(args.n_samples, args.seed)
 
     model = load_model(args.model)
     target = args.target if args.target is not None else model.target_name

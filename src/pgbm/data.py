@@ -14,11 +14,11 @@ prediction never fails on new data.
 from __future__ import annotations
 
 import csv
-import os
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -34,10 +34,9 @@ from .errors import (
 
 # Bin indices are stored as uint16.
 MAX_BINS = 65536
-# Bytes numpy's float parser strips as whitespace and float() rejects.
-_SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-# Read size of the line count that guards the C reader.
-_SCAN_BYTES = 1 << 20
+# numpy's two row errors; the quoted cell is its repr, cut at 100 characters.
+_BAD_CELL = re.compile(r"could not convert string (.*) to float64 at row (\d+), column (\d+)\.")
+_BAD_WIDTH = re.compile(r"the dtype passed requires \d+ columns but (\d+) were found at row (\d+)")
 
 
 @dataclass(frozen=True)
@@ -138,158 +137,88 @@ def load_csv(path: str | Path, target_column: str | None) -> RawDataset:
     every column is a feature and the target is a zero vector, which is
     the shape prediction-only inputs arrive in.
 
-    Cells are split as ``csv.reader`` splits them (quotes, CRLF or CR
-    line ends) and read as ``float()`` reads them (surrounding spaces,
-    ``1_000``, every spelling of nan and inf). numpy's C reader parses
-    every file on which it is certain to agree; ``_parse_rows`` parses
-    the rest and gives every error.
+    ``csv.reader`` splits the header, so a quoted name may hold commas
+    or line ends. numpy's C reader then reads the rest of the handle in
+    one pass: the data rows are the non-empty lines after the header,
+    cells may be in double quotes, lines end in LF, CRLF or CR, and a
+    cell is an ASCII number with optional surrounding whitespace (no
+    ``1_000``; every spelling of nan and inf parses).
 
-    Raises IoError, MissingColumn, ParseError(row, col),
-    NonFiniteValue(row, col) or EmptyDataset; an unparseable cell is
-    reported before any non-finite one. Row indices count data rows
-    from 0 (the header is not counted); column indices refer to
-    positions in the file.
+    Raises IoError (also for bytes that are not UTF-8), MissingColumn,
+    ParseError(row, col), NonFiniteValue(row, col) or EmptyDataset; a
+    missing target column is reported before any bad row, and an
+    unparseable cell before any non-finite one. Row indices count data
+    rows from 0 (a header field over ``csv.field_size_limit()`` is row
+    -1); column indices refer to positions in the file, and a row of the
+    wrong width is reported at the column of its cell count.
     """
     try:
-        parsed = _parse_fast(path)
-        header, matrix = parsed if parsed is not None else _parse_rows(path, target_column)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            try:
+                header = [name.strip() for name in next(csv.reader(fh))]
+            except StopIteration:
+                raise EmptyDataset(f"{path} is empty") from None
+            except csv.Error as exc:
+                raise ParseError(-1, 0, f"{path}: {exc}") from None
+            if target_column is not None and target_column not in header:
+                raise MissingColumn(f"column {target_column!r} not found in {path}")
+            matrix = _read_rows(fh, len(header), path)
+    except UnicodeDecodeError as exc:
+        raise IoError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
-    target_idx = _column_index(header, target_column, path)
     if not np.isfinite(matrix).all():
         row, col = np.argwhere(~np.isfinite(matrix))[0]
         raise NonFiniteValue(int(row), int(col))
-    if target_idx >= 0:
-        target = matrix[:, target_idx]
-        features = np.delete(matrix, target_idx, axis=1)
-        names = [name for i, name in enumerate(header) if i != target_idx]
+    if target_column is not None:
+        at = header.index(target_column)
+        target = matrix[:, at]
+        features = np.delete(matrix, at, axis=1)
+        names = header[:at] + header[at + 1 :]
     else:
         target = np.zeros(matrix.shape[0])
         features = matrix
-        names = list(header)
+        names = header
     if features.shape[1] == 0:
         raise EmptyDataset(f"{path} has no feature columns besides the target")
     return RawDataset(features, target, names, target_name=target_column)
 
 
-def _column_index(header: list[str], target_column: str | None, path: str | Path) -> int:
-    """Position of the target column in the header, -1 for no target."""
-    if target_column is None:
-        return -1
-    if target_column not in header:
-        raise MissingColumn(f"column {target_column!r} not found in {path}")
-    return header.index(target_column)
+def _read_rows(fh: TextIO, width: int, path: str | Path) -> np.ndarray:
+    """Parse the data rows left in ``fh`` into an (n, width) matrix.
 
-
-def _parse_rows(path: str | Path, target_column: str | None) -> tuple[list[str], np.ndarray]:
-    """Parse with ``csv.reader`` and ``float()``, one cell at a time.
-
-    This parser defines what ``load_csv`` accepts and raises every parse
-    error; a missing target column is reported before any bad cell. A
-    field longer than ``csv.field_size_limit()`` is a ParseError."""
-    header: list[str] | None = None
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [name.strip() for name in next(reader)]
-            _column_index(header, target_column, path)
-            for r, cells in enumerate(reader):
-                if len(cells) != len(header):
-                    raise ParseError(r, len(cells), f"{path}: wrong number of cells")
-                try:
-                    rows.append([float(cell) for cell in cells])
-                except ValueError:
-                    for c, cell in enumerate(cells):
-                        try:
-                            float(cell)
-                        except ValueError:
-                            message = f"{path}: unparseable value {cell!r}"
-                            raise ParseError(r, c, message) from None
-        except StopIteration:
-            raise EmptyDataset(f"{path} is empty") from None
-        except csv.Error as exc:
-            # A field longer than csv.field_size_limit(); row -1 is the header.
-            row = -1 if header is None else len(rows)
-            raise ParseError(row, 0, f"{path}: {exc}") from None
-    if not rows:
-        raise EmptyDataset(f"{path} has a header but no data rows")
-    return header, np.asarray(rows, dtype=np.float64)
-
-
-def _parse_fast(path: str | Path) -> tuple[list[str], np.ndarray] | None:
-    """Parse with numpy's C reader, or return None when its result could
-    differ from ``_parse_rows``'s. The C reader
-
-    - has no quoting and rejects cells that ``float()`` takes (``1_000``,
-      non-ASCII digits): it raises, and the file goes to ``_parse_rows``;
-    - warns on a file without data lines: the warning is raised too;
-    - skips blank lines, which csv reports as rows of the wrong width: its
-      row count must equal the number of lines after the header.
-
-    The header line is split by csv in strict mode, so that a quoted field
-    left open at the line end, which csv would continue on the next line,
-    raises. A pipe cannot be read twice, so only a regular file is parsed
-    here."""
-    if not os.path.isfile(path):
-        return None
-    with open(path, "rb") as fh:
-        first = fh.readline()
-        fh.seek(0)
-        lines = _count_plain_lines(fh)
-    if lines is None or lines < 2:
-        return None
+    Each row is one record of ``width`` floats, so numpy itself refuses
+    the first row of any other width. Its two row errors become
+    ParseError at numpy's row and column."""
+    record = np.dtype([("cells", np.float64, (width,))])
     try:
-        cells = next(csv.reader([first.decode("utf-8")], strict=True))
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            matrix = np.loadtxt(
-                path, delimiter=",", skiprows=1, comments=None, ndmin=2,
-                dtype=np.float64, encoding="utf-8",
+            warnings.simplefilter("error", UserWarning)
+            rows = np.loadtxt(
+                fh, delimiter=",", quotechar='"', comments=None, ndmin=1, dtype=record
             )
-    except (ValueError, UserWarning, csv.Error):
-        return None
-    if matrix.shape != (lines - 1, len(cells)):
-        return None
-    return [name.strip() for name in cells], matrix
-
-
-def _count_plain_lines(fh) -> int | None:
-    """Count the lines of a binary file, or return None if it holds a
-    lone CR (csv ends a line there, the scan does not), a byte 0x1c-0x1f
-    (numpy strips them around a number, ``float()`` does not) or a field
-    longer than csv's limit (csv raises on it)."""
-    limit = csv.field_size_limit()
-    lines = offset = 0
-    last_separator = -1
-    tail = b"\n"
-    while chunk := fh.read(_SCAN_BYTES):
-        if chunk.endswith(b"\r"):  # keep a CRLF within one chunk
-            chunk += fh.read(1)
-        if any(byte in chunk for byte in _SEPARATOR_BYTES):
-            return None
-        if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
-            return None
-        codes = np.frombuffer(chunk, dtype=np.uint8)
-        newline = codes == ord("\n")
-        lines += int(np.count_nonzero(newline))
-        separators = np.flatnonzero(newline | (codes == ord(","))) + offset
-        if np.diff(separators, prepend=last_separator).max(initial=0) > limit + 1:
-            return None
-        if separators.size:
-            last_separator = int(separators[-1])
-        offset += len(chunk)
-        tail = chunk[-1:]
-    if offset - last_separator > limit + 1:
-        return None
-    return lines + (tail != b"\n")
+    except UserWarning:  # numpy warns when no data line follows the header
+        raise EmptyDataset(f"{path} has a header but no data rows") from None
+    except ValueError as exc:  # a UnicodeDecodeError matches neither form
+        if cell := _BAD_CELL.fullmatch(str(exc)):
+            value, row, col = cell.groups()
+            message = f"{path}: unparseable value {value}"
+            raise ParseError(int(row), int(col) - 1, message) from None
+        if ragged := _BAD_WIDTH.match(str(exc)):
+            cells, row = ragged.groups()
+            message = f"{path}: wrong number of cells"
+            raise ParseError(int(row) - 1, int(cells), message) from None
+        raise
+    return rows["cells"]
 
 
 def read_text(path: str | Path) -> str:
     """Return the whole of a UTF-8 text file. Raises IoError."""
     try:
         return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IoError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 

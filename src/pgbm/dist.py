@@ -136,6 +136,14 @@ def match_params(family: str, mu: float, var: float) -> dict[str, float]:
     return {name: float(value[0]) for name, value in params.items()}
 
 
+def check_draws(n_samples_out: int, seed: int) -> None:
+    """Raise ValueError unless ``sample`` accepts this count and seed."""
+    if n_samples_out < 1:
+        raise ValueError("n_samples_out must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 def sample(
     moments: PredictiveMoments, spec: DistSpec, n_samples_out: int, seed: int = 0
 ) -> SampleMatrix:
@@ -143,10 +151,7 @@ def sample(
     other row's moments or feasibility move row i's draws, and a prefix of
     the rows reproduces (module docstring). Sample columns differ from
     versions that gave every row its own stream."""
-    if n_samples_out < 1:
-        raise ValueError("n_samples_out must be at least 1")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_draws(n_samples_out, seed)
     mu, var = np.asarray(moments.mu, np.float64), np.asarray(moments.var, np.float64)
     family, m = spec.family, n_samples_out
     params, ok = _match(family, mu, var)

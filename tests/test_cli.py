@@ -936,16 +936,16 @@ class TestTopLevel:
 
 def _train(f, data, *extra, target="y"):
     return ["train", "--data", str(f[data]), "--target", target,
-            "--model-out", str(f["root"] / "never.txt"), *extra]
+            "--model-out", str(f["out"]), *extra]
 
 
 def _predict(f, model, *extra):
     return ["predict", "--model", str(f[model]), "--data", str(f["test_csv"]),
-            "--out", str(f["root"] / "pred.csv"), *extra]
+            "--out", str(f["out"]), *extra]
 
 
-def _sweep(f, *extra):
-    return ["sweep", "--model", str(f["model"]), "--data", str(f["test_csv"]), *extra]
+def _sweep(f, *extra, model="model"):
+    return ["sweep", "--model", str(f[model]), "--data", str(f["test_csv"]), *extra]
 
 
 def _configured(f, config, *argv):
@@ -953,8 +953,9 @@ def _configured(f, config, *argv):
 
 
 # Every failure a command can meet: case -> (argv from the files built by
-# the `failures` fixture, exit code, the error the handler raises or None
-# when argparse or the config reader rejects the line first).
+# the `failures` fixture and the case's own output path `out`, exit code,
+# the error the handler raises or None when argparse or the config reader
+# rejects the line first).
 FAILURES = {
     "missing_file": (lambda f: _train(f, "absent"), 3, errors.IoError),
     "missing_target": (lambda f: _train(f, "train_csv", target="nope"), 3, errors.MissingColumn),
@@ -984,7 +985,7 @@ FAILURES = {
     "model_version": (lambda f: _predict(f, "future_model"), 3, errors.VersionMismatch),
     "model_corrupt": (lambda f: _predict(f, "not_a_model"), 3, errors.CorruptModel),
     "model_blank_tree_line": (lambda f: _predict(f, "blank_line_model"), 3, errors.CorruptModel),
-    "csv_field_over_limit": (lambda f: _train(f, "long_cell"), 3, errors.ParseError),
+    "csv_field_over_limit": (lambda f: _train(f, "long_header_cell"), 3, errors.ParseError),
     "hierarchy_member_beyond_int64": (
         lambda f: _train(f, "train_csv", "--loss", "hierwmse",
                          "--hierarchy", str(f["huge_member"])),
@@ -1011,6 +1012,18 @@ FAILURES = {
         2, ValueError),
     "negative_seed_predict": (lambda f: _predict(f, "model", "--seed", "-5"), 2, ValueError),
     "negative_seed_sweep": (lambda f: _sweep(f, "--seed", "-3"), 2, ValueError),
+    "negative_seed_predict_absent_model": (
+        lambda f: _predict(f, "absent", "--seed", "-5"), 2, ValueError),
+    "negative_seed_sweep_absent_model": (
+        lambda f: _sweep(f, "--seed", "-3", model="absent"), 2, ValueError),
+    "zero_samples_absent_model": (
+        lambda f: _predict(f, "absent", "--n-samples", "0"), 2, ValueError),
+    "csv_not_utf8": (lambda f: _train(f, "not_utf8"), 3, errors.IoError),
+    "model_not_utf8": (lambda f: _predict(f, "not_utf8"), 3, errors.IoError),
+    "hierarchy_not_utf8": (
+        lambda f: _train(f, "train_csv", "--loss", "hierwmse", "--hierarchy", str(f["not_utf8"])),
+        3, errors.IoError),
+    "config_not_utf8": (lambda f: _configured(f, "not_utf8", *_train(f, "train_csv")), 3, None),
     "rho_range_overflow": (lambda f: _sweep(f, "--rhos", "0:1e300:1e-300"), 2, ValueError),
     "rho_range_infinite_step": (lambda f: _sweep(f, "--rhos", "0:0.1:inf"), 2, ValueError),
     "rho_range_nan_start": (lambda f: _sweep(f, "--rhos", "nan:1:0.1"), 2, ValueError),
@@ -1074,7 +1087,7 @@ def failures(workspace, tmp_path_factory):
             f"{i // 20},{1 if i < 20 else -1}\n" for i in range(40)),
         "two_groups": "levels=2\nlevel 0 weight=1 identity\nlevel 1 weight=1\n" + "".join(
             f"group {key}: {','.join(map(str, rows))}\n" for key, rows in members.items()),
-        "long_cell": "x,y\n0." + "0" * 131072 + "1,1\n",
+        "long_header_cell": "x" * 131073 + ",y\n0,1\n",
         "huge_member": "levels=1\nlevel 0 weight=1\ngroup b: 20,99999999999999999999\n",
         "nan_weight": "levels=1\nlevel 0 weight=nan identity\n",
         "inf_weight": "levels=1\nlevel 0 weight=inf identity\n",
@@ -1094,12 +1107,21 @@ def failures(workspace, tmp_path_factory):
     for name, text in texts.items():
         files[name] = root / f"{name}.txt"
         files[name].write_text(text, encoding="utf-8")
+    files["not_utf8"] = root / "not_utf8.txt"
+    files["not_utf8"].write_bytes(b"x,y\n0,\xff\n")
     return files
+
+
+@pytest.fixture
+def case_files(failures, tmp_path):
+    """The shared input files, and an output path of the case's own, so
+    that a case which wrongly succeeds cannot change another's outcome."""
+    return dict(failures, out=tmp_path / "never.txt")
 
 
 class TestErrorPaths:
     @pytest.mark.parametrize("case", sorted(FAILURES))
-    def test_failure_is_one_error_line(self, failures, monkeypatch, capsys, case):
+    def test_failure_is_one_error_line(self, case_files, monkeypatch, capsys, case):
         build, code, error = FAILURES[case]
         raised = []
 
@@ -1115,19 +1137,20 @@ class TestErrorPaths:
 
         for name, handler in cli._HANDLERS.items():
             monkeypatch.setitem(cli._HANDLERS, name, recording(handler))
-        assert main(build(failures)) == code
+        assert main(build(case_files)) == code
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1, err
         assert "usage:" not in err and "Traceback" not in err
         assert raised == ([] if error is None else [error])
+        assert not case_files["out"].exists()
 
     @pytest.mark.parametrize("case", sorted(c for c in FAILURES if c.startswith("negative_seed")))
-    def test_negative_seed_is_named_before_any_output(self, failures, capsys, case):
-        argv = FAILURES[case][0](failures)
+    def test_negative_seed_is_named_before_any_output(self, case_files, capsys, case):
+        argv = FAILURES[case][0](case_files)
         assert main(argv) == 2
         seed = argv[argv.index("--seed") + 1]
         assert capsys.readouterr() == ("", f"error: seed must be nonnegative, got {seed}\n")
-        assert not (failures["root"] / "never.txt").exists()
+        assert not case_files["out"].exists()
 
     def test_every_pgbm_error_is_walked(self):
         classes = {
