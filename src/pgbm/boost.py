@@ -136,7 +136,9 @@ def train(
 
     ``loss(y, yhat)`` must return the per-sample GradHess at the current
     estimates; gradients are always evaluated on the full training set
-    and bagging only restricts which rows the tree is built from. When
+    and bagging only restricts which rows the tree is built from. The
+    grower hands back the leaf of each row in its bag, so only the
+    out-of-bag and validation rows are routed through each tree. When
     ``valid`` is given as (dataset, metric), the metric (lower is
     better) is scored every iteration on the validation moments,
     reported through ``progress``, and the returned ensemble is
@@ -193,12 +195,17 @@ def train(
             feature_rng = np.random.default_rng([config.seed, k, 1])
             n_sub = max(1, int(np.ceil(config.feature_fraction * data.f)))
             features = np.sort(feature_rng.choice(data.f, n_sub, replace=False))
-        tree = grow_tree(binned, gh, mask, config.tree, features)
+        # The grower places its bag's rows; only the rest are routed.
+        leaf_ids = np.full(n, -1, dtype=np.int64)
+        tree = grow_tree(binned, gh, mask, config.tree, features, leaf_ids)
         trees.append(tree)
+        unplaced = np.flatnonzero(leaf_ids < 0)
+        if unplaced.size:
+            leaf_ids[unplaced] = route_many(tree, binned.bins[unplaced])
 
         leaf_mu = tree.leaves["mu"]
         leaf_var = tree.leaves["var"]
-        mu = mu - alpha * leaf_mu[route_many(tree, binned.bins)]
+        mu = mu - alpha * leaf_mu[leaf_ids]
         if not np.all(np.isfinite(mu)):
             raise NonFiniteEstimate(
                 f"point estimates became non-finite at iteration {k}"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -29,7 +30,7 @@ from .boost import (
     tree_contributions,
 )
 from .data import RawDataset, load_csv, read_text, write_lines
-from .dist import FAMILIES, DistSpec, check_draws, sample
+from .dist import FAMILIES, DistSpec, check_draws, check_seed, sample
 from .errors import LengthMismatch, MissingColumn, ParseError, PgbmError
 from .loss import hier_wmse_gradhess, load_hierarchy, mse_gradhess
 from .metrics import (
@@ -269,6 +270,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    check_seed(args.seed)
     if not args.point_only:
         _check_sampling(args.n_samples, args.seed)
     model = load_model(args.model)
@@ -437,8 +439,22 @@ _HANDLERS = {
 }
 
 
+def _attach_negative_rhos(argv: list[str]) -> list[str]:
+    """Join a bare `--rhos` with a next token that starts with `-` and a
+    digit or `.`, as `--rhos=-0.1:0.1:0.05`: argparse takes any other
+    token that starts with `-` than a plain negative number for a flag."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] == "--rhos" and re.match(r"-[0-9.]", token):
+            joined[-1] = f"--rhos={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    argv = _attach_negative_rhos(argv)
     parser, subparsers = _build_parser()
     try:
         pre = _ArgumentParser(add_help=False)

@@ -136,12 +136,17 @@ def match_params(family: str, mu: float, var: float) -> dict[str, float]:
     return {name: float(value[0]) for name, value in params.items()}
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is nonnegative."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 def check_draws(n_samples_out: int, seed: int) -> None:
     """Raise ValueError unless ``sample`` accepts this count and seed."""
     if n_samples_out < 1:
         raise ValueError("n_samples_out must be at least 1")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_seed(seed)
 
 
 def sample(

@@ -309,12 +309,16 @@ def grow_tree(
     sample_mask: np.ndarray,
     config: TreeConfig,
     features: np.ndarray | None = None,
+    leaf_ids: np.ndarray | None = None,
 ) -> Tree:
     """Grow one tree over the masked rows, best-first, up to max_leaves.
 
     ``sample_mask`` is an array of row indices (a boolean mask is also
     accepted). Splits use only ``features``, sorted distinct feature
-    indices (default: all features). The right child's histogram is
+    indices (default: all features). Given ``leaf_ids``, a vector with
+    one slot per row of ``data``, the grower writes each masked row's
+    leaf id into it, the id ``route_many`` gives that row, and leaves
+    the other slots as they are. The right child's histogram is
     obtained by subtracting the left child's from the parent's, over a
     key table made once per tree. A node gets a histogram and a split
     search only while the tree has room to split it: the two children of
@@ -360,9 +364,7 @@ def grow_tree(
     splits: list[tuple[int, int, int, float, int, int]] = []
     while len(splits) + 1 < config.max_leaves and heap:
         _, region, hist, totals, (feature, threshold, gain, left_totals) = heapq.heappop(heap)
-        idx = rows[region]
-        go_left = data.bins[idx, feature] <= threshold
-        group = (idx[go_left], idx[~go_left])
+        group = _split_rows(data.bins, rows[region], feature, threshold)
         if len(splits) + 2 < config.max_leaves:
             right_totals = tuple(t - lt for t, lt in zip(totals, left_totals))
             left_hist = build_histogram(keys, g, h, group[0], features, n_bins)
@@ -380,29 +382,44 @@ def grow_tree(
         for _, feature, threshold, gain, left, right in splits
     ]
     leaves = [leaf_stats(g[rows[r]], h[rows[r]], config.lam) for r in leaf_regions]
+    if leaf_ids is not None:
+        for leaf, region in enumerate(leaf_regions):
+            leaf_ids[rows[region]] = leaf
     return Tree(nodes=nodes, leaves=leaves)
+
+
+def _split_rows(
+    bins: np.ndarray, rows: np.ndarray | None, feature: int, threshold: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split row indices by the routing rule: a row goes left when its bin
+    of ``feature`` is <= ``threshold``. Each half keeps the order of
+    ``rows``; None stands for every row of ``bins``."""
+    go_left = (bins[:, feature] if rows is None else bins[rows, feature]) <= threshold
+    if rows is None:
+        return np.flatnonzero(go_left), np.flatnonzero(~go_left)
+    return rows[go_left], rows[~go_left]
 
 
 def route_many(tree: Tree, bins: np.ndarray) -> np.ndarray:
     """Route every row of a binned matrix; returns a vector of leaf ids.
 
-    A row goes left when its bin is <= the node's threshold.
+    The rows are partitioned node by node, in id order: a child's id
+    follows its parent's (``Tree``), so each node's rows are known when
+    it is visited. Each row is compared once per node it passes, and a
+    node's row indices are dropped once they are split.
     """
-    n = bins.shape[0]
-    nodes = tree.nodes
-    if not len(nodes):
-        return np.zeros(n, dtype=np.int64)
-    feature = nodes["feature"]
-    threshold = nodes["threshold"]
-    left = nodes["left"]
-    right = nodes["right"]
-
-    position = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    while active.any():
-        rows = np.nonzero(active)[0]
-        at = position[rows]
-        values = bins[rows, feature[at]]
-        position[rows] = np.where(values <= threshold[at], left[at], right[at])
-        active = position >= 0
-    return ~position
+    if not len(tree.nodes):
+        return np.zeros(bins.shape[0], dtype=np.int64)
+    leaf_ids = np.empty(bins.shape[0], dtype=np.int64)
+    # None at the root stands for every row; the parent of any other
+    # node has set its rows before the node is visited.
+    node_rows: list[np.ndarray | None] = [None] * len(tree.nodes)
+    for node, (feature, threshold, left, right, _) in enumerate(tree.nodes.tolist()):
+        halves = _split_rows(bins, node_rows[node], feature, threshold)
+        node_rows[node] = None
+        for ref, rows in zip((left, right), halves):
+            if ref >= 0:
+                node_rows[ref] = rows
+            else:
+                leaf_ids[rows] = ~ref
+    return leaf_ids

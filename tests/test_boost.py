@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import pgbm.boost
 from pgbm import (
     BoostConfig,
     Ensemble,
@@ -407,3 +408,52 @@ class TestSubsampling:
         for used in per_tree_features:
             assert len(used) <= 2
         assert len(set().union(*per_tree_features)) > 2
+
+
+class TestTrainRouting:
+    """The grower places its bag's rows, so train routes only the rest."""
+
+    def routed_rows(self, monkeypatch, config, valid=None):
+        """Train on 200 rows and return the model and the row count of each
+        ``route_many`` call, grouped by tree. The training estimates must
+        equal the model's predictions, bit for bit."""
+        data = make_regression(25, 200, 3)
+        per_tree, estimates = [], []
+        grow, route = pgbm.boost.grow_tree, pgbm.boost.route_many
+
+        def counting_grow(*args):
+            per_tree.append([])
+            return grow(*args)
+
+        def counting_route(tree, bins):
+            per_tree[-1].append(bins.shape[0])
+            return route(tree, bins)
+
+        def loss(y, yhat):
+            estimates.append(yhat)
+            return mse_gradhess(y, yhat)
+
+        monkeypatch.setattr(pgbm.boost, "grow_tree", counting_grow)
+        monkeypatch.setattr(pgbm.boost, "route_many", counting_route)
+        model = train(data, loss, config, valid=valid)
+        monkeypatch.undo()
+        # estimates[k] is the training estimate after k trees.
+        kept = estimates[len(model.trees)]
+        np.testing.assert_array_equal(kept, predict_moments(model, data).mu)
+        return model, per_tree
+
+    def test_without_bagging_no_row_is_routed(self, monkeypatch):
+        _, per_tree = self.routed_rows(monkeypatch, small_config(n_estimators=6))
+        assert per_tree == [[]] * 6
+
+    def test_bagging_routes_the_out_of_bag_rows(self, monkeypatch):
+        config = small_config(n_estimators=6, bagging_fraction=0.8, feature_fraction=0.7)
+        _, per_tree = self.routed_rows(monkeypatch, config)
+        assert per_tree == [[200 - 160]] * 6
+
+    @pytest.mark.parametrize("fraction, out_of_bag", [(1.0, []), (0.8, [40])])
+    def test_validation_rows_are_routed_too(self, monkeypatch, fraction, out_of_bag):
+        valid = make_regression(26, 70, 3)
+        config = small_config(n_estimators=6, bagging_fraction=fraction)
+        model, per_tree = self.routed_rows(monkeypatch, config, (valid, rmse_metric))
+        assert per_tree == [out_of_bag + [70]] * 6

@@ -885,6 +885,18 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err == "error: rho 1.5 outside [-1, 1]\n"
 
+    @pytest.mark.parametrize(
+        "rhos, first", [("-0.1:0.1:0.05", "-0.1"), ("-0.1,0.2", "-0.1"), ("-.5", "-0.5")]
+    )
+    def test_rhos_below_zero_need_no_equals_sign(self, workspace, capsys, rhos, first):
+        base = ["sweep", "--model", str(workspace["model"]), "--data",
+                str(workspace["test_csv"]), "--target", "y", "--n-samples", "10"]
+        assert main([*base, f"--rhos={rhos}"]) == 0
+        expected = capsys.readouterr()
+        assert expected.out.splitlines()[1].startswith(f"normal,{first},")
+        assert main([*base, "--rhos", rhos]) == 0
+        assert capsys.readouterr() == expected
+
     def test_rho_range_at_the_cap(self):
         rhos = cli._parse_rhos("0:0.999:0.001")
         assert len(rhos) == cli.MAX_RHO_VALUES
@@ -1014,6 +1026,8 @@ FAILURES = {
     "negative_seed_sweep": (lambda f: _sweep(f, "--seed", "-3"), 2, ValueError),
     "negative_seed_predict_absent_model": (
         lambda f: _predict(f, "absent", "--seed", "-5"), 2, ValueError),
+    "negative_seed_point_only_absent_model": (
+        lambda f: _predict(f, "absent", "--point-only", "--seed", "-5"), 2, ValueError),
     "negative_seed_sweep_absent_model": (
         lambda f: _sweep(f, "--seed", "-3", model="absent"), 2, ValueError),
     "zero_samples_absent_model": (
@@ -1029,6 +1043,7 @@ FAILURES = {
     "rho_range_nan_start": (lambda f: _sweep(f, "--rhos", "nan:1:0.1"), 2, ValueError),
     "rho_range_tiny_step": (lambda f: _sweep(f, "--rhos=-1:1:1e-300"), 2, ValueError),
     "rho_range_above_cap": (lambda f: _sweep(f, "--rhos", "0:1:0.001"), 2, ValueError),
+    "rhos_followed_by_flag": (lambda f: _sweep(f, "--rhos", "--seed", "1"), 2, None),
     "header_only_predictions": (
         lambda f: ["evaluate", "--pred", str(f["header_only_predictions"]),
                    "--actual", str(f["test_csv"]), "--target", "y"],

@@ -22,7 +22,23 @@ from pgbm import (
     rmse,
 )
 from pgbm.errors import EmptySamples, LengthMismatch
-from pgbm.metrics import _group_sums
+from pgbm.metrics import _group_sums, erf
+
+_math_erf = np.frompyfunc(math.erf, 1, 1)
+EPS = np.finfo(np.float64).eps
+TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def crps_normal_with_math_erf(y, mu, var):
+    """The closed form with the standard library's erf, one call per row."""
+    sigma = np.sqrt(var)
+    dev = y - mu
+    positive = sigma > 0
+    z = np.divide(dev, sigma, out=np.zeros_like(dev), where=positive)
+    cdf_term = _math_erf(z / math.sqrt(2.0)).astype(np.float64)
+    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    value = sigma * (z * cdf_term + 2.0 * pdf - 1.0 / math.sqrt(math.pi))
+    return np.where(positive, value, np.abs(dev))
 
 
 def crps_naive(samples, y):
@@ -116,6 +132,19 @@ class TestCrpsNormal:
         )
         assert b[0] == pytest.approx(scale * a[0], rel=1e-12)
 
+    def test_matches_the_formula_with_math_erf(self):
+        rng = np.random.default_rng(35)
+        n = 20_000
+        y = rng.normal(0.0, 3.0, n)
+        mu = rng.normal(0.0, 3.0, n)
+        var = rng.lognormal(0.0, 2.0, n)
+        var[::7] = 0.0
+        got = crps_normal(y, mu, var)
+        # Near z = 0 the bracket z(2 Phi - 1) + 2 phi - 1/sqrt(pi) cancels
+        # 3.4-fold, so an erf one ulp apart can move the result by 5 eps.
+        np.testing.assert_allclose(got, crps_normal_with_math_erf(y, mu, var), rtol=2e-15, atol=0)
+        np.testing.assert_array_equal(got[::7], np.abs(y - mu)[::7])
+
     def test_against_empirical_sampler(self):
         rng = np.random.default_rng(34)
         mu, sd, y = 0.4, 1.7, -0.9
@@ -123,6 +152,39 @@ class TestCrpsNormal:
         closed = crps_normal(np.array([y]), np.array([mu]), np.array([sd**2]))[0]
         estimate = crps_empirical(draws, y)
         assert closed == pytest.approx(estimate, abs=5e-3)
+
+
+class TestErf:
+    def assert_within_two_eps(self, x):
+        """|erf(x) - math.erf(x)| <= 2 eps |math.erf(x)|, and at most two
+        steps of the smallest subnormal where erf(x) is subnormal."""
+        got = erf(x)
+        want = _math_erf(x).astype(np.float64)
+        tolerance = 2.0 * np.maximum(EPS * np.abs(want), TINY)
+        worst = np.argmax(np.abs(got - want) - tolerance)
+        assert np.all(np.abs(got - want) <= tolerance), (x[worst], got[worst], want[worst])
+
+    def test_dense_grid(self):
+        self.assert_within_two_eps(np.linspace(-40.0, 40.0, 400_001))
+        self.assert_within_two_eps(np.linspace(-8.5, 8.5, 170_001))
+
+    def test_subnormals_and_tiny_normals(self):
+        x = np.concatenate([np.arange(1, 2000) * TINY, np.geomspace(TINY, 1e-300, 2000)])
+        self.assert_within_two_eps(np.concatenate([x, -x]))
+
+    def test_branch_boundaries(self):
+        edges = np.array([1.0, 8.0])  # where erf changes form
+        x = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+        self.assert_within_two_eps(np.concatenate([x, -x]))
+
+    def test_signed_zeros_infinities_and_nan(self):
+        got = erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 40.0, -1e300]))
+        np.testing.assert_array_equal(got, [0.0, -0.0, 1.0, -1.0, np.nan, 1.0, -1.0])
+        assert np.signbit(got[:2]).tolist() == [False, True]
+
+    def test_zero_dimensional_input(self):
+        assert erf(0.5) == math.erf(0.5)
+        assert erf(np.array(2.0)).shape == ()
 
 
 class TestRmse:

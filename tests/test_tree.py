@@ -785,3 +785,52 @@ class TestFinalSplitSkip:
         splits = [(f, t, gain) for f, t, _, _, gain in tree.nodes.tolist()]
         assert splits == expected_splits
         assert np.array_equal(tree.leaves, np.array(expected_leaves, dtype=LEAF_DTYPE))
+
+
+@st.composite
+def routing_problems(draw):
+    """A bagged, feature-subsampled growth problem whose trees reach up to
+    64 leaves, and unseen rows whose bins may pass the training range.
+    The shapes and the config are drawn, largest first, so that most
+    examples grow deep trees; the values come from a seeded generator."""
+    n_features = draw(st.integers(1, 4))
+    width = draw(st.sampled_from([64, 8, 3, 2]))
+    n = draw(st.sampled_from([200, 100, 40, 10, 3, 2, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bins = rng.integers(0, width, size=(n, n_features), dtype=np.uint16)
+    edges = BinEdges([np.arange(0.5, width - 1)] * n_features)
+    data = BinnedDataset(bins=bins, edges=edges, target=np.zeros(n))
+    gh = GradHess(rng.normal(size=n), rng.choice([0.5, 1.0, 2.0], size=n))
+    bag_size = max(1, round(draw(st.sampled_from([1.0, 0.8, 0.5, 0.1])) * n))
+    bag = np.sort(rng.choice(n, size=bag_size, replace=False))
+    if draw(st.booleans()):
+        bag = np.isin(np.arange(n), bag)
+    n_sub = draw(st.integers(1, n_features))
+    features = np.sort(rng.choice(n_features, size=n_sub, replace=False))
+    cfg = TreeConfig(max_leaves=draw(st.sampled_from([64, 31, 16, 5, 3, 2, 1])), max_bins=width,
+                     lam=draw(st.sampled_from([0.0, 1.0])))
+    unseen = rng.integers(0, width + 3, size=(draw(st.integers(0, 20)), n_features),
+                          dtype=np.uint16)
+    return data, gh, bag, features, cfg, unseen
+
+
+class TestGrownTreeRouting:
+    @given(routing_problems())
+    def test_grown_trees_route_as_the_scalar_walk(self, problem):
+        binned, gh, bag, features, cfg, unseen = problem
+        leaf_ids = np.full(binned.n, -1, dtype=np.int64)
+        tree = grow_tree(binned, gh, bag, cfg, features, leaf_ids)
+        for bins in (binned.bins, unseen):
+            ids = route_many(tree, bins)
+            assert ids.dtype == np.int64
+            np.testing.assert_array_equal(ids, [walk(tree, row) for row in bins])
+        rows = np.nonzero(bag)[0] if bag.dtype == bool else bag
+        np.testing.assert_array_equal(leaf_ids[rows], route_many(tree, binned.bins[rows]))
+        np.testing.assert_array_equal(np.delete(leaf_ids, rows), -1)
+
+    def test_no_rows_route_to_an_empty_vector(self):
+        *_, tree = TestGrowTree().grown_problem()
+        stump = Tree(nodes=[], leaves=[(0.5, 0.0, 1)])
+        for t in (tree, stump):
+            ids = route_many(t, np.zeros((0, 3), dtype=np.uint16))
+            assert ids.dtype == np.int64 and ids.shape == (0,)
