@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pgbm
 
 PUBLIC = {
@@ -61,3 +63,11 @@ def test_all_is_the_pinned_public_api():
 def test_every_public_name_resolves():
     for name in PUBLIC:
         assert getattr(pgbm, name) is not None
+
+
+def test_no_elementwise_python_calls_through_frompyfunc():
+    # np.frompyfunc makes one Python call per array element; the package
+    # keeps its elementwise work in numpy.
+    package = pathlib.Path(pgbm.__file__).parent
+    users = [path.name for path in sorted(package.glob("**/*.py")) if "frompyfunc" in path.read_text()]
+    assert users == []

@@ -258,6 +258,36 @@ class TestMatchParams:
                 assert ok[i] and params["shape"][i] == expected
         assert 0 < ok.sum() < 3000
 
+    def test_fast_ratio_error_is_ten_times_below_the_band(self):
+        k = np.concatenate([np.geomspace(0.1, 50.0, 200_001), [dist._WEIBULL_K_LO, dist._WEIBULL_K_HI]])
+        exact = np.array([dist._moment_ratio(x) for x in k.tolist()])
+        error = np.abs(dist._moment_ratio_fast(k) - exact) / exact
+        assert error.max() <= dist._RATIO_REL / 10
+
+    def test_weibull_shape_with_every_decision_exact(self):
+        rng = np.random.default_rng(11)
+        mu = np.exp(rng.uniform(-5.0, 5.0, 3000))
+        var = mu * mu * np.exp(rng.uniform(-12.0, 14.0, 3000))
+        with mock.patch.object(dist, "_RATIO_REL", math.inf):
+            params, ok = dist._match("weibull", mu, var)
+        for i in range(3000):
+            try:
+                expected = reference_weibull_shape(float(mu[i]), float(var[i]))
+            except InfeasibleMoments:
+                assert not ok[i]
+            else:
+                assert ok[i] and params["shape"][i] == expected
+
+    def test_weibull_shape_calls_math_gamma_only_near_a_decision(self):
+        rng = np.random.default_rng(11)
+        target = 1.0 + np.exp(rng.uniform(-7.0, 10.0, 3000))
+        with mock.patch.object(dist, "_moment_ratio", wraps=dist._moment_ratio) as exact:
+            shape = dist._weibull_shape(target)
+        assert np.isfinite(shape).all()
+        # Only midpoints within the band of a decision call math.gamma; a
+        # bisection that always called it would take over 30 calls per row.
+        assert exact.call_count < 2 * target.size
+
 
 class TestSampling:
     @pytest.mark.parametrize("family", CONTINUOUS + ("poisson", "negativebinomial"))
@@ -350,6 +380,13 @@ class TestSampling:
                 params = match_params(family, mu[i], var[i])
                 expected = rng.negative_binomial(params["r"], params["p"], 40)
             np.testing.assert_array_equal(result.samples[:, i], expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**128 + 1])
+    def test_row_states_equal_default_rng(self, seed):
+        rows = [0, 1, 255, 256, 2**32 - 1, 2**32]
+        states = dist._row_states(seed, np.array(rows))
+        for i, state in zip(rows, states, strict=True):
+            assert state == np.random.default_rng([seed, i]).bit_generator.state
 
     @given(
         st.sampled_from(FAMILIES),
