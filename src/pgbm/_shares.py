@@ -1,0 +1,156 @@
+"""Run a command's work on every CPU, in forked shares, with unchanged bytes.
+
+A caller splits its work into shares whose outputs, written one after
+another, are the command's bytes. `write` runs share 0 in the calling
+process and each other share in a forked child, then appends each
+child's bytes in share order, so the bytes do not depend on the number
+of workers. Without `os.fork` (or `os.sched_getaffinity`) `count` gives
+one share and nothing is forked; where a fork fails, that share and the
+later ones run in the calling process.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import pickle
+import shutil
+import tempfile
+from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING, BinaryIO, NoReturn, TypeVar
+
+if TYPE_CHECKING:
+    from _typeshed import SupportsWrite
+
+Share = TypeVar("Share")
+
+# Fewest values (cells written) a share must hold: a fork, exit and reap
+# of a 60 MB process costs a few milliseconds.
+_MIN_SHARE_VALUES = 100_000
+
+
+def count(items: int, values_per_item: int) -> int:
+    """Number of shares to split ``items`` items into: one per CPU in this
+    process's affinity mask, but none with fewer than `_MIN_SHARE_VALUES`
+    values, no more than ``items`` and 1 where `os.fork` is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, items, items * values_per_item // _MIN_SHARE_VALUES))
+
+
+def write(
+    out: SupportsWrite[bytes],
+    shares: Sequence[Share],
+    work: Callable[[Share, SupportsWrite[bytes]], None],
+    tmpdir: str,
+) -> None:
+    """Write ``work(share, file)`` for every share to ``out``, in share order.
+
+    Share 0 writes straight to ``out`` here. Every other share runs in a
+    forked child that writes an unnamed temporary file in ``tmpdir`` (the
+    output's directory, so the text waits on the disk that takes it); the
+    parent waits for each child in share order and copies its file to
+    ``out``. Where a temporary file or a fork cannot be made, that share
+    and every later one run here, after the children's. A child's
+    exception is raised here (see `_portable`), as is `ChildProcessError`
+    for a child that ended otherwise. On any error or interrupt here every
+    child still running is killed and reaped."""
+    mask = os.sched_getaffinity(0) if len(shares) > 1 else set()
+    cpus = sorted(mask)
+    files: list[BinaryIO] = []
+    unreaped: list[int] = []
+    try:
+        if mask:
+            _move_to(cpus[0], mask)
+        for k, share in enumerate(shares[1:], 1):
+            try:
+                file = tempfile.TemporaryFile(dir=tmpdir)
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare (EAGAIN, ENOMEM)
+                file.close()
+                break
+            if pid == 0:
+                _child(work, share, file, cpus[k % len(cpus)], mask)
+            files.append(file)
+            unreaped.append(pid)
+        work(shares[0], out)
+        for file in files:
+            _, status = os.waitpid(unreaped[0], 0)
+            pid = unreaped.pop(0)
+            code = os.waitstatus_to_exitcode(status)
+            file.seek(0)
+            if code == 1:
+                raise pickle.load(file)
+            if code != 0:
+                raise ChildProcessError(f"worker process {pid} ended with exit code {code}")
+            shutil.copyfileobj(file, out)
+        for share in shares[1 + len(files) :]:
+            work(share, out)
+    finally:
+        if unreaped:
+            import signal  # only a failure needs it; start-up does not pay for it
+
+            for pid in unreaped:
+                with contextlib.suppress(OSError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+        for file in files:
+            file.close()
+
+
+def _move_to(cpu: int, mask: set[int]) -> None:
+    """Run this process on ``cpu``, then allow it ``mask`` again. The
+    kernel may leave a fresh fork on its parent's CPU while another CPU
+    idles; once moved, each share keeps its own CPU unless the kernel
+    needs to move it."""
+    try:
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, mask)
+    except OSError:  # a CPU that this process may no longer use
+        pass
+
+
+def _child(
+    work: Callable[[Share, SupportsWrite[bytes]], None],
+    share: Share,
+    file: BinaryIO,
+    cpu: int,
+    mask: set[int],
+) -> NoReturn:
+    """Run one share on ``cpu`` in a forked child, which never returns into
+    its caller: exit 0 once ``file`` holds the share's bytes, 1 once it
+    holds the pickled exception instead, 2 when even that failed."""
+    code = 2
+    try:
+        _move_to(cpu, mask)
+        work(share, file)
+        file.flush()
+        code = 0
+    except BaseException as exc:
+        file.seek(0)
+        file.truncate()
+        pickle.dump(_portable(exc), file)
+        file.flush()
+        code = 1
+    finally:
+        os._exit(code)
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """``exc`` if it survives pickling with its message; otherwise the
+    nearest of its base classes that does, built from that message (a
+    `ParseError` becomes a `PgbmError`), so the command still reports it
+    with the same line and exit code."""
+    message = str(exc)
+    for cls in type(exc).__mro__[:-2]:  # BaseException and object end every mro
+        try:
+            copy = pickle.loads(pickle.dumps(exc if cls is type(exc) else cls(message)))
+        except Exception:
+            continue
+        if type(copy) is cls and str(copy) == message:
+            return copy
+    return BaseException(message)

@@ -8,18 +8,25 @@ lines (with `#` comments). Each entry becomes the flag `--key=value`
 out), placed before the explicit flags, so the command's parser checks
 it like any flag and an explicit flag takes precedence. No flag is
 abbreviated.
+
+predict writes its CSV text on every CPU in the process's affinity
+mask, in forked worker processes (limit it with `taskset`); its output
+bytes do not depend on the number of CPUs. Without `os.fork`, or where a
+fork fails, it runs in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _shares
 from .boost import (
     BoostConfig,
     Ensemble,
@@ -29,7 +36,7 @@ from .boost import (
     train,
     tree_contributions,
 )
-from .data import RawDataset, load_csv, read_text, write_lines
+from .data import OutputFile, RawDataset, load_csv, read_text, write_lines
 from .dist import FAMILIES, DistSpec, check_draws, check_seed, sample
 from .errors import LengthMismatch, MissingColumn, ParseError, PgbmError
 from .loss import hier_wmse_gradhess, load_hierarchy, mse_gradhess
@@ -44,6 +51,9 @@ from .metrics import (
 from .model_io import load as load_model
 from .model_io import save as save_model
 from .tree import TreeConfig
+
+if TYPE_CHECKING:
+    from _typeshed import SupportsWrite
 
 MAX_SAMPLE_COLUMNS = 10_000
 # Most rho values one `sweep --rhos start:stop:step` range may give.
@@ -287,25 +297,39 @@ def cmd_predict(args: argparse.Namespace) -> int:
         matrix = result.samples
         header.extend(f"s{j}" for j in range(args.n_samples))
 
-    write_lines(args.out, _prediction_lines(header, moments, matrix))
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    with OutputFile(args.out) as out:
+        _write_predictions(out, header, moments, matrix, out_dir)
     print(f"wrote {args.out} ({data.n} rows)")
     return 0
 
 
-def _prediction_lines(
-    header: list[str], moments: PredictiveMoments, matrix: np.ndarray | None
-):
-    """Yield predict's CSV lines: the header, then `row,mu,var,s0,...`
-    per row with every real as repr(), one block of rows at a time."""
-    yield ",".join(header)
-    n = len(moments.mu)
-    for start in range(0, n, _PREDICT_BLOCK_ROWS):
-        stop = start + _PREDICT_BLOCK_ROWS
-        columns = [moments.mu[start:stop], moments.var[start:stop]]
-        if matrix is not None:
-            columns.append(matrix[:, start:stop].T)
-        for i, values in enumerate(np.column_stack(columns).tolist(), start):
-            yield f"{i}," + ",".join(map(repr, values))
+def _write_predictions(
+    out: SupportsWrite[bytes],
+    header: list[str],
+    moments: PredictiveMoments,
+    matrix: np.ndarray | None,
+    tmpdir: str,
+) -> None:
+    """Write predict's CSV: the header, then `row,mu,var,s0,...` per row
+    with every real as repr(). Runs of blocks of rows are formatted on
+    every CPU (see `_shares`; workers' text waits in ``tmpdir``), each one
+    block of floats at a time."""
+    out.write((",".join(header) + "\n").encode())
+    blocks = range(0, len(moments.mu), _PREDICT_BLOCK_ROWS)
+    n = _shares.count(len(blocks), _PREDICT_BLOCK_ROWS * len(header))
+    shares = [blocks[len(blocks) * k // n : len(blocks) * (k + 1) // n] for k in range(n)]
+
+    def write_blocks(starts: range, file: SupportsWrite[bytes]) -> None:
+        for start in starts:
+            stop = start + _PREDICT_BLOCK_ROWS
+            columns = [moments.mu[start:stop], moments.var[start:stop]]
+            if matrix is not None:
+                columns.append(matrix[:, start:stop].T)
+            for i, values in enumerate(np.column_stack(columns).tolist(), start):
+                file.write(f"{i},{','.join(map(repr, values))}\n".encode())
+
+    _shares.write(out, shares, write_blocks, tmpdir)
 
 
 def _read_predictions(path: str) -> tuple[np.ndarray, np.ndarray | None]:

@@ -1,7 +1,8 @@
 """Dataset ingestion, text output and equal-density histogram binning.
 
 ``load_csv`` reads every numeric CSV, ``read_text`` every other input
-file, and ``write_lines`` writes every output file.
+file, and ``OutputFile`` writes every output file (``write_lines``
+writes one from its lines).
 
 Features are quantized once, globally, before boosting starts: each
 feature gets a sorted table of upper bin edges placed at empirical
@@ -223,16 +224,50 @@ def read_text(path: str | Path) -> str:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
+class OutputFile:
+    """``path``, opened to write bytes, as a `with` block's file.
+
+    An OSError while opening, writing or closing this file is raised as
+    IoError naming ``path``; an OSError of anything else done inside the
+    block passes through as it is. A failure while writing can leave a
+    partial file behind."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        try:
+            self._fh = open(path, "wb")
+        except OSError as exc:
+            raise self._error(exc) from exc
+
+    def write(self, data: bytes) -> int:
+        try:
+            return self._fh.write(data)
+        except OSError as exc:
+            raise self._error(exc) from exc
+
+    def __enter__(self) -> OutputFile:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        try:
+            self._fh.close()
+        except OSError as exc:
+            raise self._error(exc) from exc
+
+    def _error(self, exc: OSError) -> IoError:
+        return IoError(f"cannot write {self.path}: {exc}")
+
+
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each string of ``lines`` and a newline to a UTF-8 file.
 
-    ``lines`` is consumed lazily. Raises IoError; a failure while
-    writing can leave a partial file behind."""
+    ``lines`` is consumed lazily. Raises IoError, also for an OSError
+    raised by ``lines``; a failure while writing can leave a partial file
+    behind."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with OutputFile(path) as fh:
             for line in lines:
-                fh.write(line)
-                fh.write("\n")
+                fh.write(f"{line}\n".encode("utf-8"))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pgbm
 
@@ -71,3 +75,33 @@ def test_no_elementwise_python_calls_through_frompyfunc():
     package = pathlib.Path(pgbm.__file__).parent
     users = [path.name for path in sorted(package.glob("**/*.py")) if "frompyfunc" in path.read_text()]
     assert users == []
+
+
+def test_fork_is_called_from_one_module():
+    # predict and sweep fork their workers through pgbm._shares alone.
+    package = pathlib.Path(pgbm.__file__).parent
+
+    def forks(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return any(
+            isinstance(node, ast.Attribute) and node.attr == "fork"
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+            for node in ast.walk(tree)
+        )
+
+    users = [path.name for path in sorted(package.glob("**/*.py")) if forks(path)]
+    assert users == ["_shares.py"]
+
+
+def test_cli_import_loads_no_process_pool():
+    # A process pool's imports would add to every command's start-up time.
+    src = str(pathlib.Path(pgbm.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, pgbm.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

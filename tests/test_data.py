@@ -22,7 +22,7 @@ from pgbm import (
     load_csv,
 )
 from pgbm.boost import PredictiveMoments
-from pgbm.cli import _prediction_lines
+from pgbm.cli import _write_predictions
 from pgbm.data import read_text, write_lines
 from pgbm.errors import (
     EmptyDataset,
@@ -401,7 +401,8 @@ class TestCReaderTaken:
         samples = rng.normal(size=(20, 300))
         header = ["row", "mu", "var"] + [f"s{j}" for j in range(20)]
         path = tmp_path / "pred.csv"
-        write_lines(path, _prediction_lines(header, moments, samples))
+        with open(path, "wb") as out:
+            _write_predictions(out, header, moments, samples, str(tmp_path))
         loaded = load_csv(path, None)
         expected = np.column_stack([np.arange(300), moments.mu, moments.var, samples.T])
         assert loaded.features.tobytes() == expected.tobytes()
@@ -463,7 +464,8 @@ class TestWriteLines:
         moments = PredictiveMoments(mu=table[:, 0], var=table[:, 1])
         samples = np.ascontiguousarray(table[:, 2:].T) if table.shape[1] > 2 else None
         header = ["row", "mu", "var"] + [f"s{j}" for j in range(table.shape[1] - 2)]
-        write_lines(path, _prediction_lines(header, moments, samples))
+        with open(path, "wb") as out:
+            _write_predictions(out, header, moments, samples, str(path.parent))
         loaded = load_csv(path, None)
         assert loaded.feature_names == header
         expected = np.column_stack([np.arange(len(table)), table])

@@ -1,0 +1,377 @@
+"""predict splits its CSV text over forked worker processes
+(`pgbm._shares`): the bytes it writes do not depend on the number of
+workers, a failure in any process is one `error:` line, and no process
+or temporary file outlives the command."""
+
+from __future__ import annotations
+
+import errno
+import io
+import os
+import tempfile
+import time
+
+import numpy as np
+import pytest
+
+from pgbm import _shares, cli, data, errors
+from pgbm.cli import main
+
+from conftest import make_regression
+
+N_ROWS = 80
+BLOCK_ROWS = 7  # 80 rows: eleven full blocks and a partial one
+N_BLOCKS = 12
+
+
+def write_csv(path, table):
+    lines = [",".join(table.feature_names + ["y"])]
+    for x, y in zip(table.features.tolist(), table.target.tolist()):
+        lines.append(",".join(map(repr, [*x, y])))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("shares")
+    train_csv = write_csv(root / "train.csv", make_regression(60, 300, 2))
+    test_csv = write_csv(root / "test.csv", make_regression(61, N_ROWS, 2))
+    model = root / "model.txt"
+    argv = ["train", "--data", str(train_csv), "--target", "y", "--model-out", str(model),
+            "--n-estimators", "30", "--max-leaves", "8", "--seed", "4"]
+    assert main(argv) == 0
+    return {"test_csv": test_csv, "model": model}
+
+
+@pytest.fixture
+def forks(monkeypatch, tmp_path):
+    """Records the pid of every child forked, and checks that each
+    worker's temporary file is made in the test's output directory. The
+    system's temporary directory goes to a directory of the test's own,
+    which must stay empty."""
+    pids: list[int] = []
+    fork = os.fork
+    temporary_file = tempfile.TemporaryFile
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def beside_the_output(*args, dir=None, **kwargs):
+        assert dir == str(tmp_path)
+        return temporary_file(*args, dir=dir, **kwargs)
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(tempfile, "TemporaryFile", beside_the_output)
+    monkeypatch.setattr(cli, "_PREDICT_BLOCK_ROWS", BLOCK_ROWS)
+    system_temp = tmp_path.parent / f"{tmp_path.name}-system-temp"
+    system_temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(system_temp))
+    yield pids
+    assert list(system_temp.iterdir()) == []
+
+
+def use_workers(monkeypatch, n: int) -> None:
+    """Act as if this process may run on ``n`` CPUs, and let a share be as
+    small as one value, so that the test files are split. The processes
+    keep their real affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    monkeypatch.setattr(_shares, "_MIN_SHARE_VALUES", 1)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run(argv, capsys, out):
+    code = main(argv)
+    captured = capsys.readouterr()
+    written = out.read_bytes() if out.exists() else None
+    return code, captured.out.replace(str(out), "OUT"), captured.err.replace(str(out), "OUT"), written
+
+
+def predict_argv(files, out, *extra):
+    return ["predict", "--model", str(files["model"]), "--data", str(files["test_csv"]),
+            "--out", str(out), "--seed", "3", *extra]
+
+
+def names(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+class TestSameBytes:
+    @pytest.mark.parametrize(
+        "extra",
+        [["--n-samples", "6"], ["--point-only"], ["--n-samples", "6", "--clamp-nonneg"]],
+        ids=["samples", "point_only", "clamp_nonneg"],
+    )
+    def test_predict(self, files, forks, monkeypatch, tmp_path, capsys, extra):
+        outcomes = {}
+        for n in (1, 2, 3, N_BLOCKS + 8):
+            use_workers(monkeypatch, n)
+            forks.clear()
+            out = tmp_path / f"pred{n}.csv"
+            outcomes[n] = run(predict_argv(files, out, *extra), capsys, out)
+            assert len(forks) == min(n, N_BLOCKS) - 1
+            assert_no_child_left()
+        assert outcomes[1][0] == 0 and outcomes[1][1] == f"wrote OUT ({N_ROWS} rows)\n"
+        assert len(outcomes[1][3].splitlines()) == N_ROWS + 1
+        for n, outcome in outcomes.items():
+            assert outcome == outcomes[1], n
+        assert names(tmp_path) == sorted(f"pred{n}.csv" for n in outcomes)
+
+    def test_few_values_stay_in_one_process(self, files, forks, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        out = tmp_path / "pred.csv"
+        assert main(predict_argv(files, out, "--n-samples", "6")) == 0
+        assert forks == []
+
+    def test_sweep_runs_in_one_process(self, files, forks, monkeypatch, tmp_path, capsys):
+        use_workers(monkeypatch, 4)
+        argv = ["sweep", "--model", str(files["model"]), "--data", str(files["test_csv"]),
+                "--target", "y", "--dists", "normal,lognormal", "--rhos", "0.0,0.3",
+                "--n-samples", "5", "--seed", "2"]
+        assert main(argv) == 0
+        assert forks == []
+
+
+class TestForkFails:
+    """Where no worker can be forked (EAGAIN: a process or memory limit),
+    or no temporary file made, the shares left run in the calling
+    process, with the same bytes."""
+
+    def one_process_bytes(self, files, monkeypatch, tmp_path, capsys):
+        use_workers(monkeypatch, 1)
+        out = tmp_path / "one.csv"
+        outcome = run(predict_argv(files, out, "--n-samples", "6"), capsys, out)
+        out.unlink()
+        return outcome
+
+    @pytest.mark.parametrize("forks_before_failing", [0, 1])
+    def test_fork_fails(self, files, forks, monkeypatch, tmp_path, capsys, forks_before_failing):
+        expected = self.one_process_bytes(files, monkeypatch, tmp_path, capsys)
+        fork = os.fork
+
+        def failing_fork():
+            if len(forks) == forks_before_failing:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        use_workers(monkeypatch, 4)
+        out = tmp_path / "pred.csv"
+        assert run(predict_argv(files, out, "--n-samples", "6"), capsys, out) == expected
+        assert len(forks) == forks_before_failing
+        assert_no_child_left()
+        assert names(tmp_path) == ["pred.csv"]
+
+    def test_temporary_file_fails(self, files, forks, monkeypatch, tmp_path, capsys):
+        expected = self.one_process_bytes(files, monkeypatch, tmp_path, capsys)
+
+        def no_room(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_room)
+        use_workers(monkeypatch, 4)
+        out = tmp_path / "pred.csv"
+        assert run(predict_argv(files, out, "--n-samples", "6"), capsys, out) == expected
+        assert forks == []
+
+
+def raising(make, where):
+    """A stand-in that raises ``make()`` in the processes ``where`` picks
+    (given whether it is the parent) and otherwise calls ``real``."""
+    parent = os.getpid()
+
+    def wrap(real):
+        def run(*args, **kwargs):
+            if where(os.getpid() == parent):
+                raise make()
+            return real(*args, **kwargs)
+
+        return run
+
+    return wrap
+
+
+ERRORS = {
+    "usage": (lambda: ValueError("block refused"), 2),
+    # Its __init__ takes three arguments, so it cannot be rebuilt from its
+    # pickled message: the parent raises a PgbmError with the same text.
+    "unpicklable": (lambda: errors.InfeasibleMoments("normal", 1.0, -1.0), 3),
+    "data": (lambda: errors.NonFiniteValue(3, 1), 3),
+    "os": (lambda: OSError(errno.EIO, os.strerror(errno.EIO)), 3),
+}
+
+
+class TestFailures:
+    def assert_same_failure(self, one, many, code):
+        assert one == many
+        assert one[0] == code
+        assert one[2].startswith("error:") and len(one[2].splitlines()) == 1, one[2]
+        assert "Traceback" not in one[2]
+
+    @pytest.mark.parametrize("case", sorted(ERRORS))
+    def test_share_raises_in_a_child(self, files, forks, monkeypatch, tmp_path, capsys, case):
+        make, code = ERRORS[case]
+        out = tmp_path / "pred.csv"
+        stack = np.column_stack
+        outcomes = []
+        for n, where in ((1, lambda parent: True), (2, lambda parent: not parent)):
+            use_workers(monkeypatch, n)
+            monkeypatch.setattr(np, "column_stack", raising(make, where)(stack))
+            outcomes.append(run(predict_argv(files, out, "--n-samples", "4"), capsys, out))
+        one, many = outcomes
+        # As in one process, the file keeps the rows before the failing
+        # block: here the parent's share, blocks 0-5, and none of the child's.
+        assert one[3] == b"row,mu,var,s0,s1,s2,s3\n"
+        assert many[3].startswith(one[3]) and len(many[3].splitlines()) == 1 + 6 * BLOCK_ROWS
+        self.assert_same_failure(one[:3], many[:3], code)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert names(tmp_path) == ["pred.csv"]
+
+    def test_child_write_fails(self, files, forks, monkeypatch, tmp_path, capsys):
+        """A worker that cannot write its temporary file reports its own
+        OSError, not one of the output file."""
+        parent = os.getpid()
+        temporary_file = tempfile.TemporaryFile
+
+        class FullDisk:
+            """Fails a child's first write, as a full disk would; the
+            child's report of the failure, written after, fits."""
+
+            def __init__(self, file):
+                self.file = file
+                self.failed = False
+
+            def write(self, b):
+                if os.getpid() != parent and not self.failed:
+                    self.failed = True
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.file.write(b)
+
+            def __getattr__(self, name):
+                return getattr(self.file, name)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda **kw: FullDisk(temporary_file(**kw)))
+        use_workers(monkeypatch, 2)
+        out = tmp_path / "pred.csv"
+        code, _, err, _ = run(predict_argv(files, out, "--n-samples", "6"), capsys, out)
+        assert code == 3
+        assert err == "error: [Errno 28] No space left on device\n"
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert names(tmp_path) == ["pred.csv"]
+
+    def test_child_killed(self, files, forks, monkeypatch, tmp_path, capsys):
+        """A worker that dies (as under the OOM killer) is one error line
+        naming the worker, not one of the output file."""
+        import signal
+
+        parent = os.getpid()
+        stack = np.column_stack
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return stack(*args, **kwargs)
+
+        monkeypatch.setattr(np, "column_stack", dying)
+        use_workers(monkeypatch, 2)
+        out = tmp_path / "pred.csv"
+        code, _, err, _ = run(predict_argv(files, out, "--n-samples", "6"), capsys, out)
+        assert code == 3
+        assert err == f"error: worker process {forks[0]} ended with exit code -9\n"
+        assert_no_child_left()
+        assert names(tmp_path) == ["pred.csv"]
+
+    def test_parent_write_fails_while_children_run(self, files, forks, monkeypatch, tmp_path, capsys):
+        class FullDisk(io.FileIO):
+            """Takes the header line, then fails as a full disk would."""
+
+            def write(self, b):
+                if self.tell():
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(b)
+
+        def opening(path, mode="r", **kwargs):
+            return FullDisk(path, "w") if mode == "wb" else open(path, mode, **kwargs)
+
+        monkeypatch.setattr(data, "open", opening, raising=False)
+        out = tmp_path / "pred.csv"
+        outcomes = []
+        for n in (1, 2):
+            use_workers(monkeypatch, n)
+            outcomes.append(run(predict_argv(files, out, "--n-samples", "6"), capsys, out))
+        one, many = outcomes
+        self.assert_same_failure(one, many, 3)
+        assert one[2] == "error: cannot write OUT: [Errno 28] No space left on device\n"
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert names(tmp_path) == ["pred.csv"]
+
+    @pytest.mark.parametrize("interrupt", [False, True], ids=["error", "interrupt"])
+    def test_parent_failure_kills_running_children(
+        self, files, forks, monkeypatch, tmp_path, capsys, interrupt
+    ):
+        def sleeping(real):
+            def run(*args, **kwargs):
+                time.sleep(60)
+                return real(*args, **kwargs)
+
+            return run
+
+        parent = os.getpid()
+        failing = raising(KeyboardInterrupt if interrupt else ERRORS["usage"][0],
+                          lambda is_parent: is_parent)(sleeping(np.column_stack))
+        monkeypatch.setattr(np, "column_stack", failing)
+        use_workers(monkeypatch, 3)
+        out = tmp_path / "pred.csv"
+        argv = predict_argv(files, out, "--n-samples", "6")
+        start = time.perf_counter()
+        if interrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: block refused\n"
+        assert time.perf_counter() - start < 30
+        assert os.getpid() == parent and len(forks) == 2
+        assert_no_child_left()
+        assert names(tmp_path) == ["pred.csv"]
+
+
+class LocalError(ValueError):
+    def __init__(self, code):
+        super().__init__(f"local failure {code}")
+
+
+@pytest.mark.parametrize(
+    "exc, rebuilt",
+    [
+        (ValueError("bad"), ValueError),
+        (OSError(errno.ENOSPC, "No space left on device", "pred.csv"), OSError),
+        (errors.IoError("cannot write x"), errors.IoError),
+        (errors.ParseError(3, 1, "bad cell"), errors.PgbmError),
+        (errors.CorruptModel(4, "bad tree"), errors.PgbmError),
+        (LocalError(7), ValueError),
+        (KeyboardInterrupt(), KeyboardInterrupt),
+    ],
+)
+def test_a_child_exception_keeps_its_message_and_nearest_class(exc, rebuilt):
+    copy = _shares._portable(exc)
+    assert type(copy) is rebuilt and str(copy) == str(exc)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_moving_to_a_cpu_keeps_the_affinity_mask():
+    mask = os.sched_getaffinity(0)
+    for cpu in (max(mask), 1 << 20):  # one this process may use, one no machine has
+        _shares._move_to(cpu, mask)
+        assert os.sched_getaffinity(0) == mask
