@@ -66,7 +66,9 @@ def crps_empirical_rows(samples: np.ndarray, y: np.ndarray) -> np.ndarray:
     np.copyto(work, samples)
     work.sort(axis=0)
     weights = 2.0 * np.arange(m) - m + 1.0
-    term2 = (weights @ work) / (m * m)
+    # einsum's own loop, not BLAS, whose worker threads would spin on
+    # other CPUs between calls.
+    term2 = np.einsum("i,ij->j", weights, work) / (m * m)
     return term1 - term2
 
 

@@ -470,67 +470,35 @@ def test_criterion_9_cli_byte_determinism_across_thread_counts(tmp_path):
     train_csv = write_csv(tmp_path / "train.csv", make_regression(901, 300, 3))
     test_csv = write_csv(tmp_path / "test.csv", make_regression(902, 60, 3))
     artifacts = []
+
+    def pgbm(threads, *argv):
+        env = dict(os.environ)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        result = subprocess.run(
+            [sys.executable, "-m", "pgbm.cli", *map(str, argv)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout + result.stderr
+
     for threads in ("1", "4"):
         for run in ("a", "b"):
-            env = dict(os.environ)
-            for var in (
-                "OMP_NUM_THREADS",
-                "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS",
-            ):
-                env[var] = threads
             model = tmp_path / f"model_{threads}_{run}.txt"
             pred = tmp_path / f"pred_{threads}_{run}.csv"
-            fit = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "pgbm.cli",
-                    "train",
-                    "--data",
-                    str(train_csv),
-                    "--target",
-                    "y",
-                    "--model-out",
-                    str(model),
-                    "--n-estimators",
-                    "25",
-                    "--max-leaves",
-                    "8",
-                    "--bagging-fraction",
-                    "0.8",
-                    "--seed",
-                    "12",
-                ],
-                env=env,
-                capture_output=True,
-                text=True,
-            )
-            assert fit.returncode == 0, fit.stderr
-            predict = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "pgbm.cli",
-                    "predict",
-                    "--model",
-                    str(model),
-                    "--data",
-                    str(test_csv),
-                    "--out",
-                    str(pred),
-                    "--n-samples",
-                    "20",
-                    "--seed",
-                    "3",
-                ],
-                env=env,
-                capture_output=True,
-                text=True,
-            )
-            assert predict.returncode == 0, predict.stderr
-            artifacts.append((model.read_bytes(), pred.read_bytes()))
-    first_model, first_pred = artifacts[0]
-    for model_bytes, pred_bytes in artifacts[1:]:
-        assert model_bytes == first_model
-        assert pred_bytes == first_pred
+            pgbm(threads, "train", "--data", train_csv, "--target", "y", "--model-out", model,
+                 "--n-estimators", 25, "--max-leaves", 8, "--bagging-fraction", 0.8,
+                 "--seed", 12)
+            pgbm(threads, "predict", "--model", model, "--data", test_csv, "--out", pred,
+                 "--n-samples", 20, "--seed", 3)
+            # CRPS, and the Weibull and discrete rows' streams (negative
+            # binomial rows of this data all fall back; Poisson rows do not).
+            evaluate = pgbm(threads, "evaluate", "--pred", pred, "--actual", test_csv,
+                            "--target", "y", "--metrics", "crps,rmse")
+            sweep = pgbm(threads, "sweep", "--model", model, "--data", test_csv,
+                         "--target", "y", "--dists", "normal,weibull,poisson,negativebinomial",
+                         "--rhos", "0,0.05", "--n-samples", 20, "--seed", 3)
+            artifacts.append((model.read_bytes(), pred.read_bytes(), evaluate, sweep))
+    assert all(outputs == artifacts[0] for outputs in artifacts[1:])

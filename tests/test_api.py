@@ -93,6 +93,24 @@ def test_fork_is_called_from_one_module():
     assert users == ["_shares.py"]
 
 
+def test_no_blas_products():
+    # A BLAS call wakes OpenBLAS's worker threads, which then spin on the
+    # other CPUs between calls; the package's one product is an einsum.
+    package = pathlib.Path(pgbm.__file__).parent
+    blas = {"dot", "matmul", "vdot", "inner", "tensordot"}
+
+    def products(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return any(
+            isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Attribute) and node.attr in blas
+            for node in ast.walk(tree)
+        )
+
+    users = [path.name for path in sorted(package.glob("**/*.py")) if products(path)]
+    assert users == []
+
+
 def test_cli_import_loads_no_process_pool():
     # A process pool's imports would add to every command's start-up time.
     src = str(pathlib.Path(pgbm.__file__).parent.parent)

@@ -74,7 +74,9 @@ def moments(mu, var) -> PredictiveMoments:
 
 
 def reference_weibull_shape(mu: float, var: float) -> float:
-    """The scalar bisection the vectorized solver must reproduce bit for bit."""
+    """The scalar bisection, with ``math.gamma`` at every midpoint, whose
+    feasibility the vectorized solver must reproduce exactly and whose
+    shapes it must reproduce within 1e-10 relative."""
 
     def ratio(k: float) -> float:
         return math.gamma(1.0 + 2.0 / k) / math.gamma(1.0 + 1.0 / k) ** 2
@@ -232,7 +234,7 @@ class TestMatchParams:
             max_size=40,
         )
     )
-    def test_weibull_shape_bit_identical_to_scalar_bisection(self, rows):
+    def test_weibull_shape_matches_scalar_bisection(self, rows):
         mu, var = (np.array(column) for column in zip(*rows))
         params, ok = dist._match("weibull", mu, var)
         for i, (mu_i, var_i) in enumerate(rows):
@@ -242,51 +244,50 @@ class TestMatchParams:
                 assert not ok[i]
             else:
                 assert ok[i]
-                assert params["shape"][i] == expected
+                assert params["shape"][i] == pytest.approx(expected, rel=1e-10)
 
     def test_weibull_shape_on_many_rows(self):
         rng = np.random.default_rng(11)
         mu = np.exp(rng.uniform(-5.0, 5.0, 3000))
         var = mu * mu * np.exp(rng.uniform(-12.0, 14.0, 3000))
         params, ok = dist._match("weibull", mu, var)
-        for i in range(0, 3000, 7):
-            try:
-                expected = reference_weibull_shape(float(mu[i]), float(var[i]))
-            except InfeasibleMoments:
-                assert not ok[i]
-            else:
-                assert ok[i] and params["shape"][i] == expected
-        assert 0 < ok.sum() < 3000
-
-    def test_fast_ratio_error_is_ten_times_below_the_band(self):
-        k = np.concatenate([np.geomspace(0.1, 50.0, 200_001), [dist._WEIBULL_K_LO, dist._WEIBULL_K_HI]])
-        exact = np.array([dist._moment_ratio(x) for x in k.tolist()])
-        error = np.abs(dist._moment_ratio_fast(k) - exact) / exact
-        assert error.max() <= dist._RATIO_REL / 10
-
-    def test_weibull_shape_with_every_decision_exact(self):
-        rng = np.random.default_rng(11)
-        mu = np.exp(rng.uniform(-5.0, 5.0, 3000))
-        var = mu * mu * np.exp(rng.uniform(-12.0, 14.0, 3000))
-        with mock.patch.object(dist, "_RATIO_REL", math.inf):
-            params, ok = dist._match("weibull", mu, var)
         for i in range(3000):
             try:
                 expected = reference_weibull_shape(float(mu[i]), float(var[i]))
             except InfeasibleMoments:
                 assert not ok[i]
             else:
-                assert ok[i] and params["shape"][i] == expected
+                assert ok[i] and params["shape"][i] == pytest.approx(expected, rel=1e-10)
+        assert 0 < ok.sum() < 3000
 
-    def test_weibull_shape_calls_math_gamma_only_near_a_decision(self):
+    def test_log_gamma_matches_math_lgamma(self):
+        # [1, 21] holds every argument of the Weibull ratio and scale.
+        x = np.linspace(1.0, 21.0, 200_001)
+        exact = np.array([math.lgamma(v) for v in x.tolist()])
+        assert np.abs(dist._log_gamma(x) - exact).max() <= 1e-13
+
+    def test_weibull_match_calls_math_gamma_only_for_the_bracket(self):
+        rng = np.random.default_rng(11)
+        mu = np.exp(rng.uniform(-5.0, 5.0, 3000))
+        var = mu * mu * np.exp(rng.uniform(-7.0, 10.0, 3000))
+        with mock.patch.object(dist, "_moment_ratio", wraps=dist._moment_ratio) as ratio, \
+                mock.patch.object(dist.math, "gamma", wraps=math.gamma) as gamma:
+            params, ok = dist._match("weibull", mu, var)
+        assert ok.all()
+        # The two bracket-end ratios, each of two math.gamma calls; no
+        # midpoint or scale calls it.
+        assert ratio.call_count <= 2 and gamma.call_count <= 4
+
+    def test_weibull_bisection_ends_before_its_cap(self):
+        # Near the top of the bracket the ratio's rounding exceeds the
+        # tolerance; such rows stop once their bracket is two adjacent
+        # floats, about 60 halvings from [0.1, 50].
         rng = np.random.default_rng(11)
         target = 1.0 + np.exp(rng.uniform(-7.0, 10.0, 3000))
-        with mock.patch.object(dist, "_moment_ratio", wraps=dist._moment_ratio) as exact:
+        with mock.patch.object(dist, "_moment_ratio_fast", wraps=dist._moment_ratio_fast) as fast:
             shape = dist._weibull_shape(target)
         assert np.isfinite(shape).all()
-        # Only midpoints within the band of a decision call math.gamma; a
-        # bisection that always called it would take over 30 calls per row.
-        assert exact.call_count < 2 * target.size
+        assert fast.call_count < 100 < dist._WEIBULL_MAX_ITER
 
 
 class TestSampling:
@@ -353,7 +354,8 @@ class TestSampling:
     def test_shared_stream_is_keyed_apart_from_row_streams(self):
         seed, m = 7, 64
         draws = sample(moments([0.0], [1.0]), DistSpec(), m, seed=seed).samples[:, 0]
-        assert not np.array_equal(draws, np.random.default_rng([seed, 0]).standard_normal(m))
+        rows = np.random.SeedSequence(seed, spawn_key=(dist._ROWS,))
+        assert not np.array_equal(draws, np.random.default_rng(rows).standard_normal(m))
         shared = np.random.SeedSequence(seed, spawn_key=(dist._SHARED,))
         np.testing.assert_array_equal(draws, np.random.default_rng(shared).standard_normal(m))
 
@@ -369,24 +371,34 @@ class TestSampling:
 
     @pytest.mark.parametrize("family", ["poisson", "negativebinomial"])
     def test_feasible_discrete_rows_keep_their_own_stream(self, family):
-        mu, var = [3.0, -1.0, 2.5], [7.0, 1.0, 5.0]
-        result = sample(moments(mu, var), DistSpec(family), 40, seed=6)
-        assert result.fallback_rows == 1
-        for i in (0, 2):
-            rng = np.random.default_rng([6, i])
-            if family == "poisson":
-                expected = rng.poisson(mu[i], 40)
-            else:
-                params = match_params(family, mu[i], var[i])
-                expected = rng.negative_binomial(params["r"], params["p"], 40)
-            np.testing.assert_array_equal(result.samples[:, i], expected)
+        # Row i's draws are the _ROWS stream's from i * 2**64 on. Row 1
+        # falls back; row 2**32, past the call's rows, is read through the
+        # seek that sample uses.
+        mu, var = np.full(257, 3.0), np.full(257, 7.0)
+        mu[1] = -1.0
+        params = match_params(family, 3.0, 7.0)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**128 + 1])
-    def test_row_states_equal_default_rng(self, seed):
-        rows = [0, 1, 255, 256, 2**32 - 1, 2**32]
-        states = dist._row_states(seed, np.array(rows))
-        for i, state in zip(rows, states, strict=True):
-            assert state == np.random.default_rng([seed, i]).bit_generator.state
+        def draws(rng):
+            return rng.poisson(3.0, 40) if family == "poisson" else rng.negative_binomial(
+                params["r"], params["p"], 40)
+
+        for seed in (0, 2**64, 2**128 + 1):
+            result = sample(moments(mu, var), DistSpec(family), 40, seed=seed)
+            assert result.fallback_rows == 1
+            row_rng, seek = dist._row_streams(seed)
+            for i in (0, 255, 256, 2**32):
+                bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(dist._ROWS,)))
+                bits.advance(i << 64)
+                expected = draws(np.random.Generator(bits))
+                if i < mu.size:
+                    np.testing.assert_array_equal(result.samples[:, i], expected)
+                seek(i)
+                np.testing.assert_array_equal(draws(row_rng), expected)
+            # The row stream is keyed apart from the shared and fallback streams.
+            keys = [(dist._ROWS,), (dist._SHARED,), (dist._FALLBACK, 0)]
+            heads = {tuple(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
+                           .random_raw(4).tolist()) for key in keys}
+            assert len(heads) == 3
 
     @given(
         st.sampled_from(FAMILIES),
