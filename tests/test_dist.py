@@ -260,6 +260,26 @@ class TestMatchParams:
                 assert ok[i] and params["shape"][i] == pytest.approx(expected, rel=1e-10)
         assert 0 < ok.sum() < 3000
 
+    def test_weibull_shape_with_every_decision_exact(self):
+        # With math.gamma at every midpoint the vectorized bisection, stop
+        # rule included, is the scalar one bit for bit.
+        rng = np.random.default_rng(11)
+        mu = np.exp(rng.uniform(-5.0, 5.0, 3000))
+        var = mu * mu * np.exp(rng.uniform(-12.0, 14.0, 3000))
+
+        def exact_ratio(k):
+            return np.array([dist._moment_ratio(x) for x in k.tolist()])
+
+        with mock.patch.object(dist, "_moment_ratio_fast", exact_ratio):
+            params, ok = dist._match("weibull", mu, var)
+        for i in range(3000):
+            try:
+                expected = reference_weibull_shape(float(mu[i]), float(var[i]))
+            except InfeasibleMoments:
+                assert not ok[i]
+            else:
+                assert ok[i] and params["shape"][i] == expected
+
     def test_log_gamma_matches_math_lgamma(self):
         # [1, 21] holds every argument of the Weibull ratio and scale.
         x = np.linspace(1.0, 21.0, 200_001)
@@ -399,6 +419,19 @@ class TestSampling:
             heads = {tuple(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
                            .random_raw(4).tolist()) for key in keys}
             assert len(heads) == 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**128 + 1])
+    def test_row_states_equal_default_rng(self, seed):
+        # Row i's state is default_rng on the _ROWS key, advanced by i * 2**64,
+        # whatever row was sought before it.
+        rows = [0, 1, 255, 256, 2**32 - 1, 2**32, 1]
+        row_rng, seek = dist._row_streams(seed)
+        for i in rows:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(dist._ROWS,)))
+            rng.bit_generator.advance(i << 64)
+            row_rng.poisson(3.0, 5)  # draws since the last seek must not carry over
+            seek(i)
+            assert row_rng.bit_generator.state == rng.bit_generator.state
 
     @given(
         st.sampled_from(FAMILIES),
