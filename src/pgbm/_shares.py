@@ -1,7 +1,8 @@
 """Run a command's work on every CPU, in forked shares, with unchanged bytes.
 
 A caller splits its work into shares whose outputs, written one after
-another, are the command's bytes. `write` runs share 0 in the calling
+another, are its bytes: predict's CSV text, or the float64 rows that
+`load_csv` parses into one matrix. `write` runs share 0 in the calling
 process and each other share in a forked child, then appends each
 child's bytes in share order, so the bytes do not depend on the number
 of workers. Without `os.fork` (or `os.sched_getaffinity`) `count` gives
@@ -48,14 +49,15 @@ def write(
     """Write ``work(share, file)`` for every share to ``out``, in share order.
 
     Share 0 writes straight to ``out`` here. Every other share runs in a
-    forked child that writes an unnamed temporary file in ``tmpdir`` (the
-    output's directory, so the text waits on the disk that takes it); the
-    parent waits for each child in share order and copies its file to
-    ``out``. Where a temporary file or a fork cannot be made, that share
-    and every later one run here, after the children's. A child's
-    exception is raised here (see `_portable`), as is `ChildProcessError`
-    for a child that ended otherwise. On any error or interrupt here every
-    child still running is killed and reaped."""
+    forked child that writes an unnamed temporary file in ``tmpdir``
+    (predict's output directory, so its text waits on the disk that takes
+    it; the default temporary directory for a read); the parent waits for
+    each child in share order and copies its file to ``out``. Where a
+    temporary file or a fork cannot be made, that share and every later
+    one run here, after the children's. A child's exception is raised
+    here (see `_portable`), as is `ChildProcessError` for a child that
+    ended otherwise. On any error or interrupt here every child still
+    running is killed and reaped."""
     mask = os.sched_getaffinity(0) if len(shares) > 1 else set()
     cpus = sorted(mask)
     files: list[BinaryIO] = []

@@ -9,10 +9,11 @@ out), placed before the explicit flags, so the command's parser checks
 it like any flag and an explicit flag takes precedence. No flag is
 abbreviated.
 
-predict writes its CSV text on every CPU in the process's affinity
-mask, in forked worker processes (limit it with `taskset`); its output
-bytes do not depend on the number of CPUs. Without `os.fork`, or where a
-fork fails, it runs in one process.
+predict writes its CSV text, and every command reads a large plain CSV
+input (see `load_csv`), on every CPU in the process's affinity mask, in
+forked worker processes (limit it with `taskset`); output bytes, the
+matrices read and errors do not depend on the number of CPUs. Without
+`os.fork`, or where a fork fails, the work runs in one process.
 """
 
 from __future__ import annotations

@@ -15,14 +15,18 @@ prediction never fails on new data.
 from __future__ import annotations
 
 import csv
+import os
 import re
+import stat
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TYPE_CHECKING, Iterable, TextIO
 
 import numpy as np
 
+from . import _shares
 from .errors import (
     EmptyDataset,
     FeatureCountMismatch,
@@ -33,11 +37,18 @@ from .errors import (
     ParseError,
 )
 
+if TYPE_CHECKING:
+    from _typeshed import SupportsWrite
+
 # Bin indices are stored as uint16.
 MAX_BINS = 65536
 # numpy's two row errors; the quoted cell is its repr, cut at 100 characters.
 _BAD_CELL = re.compile(r"could not convert string (.*) to float64 at row (\d+), column (\d+)\.")
 _BAD_WIDTH = re.compile(r"the dtype passed requires \d+ columns but (\d+) were found at row (\d+)")
+# Name endings that make numpy open a path through a decompressor.
+_PACKED = (".bz2", ".gz", ".lzma", ".xz")
+# Bytes `_plain_rows` reads at a time.
+_SCAN_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -139,11 +150,14 @@ def load_csv(path: str | Path, target_column: str | None) -> RawDataset:
     the shape prediction-only inputs arrive in.
 
     ``csv.reader`` splits the header, so a quoted name may hold commas
-    or line ends. numpy's C reader then reads the rest of the handle in
-    one pass: the data rows are the non-empty lines after the header,
-    cells may be in double quotes, lines end in LF, CRLF or CR, and a
-    cell is an ASCII number with optional surrounding whitespace (no
-    ``1_000``; every spelling of nan and inf parses).
+    or line ends. numpy's C reader then reads the rest: the data rows
+    are the non-empty lines after the header, cells may be in double
+    quotes, lines end in LF, CRLF or CR, and a cell is an ASCII number
+    with optional surrounding whitespace (no ``1_000``; every spelling of
+    nan and inf parses). A plain regular file (see `_plain_rows`) is read
+    from its path, in row shares on every CPU when it is large (see
+    `_read_plain`); any other file, a pipe included, is read from the
+    open handle. Both give the same matrix or the same error.
 
     Raises IoError (also for bytes that are not UTF-8), MissingColumn,
     ParseError(row, col), NonFiniteValue(row, col) or EmptyDataset; a
@@ -155,15 +169,22 @@ def load_csv(path: str | Path, target_column: str | None) -> RawDataset:
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                header = [name.strip() for name in next(csv.reader(fh))]
+                header = [name.strip() for name in next(reader)]
             except StopIteration:
                 raise EmptyDataset(f"{path} is empty") from None
             except csv.Error as exc:
                 raise ParseError(-1, 0, f"{path}: {exc}") from None
             if target_column is not None and target_column not in header:
                 raise MissingColumn(f"column {target_column!r} not found in {path}")
-            matrix = _read_rows(fh, len(header), path)
+            # numpy skips the header as one line, and would unpack a packed name.
+            plain = reader.line_num == 1 and not str(path).endswith(_PACKED)
+            rows = _plain_rows(fh.fileno()) if plain else None
+            if rows is None:
+                matrix = _read_rows(fh, len(header), path)
+            else:
+                matrix = _read_plain(path, rows, len(header))
     except UnicodeDecodeError as exc:
         raise IoError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
     except OSError as exc:
@@ -186,18 +207,105 @@ def load_csv(path: str | Path, target_column: str | None) -> RawDataset:
     return RawDataset(features, target, names, target_name=target_column)
 
 
-def _read_rows(fh: TextIO, width: int, path: str | Path) -> np.ndarray:
-    """Parse the data rows left in ``fh`` into an (n, width) matrix.
+def _plain_rows(fd: int) -> int | None:
+    """The number of data rows of ``fd`` if it is a plain regular file,
+    else None.
+
+    A plain file's lines end in LF, none is empty, and after the first
+    line it holds only ASCII and no double quote. So each of its lines
+    after the first is one row for numpy, whichever line a read starts
+    at, and no read of those lines can fail to decode. The file is read
+    in chunks by position; ``fd``'s own position does not move."""
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        return None
+    lines = at = 0
+    last = b"\n"  # an empty first line is an empty line
+    while chunk := os.pread(fd, _SCAN_BYTES, at):
+        at += len(chunk)
+        rest = chunk.partition(b"\n")[2] if lines == 0 else chunk  # after the header
+        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+        if (
+            b"\r" in chunk
+            or b'"' in rest
+            or not rest.isascii()
+            or ends.size and ends[0] == 0 and last == b"\n"
+            or ends.size > 1 and np.diff(ends).min() == 1
+        ):
+            return None
+        lines += ends.size
+        last = chunk[-1:]
+    return lines - (last == b"\n")
+
+
+def _read_plain(path: str | Path, rows: int, width: int) -> np.ndarray:
+    """Read the ``rows`` data rows of a plain file (see `_plain_rows`)
+    from its path.
+
+    Above the share minimum the rows are split into runs, one per CPU
+    (see `_shares`): each run is read from its own first line on, the
+    first here and the others in forked workers whose float64 bytes
+    wait in the default temporary directory, and all are copied in order
+    into one matrix. If any run fails or reads other than its own rows,
+    the whole file is read again here, and that read's matrix or error is
+    the result: an error then carries the row a single read gives."""
+    source = os.path.abspath(path)  # never a URL to numpy
+    n = _shares.count(rows, width)
+    if n > 1:
+        runs = [range(rows * k // n, rows * (k + 1) // n) for k in range(n)]
+
+        def read_run(run: range, file: SupportsWrite[bytes]) -> None:
+            last = run.stop == rows  # read to the end, so that no row is left out
+            cells = _read_rows(source, width, path, 1 + run.start, None if last else len(run))
+            if len(cells) != len(run):
+                raise ValueError(f"{path}: {len(cells)} rows where {len(run)} were counted")
+            file.write(cells)
+
+        matrix = np.empty((rows, width))
+        try:
+            _shares.write(_Filling(matrix), runs, read_run, tempfile.gettempdir())
+            return matrix
+        except Exception:  # read again below, as one process reads
+            pass
+    return _read_rows(source, width, path, 1)
+
+
+class _Filling:
+    """A writer that copies the bytes written to it, in order, into a
+    preallocated array."""
+
+    def __init__(self, array: np.ndarray):
+        self._bytes = array.reshape(-1).view(np.uint8)
+        self._at = 0
+
+    def write(self, data: bytes | np.ndarray) -> int:
+        chunk = np.frombuffer(data, np.uint8)
+        self._bytes[self._at : self._at + chunk.size] = chunk
+        self._at += chunk.size
+        return chunk.size
+
+
+def _read_rows(
+    source: TextIO | str,
+    width: int,
+    path: str | Path,
+    skip: int = 0,
+    max_rows: int | None = None,
+) -> np.ndarray:
+    """Parse the data rows of ``source`` into an (n, width) matrix: all
+    rows left in an open handle, or those of a file path after its first
+    ``skip`` lines, at most ``max_rows`` of them.
 
     Each row is one record of ``width`` floats, so numpy itself refuses
     the first row of any other width. Its two row errors become
-    ParseError at numpy's row and column."""
+    ParseError at numpy's row and column, counted from the first row
+    read."""
     record = np.dtype([("cells", np.float64, (width,))])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             rows = np.loadtxt(
-                fh, delimiter=",", quotechar='"', comments=None, ndmin=1, dtype=record
+                source, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                dtype=record, encoding="utf-8", skiprows=skip, max_rows=max_rows,
             )
     except UserWarning:  # numpy warns when no data line follows the header
         raise EmptyDataset(f"{path} has a header but no data rows") from None

@@ -36,3 +36,16 @@ def make_regression(seed: int, n: int, f: int, noise: float = 0.1) -> RawDataset
     y = y + noise * rng.normal(size=n)
     names = [f"x{j}" for j in range(f)]
     return RawDataset(x, y, names)
+
+
+def load_outcome(load, path, target_column):
+    """Everything a caller can observe of one load: the arrays' bits and
+    names, or the exception's class, message, row and column."""
+    try:
+        data = load(path, target_column)
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None))
+    return (
+        data.features.shape, data.features.tobytes(), data.target.tobytes(),
+        data.feature_names, data.target_name,
+    )

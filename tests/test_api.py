@@ -78,7 +78,7 @@ def test_no_elementwise_python_calls_through_frompyfunc():
 
 
 def test_fork_is_called_from_one_module():
-    # predict and sweep fork their workers through pgbm._shares alone.
+    # predict's writer and load_csv fork their workers through pgbm._shares alone.
     package = pathlib.Path(pgbm.__file__).parent
 
     def forks(path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import sys
@@ -21,6 +22,7 @@ from pgbm import (
     compute_bin_edges,
     load_csv,
 )
+from pgbm import _shares
 from pgbm.boost import PredictiveMoments
 from pgbm.cli import _write_predictions
 from pgbm.data import read_text, write_lines
@@ -34,7 +36,7 @@ from pgbm.errors import (
     ParseError,
 )
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, load_outcome
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -206,19 +208,6 @@ def numpy_float(cell):
     return float(stripped)
 
 
-def load_outcome(load, path, target_column):
-    """Everything a caller can observe of one load: the arrays' bits and
-    names, or the exception's class, message, row and column."""
-    try:
-        data = load(path, target_column)
-    except Exception as exc:
-        return (type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None))
-    return (
-        data.features.shape, data.features.tobytes(), data.target.tobytes(),
-        data.feature_names, data.target_name,
-    )
-
-
 NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10**6), 10**6).map(str),
@@ -256,10 +245,10 @@ def cells(draw, kind):
 
 
 @st.composite
-def csv_files(draw):
+def csv_files(draw, line_ends=("lf", "lf", "crlf", "crlf", "cr", "mixed"), max_rows=4):
     """Bytes of a small CSV file and a target column. Each file mixes
     plain numbers with at most one kind of unusual cell, so that many
-    files are accepted."""
+    files are accepted; its line ends are drawn from ``line_ends``."""
     width = draw(st.integers(1, 4))
     header = [draw(st.sampled_from(["a", "b", "c", "y"])) for _ in range(width)]
     if draw(st.integers(0, 3)) == 0:
@@ -268,7 +257,7 @@ def csv_files(draw):
         ["number"] * 4 + ["non_finite", "odd", "padded", "quoted", "blank_lines", "ragged"]
     ))
     lines = [",".join(header)]
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, max_rows))):
         row_width = width
         if unusual == "ragged" and draw(st.booleans()):
             row_width += draw(st.sampled_from([-1, 1]))
@@ -276,7 +265,7 @@ def csv_files(draw):
         lines.append(",".join(draw(cells(kind)) for kind in kinds))
         if unusual == "blank_lines" and draw(st.booleans()):
             lines.append(draw(st.sampled_from(["", " ", "\t"])))
-    ends = LINE_ENDS[draw(st.sampled_from(["lf", "lf", "crlf", "crlf", "cr", "mixed"]))]
+    ends = LINE_ENDS[draw(st.sampled_from(line_ends))]
     text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")  # no final line end
@@ -329,6 +318,26 @@ class TestCReaderParity:
         path.write_bytes(raw)
         expected = load_outcome(reference_load_csv, path, target)
         assert load_outcome(load_csv, path, target) == expected
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @settings(max_examples=300)
+    @given(csv_files(line_ends=["lf"], max_rows=6))
+    def test_same_outcome_in_shares(self, tmp_path_factory, workers, case):
+        """A file read in forked row shares gives what one process gives:
+        the same matrix, or the same error at the same row. (Only LF
+        files can be read in shares.) The file is scanned in chunks of
+        three bytes, so that chunk ends fall inside and between lines."""
+        raw, target = case
+        path = tmp_path_factory.mktemp("shares") / "data.csv"
+        path.write_bytes(raw)
+        expected = load_outcome(load_csv, path, target)
+        assert expected == load_outcome(reference_load_csv, path, target)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("pgbm.data._SCAN_BYTES", 3)
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+            patch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+            patch.setattr(_shares, "_MIN_SHARE_VALUES", 1)
+            assert load_outcome(load_csv, path, target) == expected
 
     def test_field_over_the_csv_limit_is_a_parse_error(self, tmp_path):
         """Only the header is split by csv, so only a header field has a
@@ -414,6 +423,30 @@ class TestCReaderTaken:
         assert loaded.feature_names[0] == "fixed acidity"
         np.testing.assert_array_equal(loaded.features[0, :3], [7.4, 0.7, 0.0])
         assert loaded.target[0] == 5.0
+
+    def test_a_plain_file_is_read_from_its_path(self, tmp_path, monkeypatch):
+        """numpy reads a path in chunks, but a handle one Python call per
+        line, so every plain file (see `data._plain_rows`), a quoted
+        header line allowed, is read from its path."""
+        sources = []
+        loadtxt = np.loadtxt
+
+        def recording(source, *args, **kwargs):
+            sources.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recording)
+        load_csv(write(tmp_path, "a,y\n1,2\n"), "y")
+        load_csv(DATA_DIR / "winequality-red.csv", "quality")
+        load_csv(write(tmp_path, "a,y\r\n1,2\r\n", "crlf.csv"), "y")
+        assert [type(source) for source in sources] == [str, str, io.TextIOWrapper]
+
+    def test_a_path_that_parses_as_a_url_is_a_local_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pgbm:" / "host").mkdir(parents=True)
+        write(tmp_path / "pgbm:" / "host", "a,y\n1,2\n")
+        loaded = load_csv("pgbm://host/data.csv", "y")
+        np.testing.assert_array_equal(loaded.features, [[1.0]])
 
     def test_crlf_with_target_in_the_middle(self, tmp_path):
         path = tmp_path / "crlf.csv"

@@ -1,6 +1,7 @@
-"""predict splits its CSV text over forked worker processes
-(`pgbm._shares`): the bytes it writes do not depend on the number of
-workers, a failure in any process is one `error:` line, and no process
+"""predict splits its CSV text, and load_csv a large file's rows, over
+forked worker processes (`pgbm._shares`): the bytes written and the
+matrix read do not depend on the number of workers, a failure in any
+process is one `error:` line or the one-process result, and no process
 or temporary file outlives the command."""
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 from pgbm import _shares, cli, data, errors
 from pgbm.cli import main
 
-from conftest import make_regression
+from conftest import load_outcome, make_regression
 
 N_ROWS = 80
 BLOCK_ROWS = 7  # 80 rows: eleven full blocks and a partial one
@@ -45,33 +46,52 @@ def files(tmp_path_factory):
 
 
 @pytest.fixture
-def forks(monkeypatch, tmp_path):
-    """Records the pid of every child forked, and checks that each
-    worker's temporary file is made in the test's output directory. The
-    system's temporary directory goes to a directory of the test's own,
-    which must stay empty."""
-    pids: list[int] = []
+def fork_log(monkeypatch, tmp_path):
+    """Records the pid of every child forked, by its caller: "read" for
+    `load_csv`'s and "write" for predict's writer. Checks that each
+    worker's temporary file is made where its caller puts it: the
+    writer's in the test's output directory, `load_csv`'s in the system's
+    temporary directory, which goes to a directory of the test's own and
+    must stay empty."""
+    log: dict[str, list[int]] = {"read": [], "write": []}
+    callers: list[str] = []
     fork = os.fork
     temporary_file = tempfile.TemporaryFile
+    write = _shares.write
+
+    def tagged_write(out, *args):
+        callers.append("read" if isinstance(out, data._Filling) else "write")
+        try:
+            return write(out, *args)
+        finally:
+            callers.pop()
 
     def recording_fork():
         pid = fork()
         if pid:
-            pids.append(pid)
+            log[callers[-1]].append(pid)
         return pid
 
-    def beside_the_output(*args, dir=None, **kwargs):
-        assert dir == str(tmp_path)
+    def where_the_caller_puts_it(*args, dir=None, **kwargs):
+        assert dir == (tempfile.gettempdir() if callers[-1] == "read" else str(tmp_path))
         return temporary_file(*args, dir=dir, **kwargs)
 
+    monkeypatch.setattr(_shares, "write", tagged_write)
     monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(tempfile, "TemporaryFile", beside_the_output)
-    monkeypatch.setattr(cli, "_PREDICT_BLOCK_ROWS", BLOCK_ROWS)
+    monkeypatch.setattr(tempfile, "TemporaryFile", where_the_caller_puts_it)
     system_temp = tmp_path.parent / f"{tmp_path.name}-system-temp"
     system_temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(system_temp))
-    yield pids
+    yield log
     assert list(system_temp.iterdir()) == []
+
+
+@pytest.fixture
+def forks(fork_log, monkeypatch):
+    """The pids of the children that predict's writer forks (see
+    `fork_log`), which splits the test file into `N_BLOCKS` blocks."""
+    monkeypatch.setattr(cli, "_PREDICT_BLOCK_ROWS", BLOCK_ROWS)
+    return fork_log["write"]
 
 
 def use_workers(monkeypatch, n: int) -> None:
@@ -110,14 +130,16 @@ class TestSameBytes:
         [["--n-samples", "6"], ["--point-only"], ["--n-samples", "6", "--clamp-nonneg"]],
         ids=["samples", "point_only", "clamp_nonneg"],
     )
-    def test_predict(self, files, forks, monkeypatch, tmp_path, capsys, extra):
+    def test_predict(self, files, fork_log, forks, monkeypatch, tmp_path, capsys, extra):
         outcomes = {}
         for n in (1, 2, 3, N_BLOCKS + 8):
             use_workers(monkeypatch, n)
             forks.clear()
+            fork_log["read"].clear()
             out = tmp_path / f"pred{n}.csv"
             outcomes[n] = run(predict_argv(files, out, *extra), capsys, out)
             assert len(forks) == min(n, N_BLOCKS) - 1
+            assert len(fork_log["read"]) == n - 1  # the test file's rows
             assert_no_child_left()
         assert outcomes[1][0] == 0 and outcomes[1][1] == f"wrote OUT ({N_ROWS} rows)\n"
         assert len(outcomes[1][3].splitlines()) == N_ROWS + 1
@@ -345,6 +367,159 @@ class TestFailures:
         assert os.getpid() == parent and len(forks) == 2
         assert_no_child_left()
         assert names(tmp_path) == ["pred.csv"]
+
+
+READ_ROWS = 12
+# With two or three workers the last share holds row 11, the last one.
+GOOD_ROWS = "".join(f"{i},{i / 7!r},{-i}\n" for i in range(READ_ROWS - 1))
+
+
+def read_outcome(path):
+    return load_outcome(data.load_csv, path, "y")
+
+
+def one_process_outcome(monkeypatch, path):
+    use_workers(monkeypatch, 1)
+    return read_outcome(path)
+
+
+class TestLoadCsv:
+    """load_csv reads a plain file in row shares, with the matrix and the
+    errors of one process."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "last_row, error, forked",
+        [
+            (b"1,2,oops", (errors.ParseError, READ_ROWS - 1, 2), True),
+            (b"1,2", (errors.ParseError, READ_ROWS - 1, 2), True),
+            (b"1,nan,3", (errors.NonFiniteValue, READ_ROWS - 1, 1), True),
+            (b"1,2,\xff3", (errors.IoError, None, None), False),  # not plain
+        ],
+        ids=["bad_cell", "wrong_width", "nan", "not_utf8"],
+    )
+    def test_the_last_share_holds_a_bad_row(
+        self, fork_log, monkeypatch, tmp_path, workers, last_row, error, forked
+    ):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,b,y\n" + GOOD_ROWS.encode() + last_row + b"\n")
+        expected = one_process_outcome(monkeypatch, path)
+        assert (expected[0], *expected[2:]) == error
+        use_workers(monkeypatch, workers)
+        assert read_outcome(path) == expected
+        assert len(fork_log["read"]) == (workers - 1 if forked else 0)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [2, 3, READ_ROWS + 5])
+    def test_same_matrix(self, fork_log, monkeypatch, tmp_path, workers):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,y\n" + GOOD_ROWS + "0.5,1e-300,7", encoding="utf-8")
+        expected = one_process_outcome(monkeypatch, path)
+        parent = os.getpid()
+        read_rows = data._read_rows
+        reads_here = []
+
+        def counted_read_rows(*args, **kwargs):
+            if os.getpid() == parent:
+                reads_here.append(args)
+            return read_rows(*args, **kwargs)
+
+        monkeypatch.setattr(data, "_read_rows", counted_read_rows)
+        use_workers(monkeypatch, workers)
+        assert read_outcome(path) == expected
+        assert len(fork_log["read"]) == min(workers, READ_ROWS) - 1
+        assert len(reads_here) == 1  # the first share's rows, and no second read
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "name, raw",
+        [
+            ("quote.csv", b'a,b,y\n' + GOOD_ROWS.encode() + b'"1",2,3\n'),
+            ("crlf.csv", (b"a,b,y\n" + GOOD_ROWS.encode()).replace(b"\n", b"\r\n")),
+            ("cr.csv", b"a,b,y\n" + GOOD_ROWS.encode() + b"1,2,3\r4,5,6\n"),
+            ("empty_line.csv", b"a,b,y\n" + GOOD_ROWS.encode().replace(b"\n", b"\n\n", 1)),
+            ("empty_last_line.csv", b"a,b,y\n" + GOOD_ROWS.encode() + b"\n"),
+            ("header_lines.csv", b'a,"b\nc",y\n' + GOOD_ROWS.encode()),
+            ("not_ascii.csv", b"a,b,y\n" + GOOD_ROWS.encode() + "1,2,\u0663\n".encode()),
+            ("packed.csv.gz", b"a,b,y\n" + GOOD_ROWS.encode()),
+        ],
+    )
+    @pytest.mark.parametrize("scan_bytes", [None, 2], ids=["scan", "tiny_scan"])
+    def test_a_file_that_is_not_plain_forks_nothing(
+        self, fork_log, monkeypatch, tmp_path, name, raw, scan_bytes
+    ):
+        """Also when the file is scanned two bytes at a time, so that the
+        empty line starts a chunk."""
+        path = tmp_path / name
+        path.write_bytes(raw)
+        expected = one_process_outcome(monkeypatch, path)
+        if scan_bytes:
+            monkeypatch.setattr(data, "_SCAN_BYTES", scan_bytes)
+        use_workers(monkeypatch, 3)
+        assert read_outcome(path) == expected
+        assert fork_log["read"] == []
+
+    @pytest.mark.parametrize("forks_before_failing", [0, 1])
+    def test_fork_fails(self, fork_log, monkeypatch, tmp_path, forks_before_failing):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,y\n" + GOOD_ROWS, encoding="utf-8")
+        expected = one_process_outcome(monkeypatch, path)
+        fork = os.fork
+
+        def failing_fork():
+            if len(fork_log["read"]) == forks_before_failing:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        use_workers(monkeypatch, 3)
+        assert read_outcome(path) == expected
+        assert len(fork_log["read"]) == forks_before_failing
+        assert_no_child_left()
+
+    def test_temporary_file_fails(self, fork_log, monkeypatch, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,y\n" + GOOD_ROWS, encoding="utf-8")
+        expected = one_process_outcome(monkeypatch, path)
+
+        def no_room(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_room)
+        use_workers(monkeypatch, 3)
+        assert read_outcome(path) == expected
+        assert fork_log["read"] == []
+
+    @pytest.mark.parametrize("failure", ["raises", "killed", "undercounted", "overcounted"])
+    def test_a_failed_share_is_read_again_in_one_process(
+        self, fork_log, monkeypatch, tmp_path, failure
+    ):
+        """A worker that raises, dies or reads other than its own rows
+        costs a second read, not a different result."""
+        import signal
+
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,y\n" + GOOD_ROWS + "1,2,3\n", encoding="utf-8")
+        expected = one_process_outcome(monkeypatch, path)
+        parent = os.getpid()
+        read_rows, plain_rows = data._read_rows, data._plain_rows
+
+        def failing_read_rows(*args, **kwargs):
+            if os.getpid() != parent:
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MemoryError
+            return read_rows(*args, **kwargs)
+
+        if failure.endswith("counted"):
+            error = -1 if failure == "undercounted" else 1
+            monkeypatch.setattr(data, "_plain_rows", lambda fd: plain_rows(fd) + error)
+        else:
+            monkeypatch.setattr(data, "_read_rows", failing_read_rows)
+        use_workers(monkeypatch, 2)
+        assert read_outcome(path) == expected
+        assert len(fork_log["read"]) == 1
+        assert_no_child_left()
 
 
 class LocalError(ValueError):
