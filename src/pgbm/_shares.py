@@ -1,13 +1,14 @@
 """Run a command's work on every CPU, in forked shares, with unchanged bytes.
 
 A caller splits its work into shares whose outputs, written one after
-another, are its bytes: predict's CSV text, or the float64 rows that
-`load_csv` parses into one matrix. `write` runs share 0 in the calling
-process and each other share in a forked child, then appends each
-child's bytes in share order, so the bytes do not depend on the number
-of workers. Without `os.fork` (or `os.sched_getaffinity`) `count` gives
-one share and nothing is forked; where a fork fails, that share and the
-later ones run in the calling process.
+another, are its bytes: predict's CSV text, the float64 rows that
+`load_csv` parses into one matrix, or sweep's fixed-size record per
+grid cell, which sweep puts back in grid order. `write` runs share 0 in
+the calling process and each other share in a forked child, then
+appends each child's bytes in share order, so the bytes do not depend
+on the number of workers. Without `os.fork` (or `os.sched_getaffinity`)
+`count` gives one share and nothing is forked; where a fork fails, that
+share and the later ones run in the calling process.
 """
 
 from __future__ import annotations
@@ -51,13 +52,13 @@ def write(
     Share 0 writes straight to ``out`` here. Every other share runs in a
     forked child that writes an unnamed temporary file in ``tmpdir``
     (predict's output directory, so its text waits on the disk that takes
-    it; the default temporary directory for a read); the parent waits for
-    each child in share order and copies its file to ``out``. Where a
-    temporary file or a fork cannot be made, that share and every later
-    one run here, after the children's. A child's exception is raised
-    here (see `_portable`), as is `ChildProcessError` for a child that
-    ended otherwise. On any error or interrupt here every child still
-    running is killed and reaped."""
+    it; the default temporary directory for a read or sweep's cells); the
+    parent waits for each child in share order and copies its file to
+    ``out``. Where a temporary file or a fork cannot be made, that share
+    and every later one run here, after the children's. A child's
+    exception is raised here (see `_portable`), as is `ChildProcessError`
+    for a child that ended otherwise. On any error or interrupt here
+    every child still running is killed and reaped."""
     mask = os.sched_getaffinity(0) if len(shares) > 1 else set()
     cpus = sorted(mask)
     files: list[BinaryIO] = []

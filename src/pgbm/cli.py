@@ -9,20 +9,24 @@ out), placed before the explicit flags, so the command's parser checks
 it like any flag and an explicit flag takes precedence. No flag is
 abbreviated.
 
-predict writes its CSV text, and every command reads a large plain CSV
-input (see `load_csv`), on every CPU in the process's affinity mask, in
-forked worker processes (limit it with `taskset`); output bytes, the
-matrices read and errors do not depend on the number of CPUs. Without
-`os.fork`, or where a fork fails, the work runs in one process.
+predict writes its CSV text, sweep scores its grid cells, and every
+command reads a large plain CSV input (see `load_csv`), on every CPU in
+the process's affinity mask, in forked worker processes (limit it with
+`taskset`); output bytes, the matrices read and errors do not depend on
+the number of CPUs. Without `os.fork`, or where a fork fails, the work
+runs in one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import re
+import struct
 import sys
+import tempfile
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,13 +58,20 @@ from .model_io import save as save_model
 from .tree import TreeConfig
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from _typeshed import SupportsWrite
 
+    Cell = tuple[DistSpec, float]
+
 MAX_SAMPLE_COLUMNS = 10_000
-# Most rho values one `sweep --rhos start:stop:step` range may give.
+# Most rho values one `sweep --rhos` list or range may give.
 MAX_RHO_VALUES = 1_000
 # Rows per block of predict output: bounds the Python floats held at once.
 _PREDICT_BLOCK_ROWS = 256
+# One scored sweep cell as a worker hands it back: its CRPS and the rows
+# that fell back to normal.
+_CELL = struct.Struct("<dq")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -413,7 +424,15 @@ def _parse_rhos(text: str) -> list[float]:
             )
         values = [round(start + i * step, 12) for i in range(count)]
         return [v for v in values if v <= stop + 1e-12]
-    return [float(p) for p in text.split(",") if p.strip()]
+    values = [float(p) for p in text.split(",") if p.strip()]
+    if len(values) > MAX_RHO_VALUES:
+        raise ValueError(
+            f"--rhos lists {len(values)} values, more than the cap of {MAX_RHO_VALUES}"
+        )
+    for value in values:
+        if not -1.0 <= value <= 1.0:  # also refuses nan
+            raise ValueError(f"rho {value} outside [-1, 1]")
+    return values
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -437,23 +456,61 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for rho in rhos
     }
 
+    cells = [(spec, rho) for spec in specs for rho in rhos]
+
+    def score(cell: Cell) -> tuple[float, int]:
+        spec, rho = cell
+        result = sample(moments_by_rho[rho], spec, args.n_samples, args.seed)
+        value = float(np.mean(crps_empirical_rows(result.samples, data.target)))
+        return value, result.fallback_rows  # the draws are freed on return
+
     lines = ["dist,rho,crps"]
     best: tuple[str, float, float] | None = None
-    for spec in specs:
-        for rho in rhos:
-            result = sample(moments_by_rho[rho], spec, args.n_samples, args.seed)
-            _warn_fallback(result.fallback_rows, spec.family, f" at rho {rho!r}")
-            value = float(np.mean(crps_empirical_rows(result.samples, data.target)))
-            lines.append(f"{spec.family},{rho!r},{value!r}")
-            if best is None or value < best[2]:
-                best = (spec.family, rho, value)
-            del result  # so the next cell's draws do not coexist with these
+    scores = _scores_in_shares(cells, score, 2 * data.n * args.n_samples)
+    if scores is None:  # in this process, each cell's warning as it is scored
+        scores = map(score, cells)
+    for (spec, rho), (value, fallback_rows) in zip(cells, scores):
+        _warn_fallback(fallback_rows, spec.family, f" at rho {rho!r}")
+        lines.append(f"{spec.family},{rho!r},{value!r}")
+        if best is None or value < best[2]:
+            best = (spec.family, rho, value)
 
     print("\n".join(lines))
     print(f"best: dist={best[0]} rho={best[1]!r} crps={best[2]!r}")
     if args.out is not None:
         write_lines(args.out, lines)
     return 0
+
+
+def _scores_in_shares(
+    cells: list[Cell], score: Callable[[Cell], tuple[float, int]], pair_values: int
+) -> list[tuple[float, int]] | None:
+    """``score`` of every cell, in grid order, from forked shares (see
+    `_shares`), or None where the caller should score the cells itself.
+
+    Each share holds at least a pair of cells (``pair_values`` draws),
+    since a fork costs about as much as scoring one cell; cell k goes to
+    share k mod n, so that a slow family's cells spread over the shares.
+    Each process holds one cell's draws at a time, and the workers'
+    records wait in the default temporary directory. None is also the
+    answer when any share fails, so that the cells are scored again in
+    one process, whose warnings, error and exit code are the result."""
+    n = _shares.count(len(cells) // 2, pair_values)
+    if n == 1:
+        return None
+    shares = [range(k, len(cells), n) for k in range(n)]
+
+    def score_share(share: range, file: SupportsWrite[bytes]) -> None:
+        for k in share:
+            file.write(_CELL.pack(*score(cells[k])))
+
+    records = io.BytesIO()
+    try:
+        _shares.write(records, shares, score_share, tempfile.gettempdir())
+    except Exception:  # scored again, as one process scores
+        return None
+    order = [k for share in shares for k in share]
+    return [record for _, record in sorted(zip(order, _CELL.iter_unpack(records.getvalue())))]
 
 
 _HANDLERS = {

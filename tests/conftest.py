@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from pgbm import RawDataset, load_csv
+from pgbm import RawDataset, _shares, load_csv
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -49,3 +50,12 @@ def load_outcome(load, path, target_column):
         data.features.shape, data.features.tobytes(), data.target.tobytes(),
         data.feature_names, data.target_name,
     )
+
+
+def use_workers(monkeypatch, n: int) -> None:
+    """Act as if this process may run on ``n`` CPUs, and let a share be as
+    small as one value, so that small test inputs are split over forked
+    workers (`pgbm._shares`). The processes keep their real affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    monkeypatch.setattr(_shares, "_MIN_SHARE_VALUES", 1)

@@ -12,7 +12,7 @@ from pgbm.model_io import load as load_model
 from pgbm import cli, errors
 from pgbm.cli import main
 
-from conftest import make_regression
+from conftest import make_regression, use_workers
 
 
 def write_csv(path, data):
@@ -746,6 +746,32 @@ class TestSweep:
         assert "best: dist=" in captured.out
 
     def test_cell_matches_predict_then_evaluate(self, workspace, tmp_path, capsys):
+        sweep_crps, eval_crps = self.laplace_cell_and_evaluate(
+            workspace, tmp_path, capsys, "laplace", "0.02")
+        assert eval_crps == sweep_crps
+
+    def test_cell_matches_predict_then_evaluate_in_shares(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        """Also when the cell is scored in a forked worker: of four cells
+        in two shares, laplace at 0.02 is the worker's second."""
+        use_workers(monkeypatch, 2)
+        in_shares = cli._scores_in_shares
+        shared = []
+
+        def recording(*args):
+            shared.append(in_shares(*args))
+            return shared[-1]
+
+        monkeypatch.setattr(cli, "_scores_in_shares", recording)
+        sweep_crps, eval_crps = self.laplace_cell_and_evaluate(
+            workspace, tmp_path, capsys, "normal,laplace", "0.0,0.02")
+        assert len(shared) == 1 and shared[0] is not None
+        assert eval_crps == sweep_crps
+
+    def laplace_cell_and_evaluate(self, workspace, tmp_path, capsys, dists, rhos):
+        """The CRPS of sweep's laplace cell at rho 0.02 and that of
+        evaluate on predict's samples for the same cell."""
         code = main(
             [
                 "sweep",
@@ -756,9 +782,9 @@ class TestSweep:
                 "--target",
                 "y",
                 "--dists",
-                "laplace",
+                dists,
                 "--rhos",
-                "0.02",
+                rhos,
                 "--n-samples",
                 "25",
                 "--seed",
@@ -768,7 +794,7 @@ class TestSweep:
         sweep_out = capsys.readouterr().out
         assert code == 0
         cell = next(
-            line for line in sweep_out.splitlines() if line.startswith("laplace,")
+            line for line in sweep_out.splitlines() if line.startswith("laplace,0.02,")
         )
         sweep_crps = float(cell.split(",")[2])
 
@@ -817,7 +843,7 @@ class TestSweep:
             line for line in eval_out.splitlines() if line.startswith("crps,global")
         )
         eval_crps = float(crps_line.split(",")[3])
-        assert eval_crps == sweep_crps
+        return sweep_crps, eval_crps
 
     def test_fallback_warning_per_cell(self, workspace, tmp_path, capsys):
         argv = [
@@ -1043,6 +1069,13 @@ FAILURES = {
     "rho_range_nan_start": (lambda f: _sweep(f, "--rhos", "nan:1:0.1"), 2, ValueError),
     "rho_range_tiny_step": (lambda f: _sweep(f, "--rhos=-1:1:1e-300"), 2, ValueError),
     "rho_range_above_cap": (lambda f: _sweep(f, "--rhos", "0:1:0.001"), 2, ValueError),
+    "rho_list_nan": (lambda f: _sweep(f, "--rhos", "0,nan", model="absent"), 2, ValueError),
+    "rho_list_out_of_range": (
+        lambda f: _sweep(f, "--rhos", "0,1.5", model="absent"), 2, ValueError),
+    "rho_list_above_cap": (
+        lambda f: _sweep(f, "--rhos", ",".join(["0"] * (cli.MAX_RHO_VALUES + 1)),
+                         model="absent"),
+        2, ValueError),
     "rhos_followed_by_flag": (lambda f: _sweep(f, "--rhos", "--seed", "1"), 2, None),
     "header_only_predictions": (
         lambda f: ["evaluate", "--pred", str(f["header_only_predictions"]),

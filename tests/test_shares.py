@@ -1,8 +1,8 @@
-"""predict splits its CSV text, and load_csv a large file's rows, over
-forked worker processes (`pgbm._shares`): the bytes written and the
-matrix read do not depend on the number of workers, a failure in any
-process is one `error:` line or the one-process result, and no process
-or temporary file outlives the command."""
+"""predict splits its CSV text, sweep its grid cells and load_csv a large
+file's rows over forked worker processes (`pgbm._shares`): the bytes
+written and the matrix read do not depend on the number of workers, a
+failure in any process is one `error:` line or the one-process result,
+and no process or temporary file outlives the command."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import pytest
 from pgbm import _shares, cli, data, errors
 from pgbm.cli import main
 
-from conftest import load_outcome, make_regression
+from conftest import load_outcome, make_regression, use_workers
 
 N_ROWS = 80
 BLOCK_ROWS = 7  # 80 rows: eleven full blocks and a partial one
@@ -48,19 +48,24 @@ def files(tmp_path_factory):
 @pytest.fixture
 def fork_log(monkeypatch, tmp_path):
     """Records the pid of every child forked, by its caller: "read" for
-    `load_csv`'s and "write" for predict's writer. Checks that each
-    worker's temporary file is made where its caller puts it: the
-    writer's in the test's output directory, `load_csv`'s in the system's
-    temporary directory, which goes to a directory of the test's own and
-    must stay empty."""
-    log: dict[str, list[int]] = {"read": [], "write": []}
+    `load_csv`'s, "write" for predict's writer and "sweep" for sweep's
+    cells. Checks that each worker's temporary file is made where its
+    caller puts it: the writer's in the test's output directory, those
+    of `load_csv` and sweep in the system's temporary directory, which
+    goes to a directory of the test's own and must stay empty."""
+    log: dict[str, list[int]] = {"read": [], "write": [], "sweep": []}
     callers: list[str] = []
     fork = os.fork
     temporary_file = tempfile.TemporaryFile
     write = _shares.write
 
+    def caller(out):
+        if isinstance(out, data._Filling):
+            return "read"
+        return "write" if isinstance(out, data.OutputFile) else "sweep"
+
     def tagged_write(out, *args):
-        callers.append("read" if isinstance(out, data._Filling) else "write")
+        callers.append(caller(out))
         try:
             return write(out, *args)
         finally:
@@ -73,7 +78,7 @@ def fork_log(monkeypatch, tmp_path):
         return pid
 
     def where_the_caller_puts_it(*args, dir=None, **kwargs):
-        assert dir == (tempfile.gettempdir() if callers[-1] == "read" else str(tmp_path))
+        assert dir == (str(tmp_path) if callers[-1] == "write" else tempfile.gettempdir())
         return temporary_file(*args, dir=dir, **kwargs)
 
     monkeypatch.setattr(_shares, "write", tagged_write)
@@ -92,15 +97,6 @@ def forks(fork_log, monkeypatch):
     `fork_log`), which splits the test file into `N_BLOCKS` blocks."""
     monkeypatch.setattr(cli, "_PREDICT_BLOCK_ROWS", BLOCK_ROWS)
     return fork_log["write"]
-
-
-def use_workers(monkeypatch, n: int) -> None:
-    """Act as if this process may run on ``n`` CPUs, and let a share be as
-    small as one value, so that the test files are split. The processes
-    keep their real affinity."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
-    monkeypatch.setattr(_shares, "_MIN_SHARE_VALUES", 1)
 
 
 def assert_no_child_left():
@@ -122,6 +118,17 @@ def predict_argv(files, out, *extra):
 
 def names(directory):
     return sorted(p.name for p in directory.iterdir())
+
+
+def sweep_argv(files, *extra):
+    return ["sweep", "--model", str(files["model"]), "--data", str(files["test_csv"]),
+            "--target", "y", "--n-samples", "5", "--seed", "2", *extra]
+
+
+# A grid of nine cells in which every negative binomial and lognormal cell
+# has rows that fall back to normal.
+GRID = ["--dists", "normal,negativebinomial,lognormal", "--rhos", "0.0,0.3,0.6"]
+N_CELLS = 9
 
 
 class TestSameBytes:
@@ -153,13 +160,40 @@ class TestSameBytes:
         assert main(predict_argv(files, out, "--n-samples", "6")) == 0
         assert forks == []
 
-    def test_sweep_runs_in_one_process(self, files, forks, monkeypatch, tmp_path, capsys):
+    def test_sweep(self, files, fork_log, monkeypatch, tmp_path, capsys):
+        """Nine cells, whose negative binomial and lognormal cells fall back
+        to normal, in 1, 2, 3 and 4 shares (never fewer than two cells
+        each): the same exit code, stdout, stderr (warnings in grid order)
+        and `--out` bytes."""
+        outcomes = {}
+        for n in (1, 2, 3, N_CELLS + 8):
+            use_workers(monkeypatch, n)
+            for pids in fork_log.values():
+                pids.clear()
+            out = tmp_path / f"grid{n}.csv"
+            outcomes[n] = run(sweep_argv(files, *GRID, "--out", str(out)), capsys, out)
+            assert len(fork_log["sweep"]) == min(n, N_CELLS // 2) - 1
+            assert len(fork_log["read"]) == n - 1  # the test file's rows
+            assert fork_log["write"] == []
+            assert_no_child_left()
+        code, stdout, stderr, written = outcomes[1]
+        assert code == 0 and stdout.startswith(written.decode())
+        assert len(written.splitlines()) == 1 + N_CELLS
+        assert [line.split(" for ")[1] for line in stderr.splitlines()] == [
+            f"{family} at rho {rho} and fell back to normal"
+            for family in ("negativebinomial", "lognormal") for rho in ("0.0", "0.3", "0.6")
+        ]
+        for n, outcome in outcomes.items():
+            assert outcome == outcomes[1], n
+        assert names(tmp_path) == sorted(f"grid{n}.csv" for n in outcomes)
+
+    @pytest.mark.parametrize("dists", ["normal,laplace", "normal,laplace,lognormal"])
+    def test_fewer_than_two_pairs_of_cells_stay_in_one_process(
+        self, files, fork_log, monkeypatch, capsys, dists
+    ):
         use_workers(monkeypatch, 4)
-        argv = ["sweep", "--model", str(files["model"]), "--data", str(files["test_csv"]),
-                "--target", "y", "--dists", "normal,lognormal", "--rhos", "0.0,0.3",
-                "--n-samples", "5", "--seed", "2"]
-        assert main(argv) == 0
-        assert forks == []
+        assert main(sweep_argv(files, "--dists", dists, "--rhos", "0.3")) == 0
+        assert fork_log["sweep"] == []
 
 
 class TestForkFails:
@@ -203,6 +237,49 @@ class TestForkFails:
         out = tmp_path / "pred.csv"
         assert run(predict_argv(files, out, "--n-samples", "6"), capsys, out) == expected
         assert forks == []
+
+
+class TestSweepForkFails:
+    """Where a worker of sweep cannot be forked or given a temporary
+    file, its cells and the later shares' are scored in the calling
+    process, with the same bytes."""
+
+    def one_process_outcome(self, files, monkeypatch, capsys, tmp_path):
+        use_workers(monkeypatch, 1)
+        out = tmp_path / "one.csv"
+        outcome = run(sweep_argv(files, *GRID, "--out", str(out)), capsys, out)
+        out.unlink()
+        return outcome
+
+    @pytest.mark.parametrize("forks_before_failing", [0, 1])
+    def test_fork_fails(self, files, fork_log, monkeypatch, tmp_path, capsys, forks_before_failing):
+        expected = self.one_process_outcome(files, monkeypatch, capsys, tmp_path)
+        fork = os.fork
+
+        def failing_fork():
+            if len(fork_log["sweep"]) == forks_before_failing:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        use_workers(monkeypatch, 3)
+        out = tmp_path / "grid.csv"
+        assert run(sweep_argv(files, *GRID, "--out", str(out)), capsys, out) == expected
+        assert len(fork_log["sweep"]) == forks_before_failing
+        assert_no_child_left()
+        assert names(tmp_path) == ["grid.csv"]
+
+    def test_temporary_file_fails(self, files, fork_log, monkeypatch, tmp_path, capsys):
+        expected = self.one_process_outcome(files, monkeypatch, capsys, tmp_path)
+
+        def no_room(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_room)
+        use_workers(monkeypatch, 3)
+        out = tmp_path / "grid.csv"
+        assert run(sweep_argv(files, *GRID, "--out", str(out)), capsys, out) == expected
+        assert fork_log["sweep"] == []
 
 
 def raising(make, where):
@@ -367,6 +444,103 @@ class TestFailures:
         assert os.getpid() == parent and len(forks) == 2
         assert_no_child_left()
         assert names(tmp_path) == ["pred.csv"]
+
+
+class TestSweepFailures:
+    """A sweep worker that fails costs a second scoring of the whole grid
+    in one process, whose warnings, error line and exit code are the
+    command's."""
+
+    # With two shares the laplace cell is the child's second cell, after
+    # the negative binomial one; both that and the lognormal cell warn.
+    CELLS = ["--dists", "normal,negativebinomial,lognormal,laplace", "--rhos", "0.3"]
+
+    @pytest.mark.parametrize("case", sorted(ERRORS))
+    def test_a_cell_raises_in_a_child(self, files, fork_log, monkeypatch, tmp_path, capsys, case):
+        make, code = ERRORS[case]
+        parent = os.getpid()
+        sample = cli.sample
+        scored_here = []
+
+        def failing_sample(moments, spec, *args):
+            if os.getpid() == parent:
+                scored_here.append(spec.family)
+            if spec.family == "laplace":
+                raise make()
+            return sample(moments, spec, *args)
+
+        monkeypatch.setattr(cli, "sample", failing_sample)
+        outcomes = []
+        for n in (1, 2):
+            use_workers(monkeypatch, n)
+            scored_here.clear()
+            out = tmp_path / "grid.csv"
+            outcomes.append(run(sweep_argv(files, *self.CELLS, "--out", str(out)), capsys, out))
+        one, many = outcomes
+        assert one == many
+        assert one[0] == code and one[1] == "" and one[3] is None
+        *warnings, error = one[2].splitlines()
+        assert [w.split(" for ")[1] for w in warnings] == [
+            f"{family} at rho 0.3 and fell back to normal"
+            for family in ("negativebinomial", "lognormal")
+        ]
+        assert error.startswith("error:") and "Traceback" not in one[2]
+        # Share 0 here, then the whole grid again up to the failing cell.
+        assert scored_here == ["normal", "lognormal", *self.CELLS[1].split(",")]
+        assert len(fork_log["sweep"]) == 1
+        assert_no_child_left()
+        assert names(tmp_path) == []
+
+    @pytest.mark.parametrize("failure", ["raises", "killed"])
+    def test_a_failed_share_is_scored_again_in_one_process(
+        self, files, fork_log, monkeypatch, tmp_path, capsys, failure
+    ):
+        import signal
+
+        use_workers(monkeypatch, 1)
+        out = tmp_path / "grid.csv"
+        expected = run(sweep_argv(files, *self.CELLS, "--out", str(out)), capsys, out)
+        assert expected[0] == 0
+        parent = os.getpid()
+        crps = cli.crps_empirical_rows
+
+        def failing_crps(*args):
+            if os.getpid() != parent:
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MemoryError
+            return crps(*args)
+
+        monkeypatch.setattr(cli, "crps_empirical_rows", failing_crps)
+        use_workers(monkeypatch, 2)
+        assert run(sweep_argv(files, *self.CELLS, "--out", str(out)), capsys, out) == expected
+        assert len(fork_log["sweep"]) == 1
+        assert_no_child_left()
+        assert names(tmp_path) == ["grid.csv"]
+
+    def test_an_interrupt_kills_the_workers_and_is_not_scored_again(
+        self, files, fork_log, monkeypatch, capsys
+    ):
+        parent = os.getpid()
+        sample = cli.sample
+        scored_here = []
+
+        def interrupted_sample(*args):
+            if os.getpid() == parent:
+                scored_here.append(args[1].family)
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return sample(*args)
+
+        monkeypatch.setattr(cli, "sample", interrupted_sample)
+        use_workers(monkeypatch, 3)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            main(sweep_argv(files, *GRID))
+        assert time.perf_counter() - start < 30
+        assert os.getpid() == parent and len(fork_log["sweep"]) == 2
+        assert scored_here == ["normal"]
+        assert_no_child_left()
 
 
 READ_ROWS = 12
