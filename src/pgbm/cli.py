@@ -67,7 +67,8 @@ if TYPE_CHECKING:
 MAX_SAMPLE_COLUMNS = 10_000
 # Most rho values one `sweep --rhos` list or range may give.
 MAX_RHO_VALUES = 1_000
-# Rows per block of predict output: bounds the Python floats held at once.
+# Rows per block of predict output: the unit that predict's shares split,
+# formatted and written one at a time.
 _PREDICT_BLOCK_ROWS = 256
 # One scored sweep cell as a worker hands it back: its CRPS and the rows
 # that fell back to normal.
@@ -153,7 +154,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--pred", required=True, help="CSV produced by predict")
     p.add_argument("--actual", required=True, help="CSV with the realized targets")
     p.add_argument("--target", help="target column in --actual")
-    p.add_argument("--metrics", default="crps,rmse", help="comma list of crps,rmse")
+    p.add_argument("--metrics", default="crps,rmse",
+                   help="comma list of crps,rmse, each at most once")
     p.add_argument("--hierarchy", help="hierarchy spec file for per-level rows")
     p.add_argument("--out", help="also write the report CSV here")
     sub["evaluate"] = p
@@ -163,9 +165,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--data", required=True,
                    help="validation CSV including the target column")
     p.add_argument("--target", help="target column (defaults to the trained one)")
-    p.add_argument("--dists", default="normal", help="comma list of families, or `all`")
+    p.add_argument("--dists", default="normal",
+                   help="comma list of families, each at most once, or `all`")
     p.add_argument("--rhos", default="0:0.09:0.01",
-                   help="comma list, or range start:stop:step (inclusive)")
+                   help="comma list, or range start:stop:step (inclusive), of distinct values")
     p.add_argument("--n-samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write the grid CSV here")
@@ -324,9 +327,11 @@ def _write_predictions(
     tmpdir: str,
 ) -> None:
     """Write predict's CSV: the header, then `row,mu,var,s0,...` per row
-    with every real as repr(). Runs of blocks of rows are formatted on
-    every CPU (see `_shares`; workers' text waits in ``tmpdir``), each one
-    block of floats at a time."""
+    with the bytes of repr() for every real, formatted in numpy (see
+    `_reprs`). Runs of blocks of rows are formatted on every CPU (see
+    `_shares`; workers' text waits in ``tmpdir``), one block at a time."""
+    from . import _reprs  # only predict pays for its tables
+
     out.write((",".join(header) + "\n").encode())
     blocks = range(0, len(moments.mu), _PREDICT_BLOCK_ROWS)
     n = _shares.count(len(blocks), _PREDICT_BLOCK_ROWS * len(header))
@@ -338,8 +343,7 @@ def _write_predictions(
             columns = [moments.mu[start:stop], moments.var[start:stop]]
             if matrix is not None:
                 columns.append(matrix[:, start:stop].T)
-            for i, values in enumerate(np.column_stack(columns).tolist(), start):
-                file.write(f"{i},{','.join(map(repr, values))}\n".encode())
+            file.write(_reprs.rows(start, np.column_stack(columns)))
 
     _shares.write(out, shares, write_blocks, tmpdir)
 
@@ -373,6 +377,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown metric {name!r}; choose from crps,rmse")
     if not requested:
         raise ValueError("no metrics requested")
+    _check_unique("--metrics", requested)
 
     mu, samples = _read_predictions(args.pred)
     y = _actual_targets(args.actual, args.target)
@@ -402,6 +407,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.out is not None:
         write_lines(args.out, lines)
     return 0
+
+
+def _check_unique(flag: str, values: list) -> None:
+    """Refuse a list flag that gives one value twice (a rho range can, when
+    its step is below the rounding of its values)."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{flag} gives {value!r} more than once")
+        seen.add(value)
 
 
 def _parse_rhos(text: str) -> list[float]:
@@ -440,9 +455,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     specs = [DistSpec(family=f.strip()) for f in families if f.strip()]
     if not specs:
         raise ValueError("no families requested")
+    _check_unique("--dists", [spec.family for spec in specs])
     rhos = _parse_rhos(args.rhos)
     if not rhos:
         raise ValueError("no rho values requested")
+    _check_unique("--rhos", rhos)
     _check_sampling(args.n_samples, args.seed)
 
     model = load_model(args.model)

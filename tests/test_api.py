@@ -111,15 +111,23 @@ def test_no_blas_products():
     assert users == []
 
 
-def test_cli_import_loads_no_process_pool():
-    # A process pool's imports would add to every command's start-up time.
+def modules_after_cli_import(names: tuple[str, ...]) -> list[str]:
+    """Those of ``names`` that a fresh `import pgbm.cli` loads."""
     src = str(pathlib.Path(pgbm.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import sys, pgbm.cli; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
-    )
+    code = f"import sys, pgbm.cli; print([m for m in {names!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout == "[]\n"
+    return ast.literal_eval(result.stdout)
+
+
+def test_cli_import_loads_no_process_pool():
+    # A process pool's imports would add to every command's start-up time.
+    assert modules_after_cli_import(("multiprocessing", "concurrent.futures")) == []
+
+
+def test_cli_import_loads_no_formatter():
+    # Only predict's writer imports the CSV number formatter, so that its
+    # tables add to no other command's start-up time or memory.
+    assert modules_after_cli_import(("pgbm._reprs",)) == []

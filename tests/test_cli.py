@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import pgbm
 from pgbm import DistSpec, load_csv, predict_moments, sample
 from pgbm.model_io import load as load_model
-from pgbm import cli, errors
+from pgbm import _reprs, cli, errors
 from pgbm.cli import main
 
 from conftest import make_regression, use_workers
@@ -411,31 +413,47 @@ class TestPredict:
         out = tmp_path / "missing" / "pred.csv"
         assert self.predict(workspace, out) == 3
 
-    @pytest.mark.parametrize("n_samples", [6, None])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "extra",
+        [["--n-samples", "6"], ["--point-only"], ["--n-samples", "6", "--dist", "poisson"],
+         ["--n-samples", "6", "--clamp-nonneg"]],
+        ids=["normal", "point_only", "poisson", "clamp_nonneg"],
+    )
     def test_blocks_write_the_whole_file_bytes(
-        self, workspace, tmp_path, monkeypatch, n_samples
+        self, workspace, tmp_path, monkeypatch, extra, workers
     ):
-        # 80 rows in blocks of 7: eleven full blocks and a partial one.
+        # 80 rows in blocks of 7: eleven full blocks and a partial one. Two
+        # workers take six blocks each. Each block is formatted two rows (at
+        # most 20 values) at a time, so chunks end inside blocks.
         monkeypatch.setattr(cli, "_PREDICT_BLOCK_ROWS", 7)
+        monkeypatch.setattr(_reprs, "_CHUNK_VALUES", 20)
+        use_workers(monkeypatch, workers)
         out = tmp_path / "pred.csv"
-        extra = ["--point-only"] if n_samples is None else ["--n-samples", "6"]
         assert self.predict(workspace, out, [*extra, "--seed", "3"]) == 0
 
         model = load_model(workspace["model"])
         moments = predict_moments(model, load_csv(workspace["test_csv"], "y"))
         header = ["row", "mu", "var"]
-        if n_samples is not None:
-            draws = sample(moments, DistSpec("normal"), n_samples, 3).samples
-            header.extend(f"s{j}" for j in range(n_samples))
+        if "--point-only" not in extra:
+            family = "poisson" if "poisson" in extra else "normal"
+            spec = DistSpec(family, clamp_nonneg="--clamp-nonneg" in extra)
+            draws = sample(moments, spec, 6, 3).samples
+            header.extend(f"s{j}" for j in range(6))
         lines = [",".join(header)]
         for i in range(len(moments.mu)):
             cells = [str(i), repr(float(moments.mu[i])), repr(float(moments.var[i]))]
-            if n_samples is not None:
+            if "--point-only" not in extra:
                 cells.extend(repr(float(v)) for v in draws[:, i])
             lines.append(",".join(cells))
-        assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+        text = out.read_text(encoding="utf-8")
+        assert text == "\n".join(lines) + "\n"
         rows = [line.split(",", 1)[0] for line in read_lines(out)[1:]]
         assert rows == [str(i) for i in range(80)]
+        if "poisson" in extra:
+            assert ",2.0," in text
+        if "--clamp-nonneg" in extra:
+            assert ",0.0," in text or ",0.0\n" in text
 
     @pytest.mark.parametrize("rho", ["nan", "inf", "2", "-1.5"])
     def test_rho_outside_unit_interval(self, workspace, tmp_path, capsys, rho):
@@ -502,6 +520,26 @@ def predictions(workspace, tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+def test_only_predict_imports_the_formatter(workspace, predictions, tmp_path, monkeypatch):
+    # Sweep's peak memory is the largest of the commands'; the formatter's
+    # import and tables stay out of train, evaluate and sweep.
+    monkeypatch.delitem(sys.modules, "pgbm._reprs")
+    monkeypatch.delattr(pgbm, "_reprs")
+    runs = {
+        "train": ["--data", str(workspace["train_csv"]), "--target", "y",
+                  "--model-out", str(tmp_path / "model.txt"), "--n-estimators", "2"],
+        "evaluate": ["--pred", str(predictions), "--actual", str(workspace["test_csv"]),
+                     "--target", "y"],
+        "sweep": ["--model", str(workspace["model"]), "--data", str(workspace["test_csv"]),
+                  "--dists", "normal,lognormal", "--rhos", "0,0.1", "--n-samples", "20"],
+        "predict": ["--model", str(workspace["model"]), "--data", str(workspace["test_csv"]),
+                    "--out", str(tmp_path / "pred.csv"), "--n-samples", "2"],
+    }
+    for command, argv in runs.items():
+        assert main([command, *argv]) == 0
+        assert ("pgbm._reprs" in sys.modules) == (command == "predict"), command
 
 
 def replace_cell(lines, row, col, value):
@@ -1075,6 +1113,15 @@ FAILURES = {
     "rho_list_above_cap": (
         lambda f: _sweep(f, "--rhos", ",".join(["0"] * (cli.MAX_RHO_VALUES + 1)),
                          model="absent"),
+        2, ValueError),
+    "duplicate_family": (
+        lambda f: _sweep(f, "--dists", "normal, lognormal,normal", model="absent"), 2, ValueError),
+    "duplicate_rho": (lambda f: _sweep(f, "--rhos", "0,0.1,0.0", model="absent"), 2, ValueError),
+    "duplicate_rho_in_range": (
+        lambda f: _sweep(f, "--rhos", "0:1e-11:1e-13", model="absent"), 2, ValueError),
+    "duplicate_metric": (
+        lambda f: ["evaluate", "--pred", str(f["absent"]), "--actual", str(f["absent"]),
+                   "--target", "y", "--metrics", "rmse,crps,rmse"],
         2, ValueError),
     "rhos_followed_by_flag": (lambda f: _sweep(f, "--rhos", "--seed", "1"), 2, None),
     "header_only_predictions": (
