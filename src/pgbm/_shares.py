@@ -9,11 +9,17 @@ appends each child's bytes in share order, so the bytes do not depend
 on the number of workers. Without `os.fork` (or `os.sched_getaffinity`)
 `count` gives one share and nothing is forked; where a fork fails, that
 share and the later ones run in the calling process.
+
+Failures follow one rule. Work gathered in memory (`gather`: a read, or
+sweep's cells) is redone in one process when any share fails, so its
+warnings, error and exit code are one process's. Predict's text streams
+into its output file (`write`), so the first error of any share is its.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import pickle
 import shutil
@@ -52,7 +58,7 @@ def write(
     Share 0 writes straight to ``out`` here. Every other share runs in a
     forked child that writes an unnamed temporary file in ``tmpdir``
     (predict's output directory, so its text waits on the disk that takes
-    it; the default temporary directory for a read or sweep's cells); the
+    it; the default temporary directory under `gather`); the
     parent waits for each child in share order and copies its file to
     ``out``. Where a temporary file or a fork cannot be made, that share
     and every later one run here, after the children's. A child's
@@ -103,6 +109,23 @@ def write(
                     os.waitpid(pid, 0)
         for file in files:
             file.close()
+
+
+def gather(
+    shares: Sequence[Share], work: Callable[[Share, SupportsWrite[bytes]], None]
+) -> memoryview | None:
+    """The bytes that `write` gives for ``shares``, with the workers' files
+    in the default temporary directory; or None, and the caller does all
+    its work in one process, for one share or when any share raised an
+    `Exception` (a worker that died included). Interrupts pass through."""
+    if len(shares) < 2:
+        return None
+    out = io.BytesIO()
+    try:
+        write(out, shares, work, tempfile.gettempdir())
+    except Exception:  # redone in one process, whose result is the caller's
+        return None
+    return out.getbuffer()
 
 
 def _move_to(cpu: int, mask: set[int]) -> None:

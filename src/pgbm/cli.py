@@ -14,19 +14,21 @@ command reads a large plain CSV input (see `load_csv`), on every CPU in
 the process's affinity mask, in forked worker processes (limit it with
 `taskset`); output bytes, the matrices read and errors do not depend on
 the number of CPUs. Without `os.fork`, or where a fork fails, the work
-runs in one process.
+runs in one process. Where a worker fails, a read or the grid is done
+again in one process, whose result is the command's; predict's text
+streams into its output file, so predict reports the worker's error.
+Columns are found by name; each name a command needs must name one column.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import re
 import struct
 import sys
-import tempfile
+from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,8 +36,8 @@ import numpy as np
 from . import __version__, _shares
 from .boost import (
     BoostConfig,
-    Ensemble,
     PredictiveMoments,
+    _check_rho,
     accumulate_moments,
     predict_moments,
     train,
@@ -43,7 +45,7 @@ from .boost import (
 )
 from .data import OutputFile, RawDataset, load_csv, read_text, write_lines
 from .dist import FAMILIES, DistSpec, check_draws, check_seed, sample
-from .errors import LengthMismatch, MissingColumn, ParseError, PgbmError
+from .errors import DuplicateColumn, LengthMismatch, MissingColumn, ParseError, PgbmError
 from .loss import hier_wmse_gradhess, load_hierarchy, mse_gradhess
 from .metrics import (
     MetricReport,
@@ -58,8 +60,6 @@ from .model_io import save as save_model
 from .tree import TreeConfig
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
-
     from _typeshed import SupportsWrite
 
     Cell = tuple[DistSpec, float]
@@ -220,17 +220,29 @@ def _config_flags(
     return flags
 
 
-def _model_columns(model: Ensemble, path: str, target: str | None = None) -> RawDataset:
-    """Load a CSV keeping exactly the model's feature columns, in
-    training order; with a ``target`` name that column is the target,
-    otherwise a present target column is simply dropped."""
-    raw = load_csv(path, target)
-    columns = []
-    for name in model.feature_names:
-        if name not in raw.feature_names:
+def _columns(path: str, header: list[str], names: list[str]) -> list[int]:
+    """The position of each of ``names`` in ``header``, the column names
+    of the file at ``path``. Raises MissingColumn for a name it lacks and
+    DuplicateColumn for one it gives twice, since either could be meant."""
+    count = Counter(header)
+    for name in names:
+        if not count[name]:
             raise MissingColumn(f"{path} is missing column {name!r}")
-        columns.append(raw.feature_names.index(name))
-    return RawDataset(raw.features[:, columns], raw.target, list(model.feature_names), target)
+        if count[name] > 1:
+            raise DuplicateColumn(f"{path} has {count[name]} columns named {name!r}")
+    at = {name: k for k, name in enumerate(header)}
+    return [at[name] for name in names]
+
+
+def _named_columns(path: str, names: list[str], target: str | None = None) -> RawDataset:
+    """Load a CSV keeping exactly the feature columns ``names`` (see
+    `_columns`), in that order; with a ``target`` name that column is the
+    target, and any other column is dropped."""
+    raw = load_csv(path, target)
+    columns = _columns(path, raw.feature_names, names)
+    if target is not None:  # load_csv took the first column of that name
+        _columns(path, [*raw.feature_names, target], [target])
+    return RawDataset(raw.features[:, columns], raw.target, list(names), target)
 
 
 def _check_sampling(n_samples: int, seed: int) -> None:
@@ -250,6 +262,8 @@ def _warn_fallback(rows: int, family: str, where: str = "") -> None:
 
 def cmd_train(args: argparse.Namespace) -> int:
     data = load_csv(args.data, args.target)
+    names = [*data.feature_names, args.target]
+    _columns(args.data, names, names)  # the model finds its features by name
     if args.loss == "hierwmse":
         if args.hierarchy is None:
             raise ValueError("--loss hierwmse requires --hierarchy")
@@ -278,7 +292,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     valid = None
     progress = None
     if args.valid is not None:
-        valid_data = load_csv(args.valid, args.target)
+        valid_data = _named_columns(args.valid, data.feature_names, args.target)
         if args.valid_metric == "crps":
             metric = lambda y, mu, var: float(np.mean(crps_normal(y, mu, var)))
         else:
@@ -299,7 +313,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not args.point_only:
         _check_sampling(args.n_samples, args.seed)
     model = load_model(args.model)
-    data = _model_columns(model, args.data)
+    data = _named_columns(args.data, model.feature_names)
     rho = None if args.rho in (None, "auto") else float(args.rho)
     moments = predict_moments(model, data, rho=rho)
 
@@ -362,9 +376,7 @@ def _read_predictions(path: str) -> tuple[np.ndarray, np.ndarray | None]:
 def _actual_targets(path: str, target: str | None) -> np.ndarray:
     raw = load_csv(path, target_column=None)
     if target is not None:
-        if target not in raw.feature_names:
-            raise MissingColumn(f"{path} has no column {target!r}")
-        return raw.features[:, raw.feature_names.index(target)]
+        return raw.features[:, _columns(path, raw.feature_names, [target])[0]]
     if raw.f == 1:
         return raw.features[:, 0]
     raise ValueError(f"{path} has {raw.f} columns; pass --target to pick one")
@@ -445,8 +457,7 @@ def _parse_rhos(text: str) -> list[float]:
             f"--rhos lists {len(values)} values, more than the cap of {MAX_RHO_VALUES}"
         )
     for value in values:
-        if not -1.0 <= value <= 1.0:  # also refuses nan
-            raise ValueError(f"rho {value} outside [-1, 1]")
+        _check_rho(value)
     return values
 
 
@@ -466,7 +477,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     target = args.target if args.target is not None else model.target_name
     if target is None:
         raise ValueError("no target column recorded in the model; pass --target")
-    data = _model_columns(model, args.data, target)
+    data = _named_columns(args.data, model.feature_names, target)
     contrib_mu, contrib_var = tree_contributions(model, data)
     moments_by_rho = {
         rho: accumulate_moments(model.y0, model.alpha, rho, contrib_mu, contrib_var)
@@ -481,11 +492,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         value = float(np.mean(crps_empirical_rows(result.samples, data.target)))
         return value, result.fallback_rows  # the draws are freed on return
 
+    # A fork costs about as much as scoring one cell, so each share holds a
+    # pair of cells or more; cell k goes to share k mod n, so that a slow
+    # family's cells spread over the shares.
+    n = _shares.count(len(cells) // 2, 2 * data.n * args.n_samples)
+    shares = [range(k, len(cells), n) for k in range(n)]
+
+    def score_share(share: range, file: SupportsWrite[bytes]) -> None:
+        for k in share:
+            file.write(_CELL.pack(*score(cells[k])))
+
+    records = _shares.gather(shares, score_share)
+    if records is None:  # in this process, each cell's warning as it is scored
+        scores = map(score, cells)
+    else:
+        order = [k for share in shares for k in share]
+        scores = [record for _, record in sorted(zip(order, _CELL.iter_unpack(records)))]
     lines = ["dist,rho,crps"]
     best: tuple[str, float, float] | None = None
-    scores = _scores_in_shares(cells, score, 2 * data.n * args.n_samples)
-    if scores is None:  # in this process, each cell's warning as it is scored
-        scores = map(score, cells)
     for (spec, rho), (value, fallback_rows) in zip(cells, scores):
         _warn_fallback(fallback_rows, spec.family, f" at rho {rho!r}")
         lines.append(f"{spec.family},{rho!r},{value!r}")
@@ -497,37 +521,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out is not None:
         write_lines(args.out, lines)
     return 0
-
-
-def _scores_in_shares(
-    cells: list[Cell], score: Callable[[Cell], tuple[float, int]], pair_values: int
-) -> list[tuple[float, int]] | None:
-    """``score`` of every cell, in grid order, from forked shares (see
-    `_shares`), or None where the caller should score the cells itself.
-
-    Each share holds at least a pair of cells (``pair_values`` draws),
-    since a fork costs about as much as scoring one cell; cell k goes to
-    share k mod n, so that a slow family's cells spread over the shares.
-    Each process holds one cell's draws at a time, and the workers'
-    records wait in the default temporary directory. None is also the
-    answer when any share fails, so that the cells are scored again in
-    one process, whose warnings, error and exit code are the result."""
-    n = _shares.count(len(cells) // 2, pair_values)
-    if n == 1:
-        return None
-    shares = [range(k, len(cells), n) for k in range(n)]
-
-    def score_share(share: range, file: SupportsWrite[bytes]) -> None:
-        for k in share:
-            file.write(_CELL.pack(*score(cells[k])))
-
-    records = io.BytesIO()
-    try:
-        _shares.write(records, shares, score_share, tempfile.gettempdir())
-    except Exception:  # scored again, as one process scores
-        return None
-    order = [k for share in shares for k in share]
-    return [record for _, record in sorted(zip(order, _CELL.iter_unpack(records.getvalue())))]
 
 
 _HANDLERS = {

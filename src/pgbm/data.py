@@ -18,7 +18,6 @@ import csv
 import os
 import re
 import stat
-import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -241,47 +240,25 @@ def _read_plain(path: str | Path, rows: int, width: int) -> np.ndarray:
     """Read the ``rows`` data rows of a plain file (see `_plain_rows`)
     from its path.
 
-    Above the share minimum the rows are split into runs, one per CPU
-    (see `_shares`): each run is read from its own first line on, the
-    first here and the others in forked workers whose float64 bytes
-    wait in the default temporary directory, and all are copied in order
-    into one matrix. If any run fails or reads other than its own rows,
-    the whole file is read again here, and that read's matrix or error is
-    the result: an error then carries the row a single read gives."""
+    Above the share minimum the rows are split into runs, one per CPU,
+    each read from its own first line on (see `_shares.gather`). If any
+    run fails or reads other than its own rows, the whole file is read
+    again here: an error then carries the row a single read gives."""
     source = os.path.abspath(path)  # never a URL to numpy
     n = _shares.count(rows, width)
-    if n > 1:
-        runs = [range(rows * k // n, rows * (k + 1) // n) for k in range(n)]
+    runs = [range(rows * k // n, rows * (k + 1) // n) for k in range(n)]
 
-        def read_run(run: range, file: SupportsWrite[bytes]) -> None:
-            last = run.stop == rows  # read to the end, so that no row is left out
-            cells = _read_rows(source, width, path, 1 + run.start, None if last else len(run))
-            if len(cells) != len(run):
-                raise ValueError(f"{path}: {len(cells)} rows where {len(run)} were counted")
-            file.write(cells)
+    def read_run(run: range, file: SupportsWrite[bytes]) -> None:
+        last = run.stop == rows  # read to the end, so that no row is left out
+        cells = _read_rows(source, width, path, 1 + run.start, None if last else len(run))
+        if len(cells) != len(run):
+            raise ValueError(f"{path}: {len(cells)} rows where {len(run)} were counted")
+        file.write(cells)
 
-        matrix = np.empty((rows, width))
-        try:
-            _shares.write(_Filling(matrix), runs, read_run, tempfile.gettempdir())
-            return matrix
-        except Exception:  # read again below, as one process reads
-            pass
+    cells = _shares.gather(runs, read_run)
+    if cells is not None:
+        return np.frombuffer(cells).reshape(rows, width)
     return _read_rows(source, width, path, 1)
-
-
-class _Filling:
-    """A writer that copies the bytes written to it, in order, into a
-    preallocated array."""
-
-    def __init__(self, array: np.ndarray):
-        self._bytes = array.reshape(-1).view(np.uint8)
-        self._at = 0
-
-    def write(self, data: bytes | np.ndarray) -> int:
-        chunk = np.frombuffer(data, np.uint8)
-        self._bytes[self._at : self._at + chunk.size] = chunk
-        self._at += chunk.size
-        return chunk.size
 
 
 def _read_rows(

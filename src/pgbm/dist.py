@@ -36,8 +36,9 @@ FAMILIES = ("normal", "studentt3", "logistic", "laplace", "lognormal", "gumbel",
 # Weibull shape bisection: bracket, tolerance on the moment ratio, cap.
 _WEIBULL_K_LO, _WEIBULL_K_HI, _WEIBULL_TOL, _WEIBULL_MAX_ITER = 0.1, 50.0, 1e-10, 200
 
-# Rows per block, as in predict's writer; spawn keys of the shared,
-# fallback and discrete-row streams.
+# Rows per block: a fallback row's stream is keyed to its block, so this
+# sets sample bytes, apart from `cli._PREDICT_BLOCK_ROWS`; spawn keys of the
+# shared, fallback and discrete-row streams.
 _BLOCK_ROWS, _SHARED, _FALLBACK, _ROWS = 256, 0, 1, 2
 # The largest rate numpy's Poisson sampler accepts (int64 max less 10 sqrt of it).
 _POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10

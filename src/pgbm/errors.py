@@ -16,6 +16,10 @@ class MissingColumn(PgbmError):
     """A named column is not present in the file header."""
 
 
+class DuplicateColumn(PgbmError):
+    """A column name that a command needs is given to more than one column."""
+
+
 class ParseError(PgbmError):
     """A cell or line could not be parsed.
 

@@ -93,6 +93,27 @@ def test_fork_is_called_from_one_module():
     assert users == ["_shares.py"]
 
 
+def test_shares_write_is_called_from_gather_and_predict():
+    # Work gathered in memory goes through _shares.gather, which redoes it
+    # in one process when a share fails; only predict's writer, whose text
+    # streams into its output file, calls _shares.write itself.
+    package = pathlib.Path(pgbm.__file__).parent
+
+    def writes(node, module):
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Attribute) and node.func.attr == "write"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "_shares"
+            or module == "_shares" and isinstance(node.func, ast.Name) and node.func.id == "write"
+        )
+
+    callers = set()
+    for path in sorted(package.glob("**/*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(writes(node, path.stem) for node in ast.walk(top)):
+                callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"_shares.gather", "cli._write_predictions"}
+
+
 def test_no_blas_products():
     # A BLAS call wakes OpenBLAS's worker threads, which then spin on the
     # other CPUs between calls; the package's one product is an einsum.

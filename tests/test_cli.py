@@ -11,7 +11,7 @@ import pytest
 import pgbm
 from pgbm import DistSpec, load_csv, predict_moments, sample
 from pgbm.model_io import load as load_model
-from pgbm import _reprs, cli, errors
+from pgbm import _reprs, _shares, cli, errors
 from pgbm.cli import main
 
 from conftest import make_regression, use_workers
@@ -29,6 +29,18 @@ def write_csv(path, data):
 
 def read_lines(path):
     return path.read_text(encoding="utf-8").splitlines()
+
+
+def write_reordered(source, path, names):
+    """Write the columns of CSV ``source`` named by ``names``, in that
+    order, to ``path``; a name may repeat, and `q=x1` is a column q that
+    holds column x1."""
+    table = load_csv(source, None)
+    header, _, _ = zip(*(name.partition("=") for name in names))
+    at = [table.feature_names.index(name.rpartition("=")[2]) for name in names]
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in table.features[:, at].tolist()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +119,25 @@ class TestTrain:
         assert code == 0
         assert "iter 0 rmse " in captured.out
         assert "iter 4 rmse " in captured.out
+
+    @pytest.mark.parametrize("names", [["x1", "y", "x0"], ["x0", "q=x1", "x1", "y"]],
+                             ids=["reordered", "extra_column"])
+    def test_validation_columns_are_found_by_name(self, workspace, capsys, tmp_path, names):
+        """Early stopping on a validation file whose columns are in another
+        order, or which holds one more, keeps the trees and prints the
+        scores of the file in training order."""
+        outcomes = []
+        for valid in (workspace["test_csv"],
+                      write_reordered(workspace["test_csv"], tmp_path / "valid.csv", names)):
+            out = tmp_path / "m.txt"
+            argv = ["train", "--data", str(workspace["train_csv"]), "--target", "y",
+                    "--valid", str(valid), "--early-stopping-rounds", "3",
+                    "--model-out", str(out), "--n-estimators", "60", "--seed", "4"]
+            assert main(argv) == 0
+            outcomes.append((capsys.readouterr().out.replace(str(valid), "VALID"),
+                             out.read_bytes()))
+        assert outcomes[0][1].count(b"\ntree ") > 1
+        assert outcomes[1] == outcomes[0]
 
     def test_missing_required_flag(self, workspace, capsys):
         code = main(["train", "--data", str(workspace["train_csv"])])
@@ -355,6 +386,17 @@ class TestPredict:
         c = tmp_path / "c.csv"
         assert self.predict(workspace, c, ["--n-samples", "8", "--seed", "6"]) == 0
         assert a.read_bytes() != c.read_bytes()
+
+    def test_columns_are_found_by_name(self, workspace, tmp_path):
+        """Reordered columns, and a name repeated that the model does not
+        use, give the bytes of the file in training order."""
+        expected, out = tmp_path / "expected.csv", tmp_path / "pred.csv"
+        assert self.predict(workspace, expected, ["--n-samples", "4"]) == 0
+        names = ["y", "x1", "y", "x0"]
+        data = write_reordered(workspace["test_csv"], tmp_path / "data.csv", names)
+        assert main(["predict", "--model", str(workspace["model"]), "--data", str(data),
+                     "--out", str(out), "--n-samples", "4"]) == 0
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_point_only(self, workspace, tmp_path):
         out = tmp_path / "pred.csv"
@@ -794,17 +836,18 @@ class TestSweep:
         """Also when the cell is scored in a forked worker: of four cells
         in two shares, laplace at 0.02 is the worker's second."""
         use_workers(monkeypatch, 2)
-        in_shares = cli._scores_in_shares
-        shared = []
+        gather = _shares.gather
+        gathered = []
 
-        def recording(*args):
-            shared.append(in_shares(*args))
-            return shared[-1]
+        def recording(shares, work):
+            gathered.append((work.__name__, gather(shares, work)))
+            return gathered[-1][1]
 
-        monkeypatch.setattr(cli, "_scores_in_shares", recording)
+        monkeypatch.setattr(_shares, "gather", recording)
         sweep_crps, eval_crps = self.laplace_cell_and_evaluate(
             workspace, tmp_path, capsys, "normal,laplace", "0.0,0.02")
-        assert len(shared) == 1 and shared[0] is not None
+        cells = [records for name, records in gathered if name == "score_share"]
+        assert len(cells) == 1 and cells[0] is not None
         assert eval_crps == sweep_crps
 
     def laplace_cell_and_evaluate(self, workspace, tmp_path, capsys, dists, rhos):
@@ -1040,7 +1083,26 @@ FAILURES = {
     "header_only": (lambda f: _train(f, "header_only"), 3, errors.EmptyDataset),
     "valid_feature_count": (
         lambda f: _train(f, "train_csv", "--valid", str(f["one_feature"])),
-        3, errors.FeatureCountMismatch),
+        3, errors.MissingColumn),
+    "valid_other_names": (
+        lambda f: _train(f, "train_csv", "--valid", str(f["other_names"])),
+        3, errors.MissingColumn),
+    "repeated_feature_train": (lambda f: _train(f, "repeated_feature"), 3, errors.DuplicateColumn),
+    "repeated_target_train": (lambda f: _train(f, "repeated_target"), 3, errors.DuplicateColumn),
+    "repeated_feature_valid": (
+        lambda f: _train(f, "train_csv", "--valid", str(f["repeated_x0"])),
+        3, errors.DuplicateColumn),
+    "repeated_feature_predict": (
+        lambda f: ["predict", "--model", str(f["model"]), "--data", str(f["repeated_x0"]),
+                   "--out", str(f["out"])],
+        3, errors.DuplicateColumn),
+    "repeated_target_sweep": (
+        lambda f: ["sweep", "--model", str(f["model"]), "--data", str(f["repeated_target"])],
+        3, errors.DuplicateColumn),
+    "repeated_target_evaluate": (
+        lambda f: ["evaluate", "--pred", str(f["point_predictions"]),
+                   "--actual", str(f["repeated_target"]), "--target", "y", "--metrics", "rmse"],
+        3, errors.DuplicateColumn),
     "prediction_rows": (
         lambda f: ["evaluate", "--pred", str(f["one_prediction"]),
                    "--actual", str(f["test_csv"]), "--target", "y", "--metrics", "rmse"],
@@ -1157,6 +1219,7 @@ UNREACHABLE = {
     "DegenerateHessian": "every command's hessian is positive and lambda nonnegative",
     "EmptyMask": "a bag always holds at least one row",
     "InfeasibleMoments": "sample falls back to normal instead of raising it",
+    "FeatureCountMismatch": "every command finds a file's feature columns by name",
     "EmptySamples": "sample rejects zero draws and evaluate needs sample columns first",
 }
 
@@ -1171,6 +1234,10 @@ def failures(workspace, tmp_path_factory):
         "non_finite": "x,y\n1,nan\n",
         "header_only": "x,y\n",
         "one_feature": "x0,y\n0,1\n",
+        "other_names": "p,q,y\n0,1,2\n",
+        "repeated_feature": "x0,x0,y\n0,1,2\n1,0,3\n",
+        "repeated_target": "x0,y,x1,y\n0,1,2,3\n1,0,3,2\n",
+        "repeated_x0": "x0,x1,x0,y\n0,1,2,3\n1,0,3,2\n",
         "one_prediction": "row,mu,var\n0,1.0,0.5\n",
         "header_only_predictions": "row,mu,var,s0,s1\n",
         "far_hierarchy": "levels=1\nlevel 0 weight=1\ngroup a: 0,999\n",

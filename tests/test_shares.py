@@ -47,27 +47,24 @@ def files(tmp_path_factory):
 
 @pytest.fixture
 def fork_log(monkeypatch, tmp_path):
-    """Records the pid of every child forked, by its caller: "read" for
-    `load_csv`'s, "write" for predict's writer and "sweep" for sweep's
-    cells. Checks that each worker's temporary file is made where its
-    caller puts it: the writer's in the test's output directory, those
-    of `load_csv` and sweep in the system's temporary directory, which
-    goes to a directory of the test's own and must stay empty."""
+    """Records the pid of every child forked, by its caller, told apart by
+    the name of the work it shares: "read" for `load_csv`'s, "write" for
+    predict's writer and "sweep" for sweep's cells. Checks that each
+    worker's temporary file is made where its caller puts it: the
+    writer's in the test's output directory, those of `load_csv` and
+    sweep in the system's temporary directory, which goes to a directory
+    of the test's own and must stay empty."""
     log: dict[str, list[int]] = {"read": [], "write": [], "sweep": []}
     callers: list[str] = []
     fork = os.fork
     temporary_file = tempfile.TemporaryFile
     write = _shares.write
+    caller = {"read_run": "read", "write_blocks": "write", "score_share": "sweep"}
 
-    def caller(out):
-        if isinstance(out, data._Filling):
-            return "read"
-        return "write" if isinstance(out, data.OutputFile) else "sweep"
-
-    def tagged_write(out, *args):
-        callers.append(caller(out))
+    def tagged_write(out, shares, work, tmpdir):
+        callers.append(caller[work.__name__])
         try:
-            return write(out, *args)
+            return write(out, shares, work, tmpdir)
         finally:
             callers.pop()
 
@@ -470,12 +467,13 @@ class TestSweepFailures:
             return sample(moments, spec, *args)
 
         monkeypatch.setattr(cli, "sample", failing_sample)
-        outcomes = []
+        outcomes, scored = [], []
         for n in (1, 2):
             use_workers(monkeypatch, n)
             scored_here.clear()
             out = tmp_path / "grid.csv"
             outcomes.append(run(sweep_argv(files, *self.CELLS, "--out", str(out)), capsys, out))
+            scored.append(scored_here.copy())
         one, many = outcomes
         assert one == many
         assert one[0] == code and one[1] == "" and one[3] is None
@@ -485,8 +483,10 @@ class TestSweepFailures:
             for family in ("negativebinomial", "lognormal")
         ]
         assert error.startswith("error:") and "Traceback" not in one[2]
-        # Share 0 here, then the whole grid again up to the failing cell.
-        assert scored_here == ["normal", "lognormal", *self.CELLS[1].split(",")]
+        # One process scores the grid once, up to the failing cell; with
+        # two shares, share 0 is scored here, then the grid again up to it.
+        grid = self.CELLS[1].split(",")
+        assert scored == [grid, ["normal", "lognormal", *grid]]
         assert len(fork_log["sweep"]) == 1
         assert_no_child_left()
         assert names(tmp_path) == []
@@ -694,6 +694,34 @@ class TestLoadCsv:
         assert read_outcome(path) == expected
         assert len(fork_log["read"]) == 1
         assert_no_child_left()
+
+
+    def test_an_interrupt_kills_the_workers_and_is_not_read_again(
+        self, fork_log, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,y\n" + GOOD_ROWS, encoding="utf-8")
+        parent = os.getpid()
+        read_rows = data._read_rows
+        reads_here = []
+
+        def interrupted_read_rows(*args, **kwargs):
+            if os.getpid() == parent:
+                reads_here.append(args)
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return read_rows(*args, **kwargs)
+
+        monkeypatch.setattr(data, "_read_rows", interrupted_read_rows)
+        use_workers(monkeypatch, 3)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            data.load_csv(path, "y")
+        assert time.perf_counter() - start < 30
+        assert os.getpid() == parent and len(fork_log["read"]) == 2
+        assert len(reads_here) == 1
+        assert_no_child_left()
+        assert names(tmp_path) == ["data.csv"]
 
 
 class LocalError(ValueError):
