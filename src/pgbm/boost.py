@@ -17,13 +17,13 @@ refitting anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from ._value import Fresh, Value
 from .data import BinEdges, RawDataset, apply_bins, compute_bin_edges
-from .errors import FeatureCountMismatch, NonFiniteEstimate, TrainingDiverged
+from .errors import FeatureCountMismatch, FeatureNameMismatch, NonFiniteEstimate, TrainingDiverged
 from .loss import GradHess
 from .tree import Tree, TreeConfig, grow_tree, route_many
 
@@ -49,13 +49,21 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
-@dataclass(frozen=True)
-class BoostConfig:
+def _check_features(data: RawDataset, names: list[str], whose: str) -> None:
+    """Raise unless ``data``'s features are ``names``, in this order."""
+    if data.f != len(names):
+        raise FeatureCountMismatch(f"data has {data.f} features, {whose} has {len(names)}")
+    for position, (name, expected) in enumerate(zip(data.feature_names, names)):
+        if name != expected:
+            raise FeatureNameMismatch(f"feature {position} is {name!r}, {whose} has {expected!r}")
+
+
+class BoostConfig(Value):
     n_estimators: int = 100
     learning_rate: float = 0.1
     bagging_fraction: float = 1.0
     feature_fraction: float = 1.0
-    tree: TreeConfig = field(default_factory=TreeConfig)
+    tree: TreeConfig = Fresh(TreeConfig)
     rho: float | str = "auto"
     early_stopping_rounds: int | None = None
     seed: int = 0
@@ -80,16 +88,14 @@ class BoostConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class PredictiveMoments:
+class PredictiveMoments(Value):
     """Accumulated per-sample mean and variance of the prediction."""
 
     mu: np.ndarray
     var: np.ndarray
 
 
-@dataclass
-class Ensemble:
+class Ensemble(Value, frozen=False):
     """A trained model: trees in boosting order plus everything needed
     to bin new data and accumulate moments."""
 
@@ -168,10 +174,7 @@ def train(
     metric = None
     if valid is not None:
         valid_data, metric = valid
-        if valid_data.f != data.f:
-            raise FeatureCountMismatch(
-                f"validation data has {valid_data.f} features, train has {data.f}"
-            )
+        _check_features(valid_data, data.feature_names, "the training set")
         valid_binned = apply_bins(valid_data, edges)
         valid_mu = np.full(valid_data.n, y0)
         valid_var = np.zeros(valid_data.n)
@@ -260,10 +263,7 @@ def train(
 def _routed_leaf_moments(model: Ensemble, data: RawDataset):
     """Yield each tree's (leaf mu, leaf var) for every row of ``data``,
     in boosting order, after binning the rows once."""
-    if data.f != len(model.feature_names):
-        raise FeatureCountMismatch(
-            f"data has {data.f} features, model expects {len(model.feature_names)}"
-        )
+    _check_features(data, model.feature_names, "the model")
     bins = apply_bins(data, model.edges).bins
     for tree in model.trees:
         leaf_ids = route_many(tree, bins)

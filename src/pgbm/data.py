@@ -19,13 +19,13 @@ import os
 import re
 import stat
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, TextIO
 
 import numpy as np
 
 from . import _shares
+from ._value import Value
 from .errors import (
     EmptyDataset,
     FeatureCountMismatch,
@@ -41,17 +41,16 @@ if TYPE_CHECKING:
 
 # Bin indices are stored as uint16.
 MAX_BINS = 65536
-# numpy's two row errors; the quoted cell is its repr, cut at 100 characters.
-_BAD_CELL = re.compile(r"could not convert string (.*) to float64 at row (\d+), column (\d+)\.")
-_BAD_WIDTH = re.compile(r"the dtype passed requires \d+ columns but (\d+) were found at row (\d+)")
+# numpy's two row errors, compiled on first use; a quoted cell is its repr cut at 100.
+_BAD_CELL = r"could not convert string (.*) to float64 at row (\d+), column (\d+)\."
+_BAD_WIDTH = r"the dtype passed requires \d+ columns but (\d+) were found at row (\d+)"
 # Name endings that make numpy open a path through a decompressor.
 _PACKED = (".bz2", ".gz", ".lzma", ".xz")
 # Bytes `_plain_rows` reads at a time.
 _SCAN_BYTES = 1 << 18
 
 
-@dataclass(frozen=True)
-class RawDataset:
+class RawDataset(Value):
     """A dense numeric dataset: feature matrix, target vector, names.
 
     ``target_name`` records which column the target came from when the
@@ -94,8 +93,7 @@ class RawDataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class BinEdges:
+class BinEdges(Value):
     """Per-feature sorted upper edges; feature j has len(edges[j])+1 bins."""
 
     edges: list[np.ndarray]
@@ -119,8 +117,7 @@ class BinEdges:
         return len(self.edges[feature]) + 1
 
 
-@dataclass(frozen=True)
-class BinnedDataset:
+class BinnedDataset(Value):
     """Feature matrix reduced to per-feature bin indices."""
 
     bins: np.ndarray
@@ -287,11 +284,11 @@ def _read_rows(
     except UserWarning:  # numpy warns when no data line follows the header
         raise EmptyDataset(f"{path} has a header but no data rows") from None
     except ValueError as exc:  # a UnicodeDecodeError matches neither form
-        if cell := _BAD_CELL.fullmatch(str(exc)):
+        if cell := re.fullmatch(_BAD_CELL, str(exc)):
             value, row, col = cell.groups()
             message = f"{path}: unparseable value {value}"
             raise ParseError(int(row), int(col) - 1, message) from None
-        if ragged := _BAD_WIDTH.match(str(exc)):
+        if ragged := re.match(_BAD_WIDTH, str(exc)):
             cells, row = ragged.groups()
             message = f"{path}: wrong number of cells"
             raise ParseError(int(row) - 1, int(cells), message) from None

@@ -23,10 +23,10 @@ spawn keys of the three streams set them apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import Value
 from .boost import PredictiveMoments
 from .errors import InfeasibleMoments
 
@@ -59,8 +59,7 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
 
-@dataclass(frozen=True)
-class DistSpec:
+class DistSpec(Value):
     family: str = "normal"
     clamp_nonneg: bool = False
 
@@ -69,8 +68,7 @@ class DistSpec:
             raise ValueError(f"unknown family {self.family!r}; choose from {', '.join(FAMILIES)}")
 
 
-@dataclass(frozen=True)
-class SampleMatrix:
+class SampleMatrix(Value):
     """Draws shaped (n_samples, n_rows); column i holds row i's draws."""
 
     samples: np.ndarray

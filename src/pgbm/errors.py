@@ -51,6 +51,11 @@ class FeatureCountMismatch(PgbmError):
     """Feature count differs from what the edges or model expect."""
 
 
+class FeatureNameMismatch(PgbmError):
+    """A feature's name differs from the model's or training set's name
+    at the same position."""
+
+
 class LengthMismatch(PgbmError):
     """Two vectors that must be aligned have different lengths."""
 

@@ -18,12 +18,12 @@ r the group residual sum, and h_i = 2 * sum_a w_a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from ._value import Value
 from .data import read_text
 from .errors import (
     IndexOutOfRange,
@@ -35,8 +35,7 @@ from .errors import (
 DEFAULT_FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
-class GradHess:
+class GradHess(Value):
     """Per-sample gradient and hessian vectors for one iteration.
 
     ``objective`` is the loss at the estimates the derivatives were taken
@@ -57,8 +56,7 @@ class GradHess:
         object.__setattr__(self, "h", h)
 
 
-@dataclass(frozen=True)
-class HierarchyLevel:
+class HierarchyLevel(Value):
     """One aggregation level: a weight and a partition of the sample rows.
 
     ``identity=True`` marks the level where every sample is its own
@@ -74,8 +72,7 @@ class HierarchyLevel:
             raise ValueError("level weights must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class HierarchySpec:
+class HierarchySpec(Value):
     """Ordered aggregation levels; each level partitions the samples.
 
     Each level's partition is resolved and checked once per row count and
@@ -84,11 +81,9 @@ class HierarchySpec:
     """
 
     levels: list[HierarchyLevel]
-    _resolved: dict[tuple[int, int], tuple[np.ndarray, list[str]]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
+        object.__setattr__(self, "_resolved", {})  # (level, n) -> (ids, keys); not a field
         if not self.levels:
             raise ValueError("a hierarchy needs at least one level")
         if all(level.weight == 0 for level in self.levels):

@@ -13,10 +13,10 @@ can score the learned (mu, var) without sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import Value
 from .errors import EmptySamples, LengthMismatch
 from .loss import HierarchySpec
 
@@ -130,8 +130,7 @@ def crps_normal(y, mu, var) -> np.ndarray:
     return np.where(positive, value, np.abs(dev))
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(Value):
     """One scored metric, optionally broken down by hierarchy level."""
 
     name: str

@@ -45,11 +45,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._value import Value
 from .data import MAX_BINS, BinnedDataset
 from .errors import DegenerateHessian, EmptyMask, NonFiniteEstimate
 from .loss import GradHess
@@ -68,8 +68,7 @@ NODE_DTYPE = np.dtype(
 LEAF_DTYPE = np.dtype([("mu", np.float64), ("var", np.float64), ("n", np.int64)])
 
 
-@dataclass(frozen=True)
-class TreeConfig:
+class TreeConfig(Value):
     max_leaves: int = 16
     max_bins: int = 64
     lam: float = 1.0
@@ -98,8 +97,7 @@ class LeafStats(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True, eq=False)
-class Tree:
+class Tree(Value, eq=False):
     """One tree as a ``nodes`` and a ``leaves`` table (module docstring).
 
     Both are stored as C-contiguous, read-only copies; compare trees
@@ -141,8 +139,7 @@ class Tree:
                 seen.add(ref)
 
 
-@dataclass(frozen=True)
-class NodeHistogram:
+class NodeHistogram(NamedTuple):
     """Per-(feature, bin) sums of gradient, hessian and count for a stack
     of nodes: ``stats`` is a (3, nodes, features, bins) float64 array
     (counts are exact in float64) and ``g``, ``h`` and ``count`` are its

@@ -8,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 import pgbm
 
 PUBLIC = {
@@ -132,11 +134,11 @@ def test_no_blas_products():
     assert users == []
 
 
-def modules_after_cli_import(names: tuple[str, ...]) -> list[str]:
-    """Those of ``names`` that a fresh `import pgbm.cli` loads."""
+def modules_after_cli_import(names: tuple[str, ...], module: str = "pgbm.cli") -> list[str]:
+    """Those of ``names`` that a fresh `import pgbm.cli` (or ``module``) loads."""
     src = str(pathlib.Path(pgbm.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = f"import sys, pgbm.cli; print([m for m in {names!r} if m in sys.modules])"
+    code = f"import sys, {module}; print([m for m in {names!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -152,3 +154,35 @@ def test_cli_import_loads_no_formatter():
     # Only predict's writer imports the CSV number formatter, so that its
     # tables add to no other command's start-up time or memory.
     assert modules_after_cli_import(("pgbm._reprs",)) == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    # Building dataclasses runs generated code, once per class, on every
+    # command's start-up; the value classes derive from pgbm._value.Value.
+    assert modules_after_cli_import(("dataclasses",)) == []
+
+
+def test_package_import_loads_every_traced_module():
+    # benchmarks/tracing.py wraps functions only in the pgbm modules that
+    # are already loaded, so loading one lazily would hide its layers.
+    traced = tuple(f"pgbm.{name}" for name in
+                   ("boost", "data", "dist", "loss", "metrics", "model_io", "tree"))
+    assert modules_after_cli_import(traced, module="pgbm") == list(traced)
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch):
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    rng = np.random.default_rng(0)
+    for name, n in (("train.csv", 200), ("test.csv", 50)):
+        x = rng.uniform(-2.0, 2.0, size=(n, 2))
+        y = np.sin(x[:, 0]) + 0.5 * x[:, 1] + 0.1 * rng.normal(size=n)
+        np.savetxt(tmp_path / name, np.column_stack([x, y]), delimiter=",",
+                   header="a,b,y", comments="")
+    monkeypatch.chdir(tmp_path)
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert len(names["model"].trees) == 200
+    assert names["draws"].samples.shape == (500, 50)
+    assert 0 < names["crps"] < 1

@@ -20,7 +20,12 @@ from pgbm import (
     train,
     tree_contributions,
 )
-from pgbm.errors import FeatureCountMismatch, NonFiniteEstimate, TrainingDiverged
+from pgbm.errors import (
+    FeatureCountMismatch,
+    FeatureNameMismatch,
+    NonFiniteEstimate,
+    TrainingDiverged,
+)
 
 from conftest import make_regression
 
@@ -186,6 +191,13 @@ class TestTrain:
         with pytest.raises(FeatureCountMismatch):
             train(data, mse_gradhess, small_config(), valid=(other, rmse_metric))
 
+    def test_validation_features_are_checked_by_name(self):
+        data = make_regression(14, 50, 3)
+        swapped = RawDataset(data.features[:, [0, 2, 1]], data.target, ["x0", "x2", "x1"])
+        message = "feature 1 is 'x2', the training set has 'x1'"
+        with pytest.raises(FeatureNameMismatch, match=message):
+            train(data, mse_gradhess, small_config(), valid=(swapped, rmse_metric))
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_estimates_raise(self):
         data = make_regression(15, 30, 1)
@@ -309,6 +321,15 @@ class TestPredict:
         bad = make_regression(21, 10, 2)
         with pytest.raises(FeatureCountMismatch):
             predict_moments(self.model, bad)
+
+    @pytest.mark.parametrize("call", [predict_moments, tree_contributions])
+    def test_features_are_checked_by_name(self, call):
+        swapped = RawDataset(self.data.features[:, ::-1], self.data.target, ["x2", "x1", "x0"])
+        with pytest.raises(FeatureNameMismatch, match="feature 0 is 'x2', the model has 'x0'"):
+            call(self.model, swapped)
+        renamed = RawDataset(self.data.features, self.data.target, ["x0", "x1", "z"])
+        with pytest.raises(FeatureNameMismatch, match="feature 2 is 'z', the model has 'x2'"):
+            call(self.model, renamed)
 
     def test_variance_nonnegative(self):
         pm = predict_moments(self.model, self.data)

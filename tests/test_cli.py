@@ -1220,6 +1220,7 @@ UNREACHABLE = {
     "EmptyMask": "a bag always holds at least one row",
     "InfeasibleMoments": "sample falls back to normal instead of raising it",
     "FeatureCountMismatch": "every command finds a file's feature columns by name",
+    "FeatureNameMismatch": "every command passes a file's feature columns in the model's order",
     "EmptySamples": "sample rejects zero draws and evaluate needs sample columns first",
 }
 

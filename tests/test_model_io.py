@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import re
 
 import numpy as np
@@ -316,7 +316,8 @@ class TestLayout:
     @pytest.mark.parametrize("target_name", [None, "y"])
     def test_save_writes_the_scalar_keys_in_reader_order(self, fitted, tmp_path, target_name):
         _, model = fitted
-        model = dataclasses.replace(model, target_name=target_name)
+        model = copy.copy(model)
+        model.target_name = target_name
         path = tmp_path / "model.txt"
         save(model, path)
         lines = path.read_text(encoding="utf-8").splitlines()
