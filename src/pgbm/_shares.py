@@ -10,10 +10,10 @@ on the number of workers. Without `os.fork` (or `os.sched_getaffinity`)
 `count` gives one share and nothing is forked; where a fork fails, that
 share and the later ones run in the calling process.
 
-Failures follow one rule. Work gathered in memory (`gather`: a read, or
-sweep's cells) is redone in one process when any share fails, so its
-warnings, error and exit code are one process's. Predict's text streams
-into its output file (`write`), so the first error of any share is its.
+Failures follow one rule: where a worker does not exit 0 (it raised,
+died or could not write its file), the calling process does its share
+in its place. No exception crosses processes. `gather` gives None when
+the work raised here, and its caller does it all again in one process.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-import pickle
 import shutil
 import tempfile
 from collections.abc import Callable, Sequence
@@ -55,16 +54,16 @@ def write(
 ) -> None:
     """Write ``work(share, file)`` for every share to ``out``, in share order.
 
-    Share 0 writes straight to ``out`` here. Every other share runs in a
-    forked child that writes an unnamed temporary file in ``tmpdir``
-    (predict's output directory, so its text waits on the disk that takes
-    it; the default temporary directory under `gather`); the
-    parent waits for each child in share order and copies its file to
-    ``out``. Where a temporary file or a fork cannot be made, that share
-    and every later one run here, after the children's. A child's
-    exception is raised here (see `_portable`), as is `ChildProcessError`
-    for a child that ended otherwise. On any error or interrupt here
-    every child still running is killed and reaped."""
+    Each share after the first goes to a forked child that writes an
+    unnamed temporary file in ``tmpdir`` (predict's output directory, so
+    its text waits on the disk that takes it; the default temporary
+    directory under `gather`), until a temporary file or a fork cannot be
+    made. Then, in share order, the parent copies the file of each child
+    that exited 0 to ``out`` and runs every other share (share 0, one
+    whose child did not exit 0, one that no child took) here, straight
+    into ``out``, which then holds exactly the shares before it. On any
+    error or interrupt here every child still running is killed and
+    reaped."""
     mask = os.sched_getaffinity(0) if len(shares) > 1 else set()
     cpus = sorted(mask)
     files: list[BinaryIO] = []
@@ -86,18 +85,14 @@ def write(
                 _child(work, share, file, cpus[k % len(cpus)], mask)
             files.append(file)
             unreaped.append(pid)
-        work(shares[0], out)
-        for file in files:
-            _, status = os.waitpid(unreaped[0], 0)
-            pid = unreaped.pop(0)
-            code = os.waitstatus_to_exitcode(status)
-            file.seek(0)
-            if code == 1:
-                raise pickle.load(file)
-            if code != 0:
-                raise ChildProcessError(f"worker process {pid} ended with exit code {code}")
-            shutil.copyfileobj(file, out)
-        for share in shares[1 + len(files) :]:
+        for k, share in enumerate(shares):
+            if 0 < k <= len(files):  # a child's share
+                _, status = os.waitpid(unreaped[0], 0)
+                unreaped.pop(0)  # only once reaped: an interrupt in waitpid kills it
+                if os.waitstatus_to_exitcode(status) == 0:
+                    files[k - 1].seek(0)
+                    shutil.copyfileobj(files[k - 1], out)
+                    continue
             work(share, out)
     finally:
         if unreaped:
@@ -116,14 +111,14 @@ def gather(
 ) -> memoryview | None:
     """The bytes that `write` gives for ``shares``, with the workers' files
     in the default temporary directory; or None, and the caller does all
-    its work in one process, for one share or when any share raised an
-    `Exception` (a worker that died included). Interrupts pass through."""
+    its work in one process, for one share or when the work raised an
+    `Exception` in this process. Interrupts pass through."""
     if len(shares) < 2:
         return None
     out = io.BytesIO()
     try:
         write(out, shares, work, tempfile.gettempdir())
-    except Exception:  # redone in one process, whose result is the caller's
+    except Exception:  # done again in one process, whose result is the caller's
         return None
     return out.getbuffer()
 
@@ -148,35 +143,13 @@ def _child(
     mask: set[int],
 ) -> NoReturn:
     """Run one share on ``cpu`` in a forked child, which never returns into
-    its caller: exit 0 once ``file`` holds the share's bytes, 1 once it
-    holds the pickled exception instead, 2 when even that failed."""
-    code = 2
+    its caller: exit 0 once ``file`` holds the share's bytes, 1 on
+    anything else."""
+    code = 1
     try:
         _move_to(cpu, mask)
         work(share, file)
         file.flush()
         code = 0
-    except BaseException as exc:
-        file.seek(0)
-        file.truncate()
-        pickle.dump(_portable(exc), file)
-        file.flush()
-        code = 1
     finally:
         os._exit(code)
-
-
-def _portable(exc: BaseException) -> BaseException:
-    """``exc`` if it survives pickling with its message; otherwise the
-    nearest of its base classes that does, built from that message (a
-    `ParseError` becomes a `PgbmError`), so the command still reports it
-    with the same line and exit code."""
-    message = str(exc)
-    for cls in type(exc).__mro__[:-2]:  # BaseException and object end every mro
-        try:
-            copy = pickle.loads(pickle.dumps(exc if cls is type(exc) else cls(message)))
-        except Exception:
-            continue
-        if type(copy) is cls and str(copy) == message:
-            return copy
-    return BaseException(message)

@@ -14,9 +14,8 @@ command reads a large plain CSV input (see `load_csv`), on every CPU in
 the process's affinity mask, in forked worker processes (limit it with
 `taskset`); output bytes, the matrices read and errors do not depend on
 the number of CPUs. Without `os.fork`, or where a fork fails, the work
-runs in one process. Where a worker fails, a read or the grid is done
-again in one process, whose result is the command's; predict's text
-streams into its output file, so predict reports the worker's error.
+runs in one process. Where a worker fails, the calling process does its
+share in its place, so that any failure is one process's failure.
 Columns are found by name; each name a command needs must name one column.
 """
 
@@ -49,12 +48,13 @@ from .errors import DuplicateColumn, LengthMismatch, MissingColumn, ParseError, 
 from .loss import hier_wmse_gradhess, load_hierarchy, mse_gradhess
 from .metrics import (
     MetricReport,
-    crps_empirical_rows,
     crps_normal,
     hierarchical_report,
+    mean_crps,
     report_rows,
     rmse,
 )
+from .model_io import check_names
 from .model_io import load as load_model
 from .model_io import save as save_model
 from .tree import TreeConfig
@@ -264,6 +264,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     data = load_csv(args.data, args.target)
     names = [*data.feature_names, args.target]
     _columns(args.data, names, names)  # the model finds its features by name
+    check_names(data.feature_names, args.target)
     if args.loss == "hierwmse":
         if args.hierarchy is None:
             raise ValueError("--loss hierwmse requires --hierarchy")
@@ -409,8 +410,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if hierarchy is not None:
             report = hierarchical_report(y, pred, hierarchy, metric=name)
         elif name == "crps":
-            value = float(np.mean(crps_empirical_rows(samples, y)))
-            report = MetricReport(name="crps", value=value, n=len(y))
+            report = MetricReport(name="crps", value=mean_crps(samples, y), n=len(y))
         else:
             report = MetricReport(name="rmse", value=rmse(y, mu), n=len(y))
         lines.extend(report_rows(report))
@@ -489,8 +489,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     def score(cell: Cell) -> tuple[float, int]:
         spec, rho = cell
         result = sample(moments_by_rho[rho], spec, args.n_samples, args.seed)
-        value = float(np.mean(crps_empirical_rows(result.samples, data.target)))
-        return value, result.fallback_rows  # the draws are freed on return
+        # evaluate's check: a score that is not finite fails the command
+        crps = MetricReport(name="crps", value=mean_crps(result.samples, data.target), n=data.n)
+        return crps.value, result.fallback_rows  # the draws are freed on return
 
     # A fork costs about as much as scoring one cell, so each share holds a
     # pair of cells or more; cell k goes to share k mod n, so that a slow

@@ -138,7 +138,7 @@ class BinnedDataset(Value):
 
 
 def load_csv(path: str | Path, target_column: str | None) -> RawDataset:
-    """Read a comma-delimited UTF-8 file with a header row.
+    """Read a comma-delimited UTF-8 file, after any byte-order mark, with a header row.
 
     The target column is extracted into ``target`` and the remaining
     columns, in file order, become features. With ``target_column=None``
@@ -164,7 +164,7 @@ def load_csv(path: str | Path, target_column: str | None) -> RawDataset:
     wrong width is reported at the column of its cell count.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = [name.strip() for name in next(reader)]
@@ -238,9 +238,9 @@ def _read_plain(path: str | Path, rows: int, width: int) -> np.ndarray:
     from its path.
 
     Above the share minimum the rows are split into runs, one per CPU,
-    each read from its own first line on (see `_shares.gather`). If any
-    run fails or reads other than its own rows, the whole file is read
-    again here: an error then carries the row a single read gives."""
+    each read from its own first line on (see `_shares.gather`). If a run
+    fails or reads other than its own rows here too, the whole file is
+    read again: an error then carries the row a single read gives."""
     source = os.path.abspath(path)  # never a URL to numpy
     n = _shares.count(rows, width)
     runs = [range(rows * k // n, rows * (k + 1) // n) for k in range(n)]

@@ -72,6 +72,14 @@ def crps_empirical_rows(samples: np.ndarray, y: np.ndarray) -> np.ndarray:
     return term1 - term2
 
 
+def mean_crps(samples: np.ndarray, y: np.ndarray) -> float:
+    """The mean over rows of `crps_empirical_rows`. Like `rmse`, it is inf
+    or nan where it overflows, without numpy's warning; `MetricReport`
+    refuses such a score."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(crps_empirical_rows(samples, y)))
+
+
 def rmse(y: np.ndarray, yhat: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
@@ -79,7 +87,8 @@ def rmse(y: np.ndarray, yhat: np.ndarray) -> float:
         raise LengthMismatch(f"y has shape {y.shape}, yhat has shape {yhat.shape}")
     if y.size == 0:
         raise ValueError("need at least one pair")
-    return float(np.sqrt(np.mean((y - yhat) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sqrt(np.mean((y - yhat) ** 2)))
 
 
 def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
@@ -140,7 +149,7 @@ class MetricReport(Value):
     breakdown_n: dict[str, int] | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
+        if not all(map(math.isfinite, [self.value, *(self.breakdown or {}).values()])):
             raise ValueError("metric value must be finite")
         if self.n < 1:
             raise ValueError("n must be at least 1")
@@ -205,7 +214,7 @@ def hierarchical_report(
 
     def score(y_part: np.ndarray, pred_part: np.ndarray) -> float:
         if metric == "crps":
-            return float(np.mean(crps_empirical_rows(pred_part, y_part)))
+            return mean_crps(pred_part, y_part)
         point = pred_part if pred_part.ndim == 1 else np.mean(pred_part, axis=0)
         return rmse(y_part, point)
 

@@ -38,12 +38,22 @@ def _ref_token(ref: int) -> str:
     return f"N{ref}" if ref >= 0 else f"L{~ref}"
 
 
+def check_names(feature_names: list[str], target_name: str | None) -> None:
+    """Raise ValueError for a name the model file cannot hold: a comma in
+    a feature name, or in any name a line boundary of `str.splitlines`,
+    by which `load` splits the file."""
+    for name in feature_names:
+        if "," in name:
+            raise ValueError(f"feature name {name!r} cannot contain ','")
+    for name in [*feature_names, target_name or ""]:
+        if name.splitlines() not in ([], [name]):
+            raise ValueError(f"column name {name!r} cannot contain a line break")
+
+
 def _format_lines(model: Ensemble) -> list[str]:
     config = model.config
     tree_config = config.tree
-    for name in model.feature_names:
-        if "," in name or "\n" in name:
-            raise ValueError(f"feature name {name!r} cannot contain ',' or newline")
+    check_names(model.feature_names, model.target_name)
     rho_config = (
         "auto" if config.rho == "auto" else _real(config.rho)
     )

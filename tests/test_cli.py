@@ -257,6 +257,44 @@ class TestTrain:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "m.txt").exists()
 
+    # Every line boundary of str.splitlines, by which a model file is read.
+    LINE_BOUNDARIES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                       "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize(
+        "mark, where",
+        [(mark, where) for mark in LINE_BOUNDARIES for where in ("feature", "target")]
+        + [(",", "feature")],
+    )
+    def test_a_name_the_model_file_cannot_hold(self, tmp_path, monkeypatch, capsys, mark, where):
+        """Refused before any tree is grown, with no model file written."""
+        name = f"a{mark}b"  # inside the name: str.strip removes most of them
+        header = [f'"{name}"', "x1", "y"] if where == "feature" else ["x0", "x1", f'"{name}"']
+        rows = [f"{i},{i % 3},{i * 0.5}" for i in range(20)]
+        data = tmp_path / "named.csv"
+        data.write_text("\n".join([",".join(header), *rows]) + "\n", encoding="utf-8")
+        fits = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: fits.append(args))
+        model = tmp_path / "m.txt"
+        target = name if where == "target" else "y"
+        code = main(["train", "--data", str(data), "--target", target, "--model-out", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert fits == [] and not model.exists()
+
+    def test_an_empty_name_is_kept(self, workspace, tmp_path, capsys):
+        data = tmp_path / "named.csv"
+        data.write_text("x0,,y\n" + "".join(f"{i},{i % 3},{i * 0.5}\n" for i in range(20)),
+                        encoding="utf-8")
+        model = tmp_path / "m.txt"
+        assert main(["train", "--data", str(data), "--target", "y", "--model-out", str(model),
+                     "--n-estimators", "3"]) == 0
+        assert load_model(model).feature_names == ["x0", ""]
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--data", str(data), "--out", str(out),
+                     "--point-only"]) == 0
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, workspace, tmp_path, capsys):
@@ -951,6 +989,37 @@ class TestSweep:
         assert captured.err.splitlines() == expected
         *grid, best = captured.out.splitlines()
         assert read_lines(out) == grid and best.startswith("best: ")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_score_that_overflows_is_refused(
+        self, workspace, tmp_path, monkeypatch, capsys, workers
+    ):
+        """Leaves of 1e308 in the first tree (the loader takes any finite
+        leaf) give means near -1e307, whose CRPS overflows in the mean
+        over rows: sweep refuses the grid as evaluate refuses the score
+        of predict's file, with no numpy warning."""
+        lines = read_lines(workspace["model"])
+        end = lines.index("tree 1")
+        lines[:end] = [
+            "leaf {} 1e308 {} {}".format(*line.split()[1:2], *line.split()[3:])
+            if line.startswith("leaf ") else line
+            for line in lines[:end]
+        ]
+        model = tmp_path / "huge.txt"
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        data = str(workspace["test_csv"])
+        use_workers(monkeypatch, workers)
+        code = main(["sweep", "--model", str(model), "--data", data, "--target", "y",
+                     "--dists", "normal,laplace", "--rhos", "0.0,0.5", "--n-samples", "5"])
+        assert (code, *capsys.readouterr()) == (2, "", "error: metric value must be finite\n")
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--data", data, "--out", str(pred),
+                     "--n-samples", "5"]) == 0
+        capsys.readouterr()
+        for metric in ("crps", "rmse"):
+            code = main(["evaluate", "--pred", str(pred), "--actual", data, "--target", "y",
+                         "--metrics", metric])
+            assert (code, *capsys.readouterr()) == (2, "", "error: metric value must be finite\n")
 
     def test_unwritable_out(self, workspace, tmp_path, capsys):
         code = main(

@@ -36,7 +36,7 @@ from pgbm.errors import (
     ParseError,
 )
 
-from conftest import DATA_DIR, load_outcome
+from conftest import DATA_DIR, load_outcome, use_workers
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -140,7 +140,8 @@ def reference_load_csv(path, target_column):
     float(), with the changes numpy's C reader brought marked
     ``DIVERGENCE``: the behaviour ``load_csv`` must reproduce exactly."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # DIVERGENCE: a byte-order mark was part of the first name.
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = [name.strip() for name in next(reader)]
@@ -456,6 +457,42 @@ class TestCReaderTaken:
         np.testing.assert_array_equal(loaded.features, [[1.0, 3.0], [-4.5, 6.0]])
         np.testing.assert_array_equal(loaded.target, [2.0, 50.0])
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "end, source", [("\n", str), ("\r\n", io.TextIOWrapper)], ids=["lf", "crlf"]
+    )
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, workers, end, source):
+        """A file saved as utf-8-sig loads as the same file without the
+        mark, whether it is read from its path (LF, in row shares) or
+        from its handle (CRLF)."""
+        rows = "".join(f"{i},{i / 7!r},{-i}\n" for i in range(12))
+        text = ("y,a,b\n" + rows).replace("\n", end)
+        bare = write(tmp_path, text, "bare.csv")
+        marked = tmp_path / "marked.csv"
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + bare.read_bytes()
+        sources, forks = [], []
+        loadtxt, fork = np.loadtxt, os.fork
+
+        def recording(source, *args, **kwargs):
+            sources.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        def counted_fork():
+            pid = fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(np, "loadtxt", recording)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        use_workers(monkeypatch, workers)
+        expected = load_outcome(load_csv, bare, "y")
+        assert expected[3:] == (["a", "b"], "y")
+        sources.clear()
+        forks.clear()
+        assert load_outcome(load_csv, marked, "y") == expected
+        assert {type(s) for s in sources} == {source}
+        assert len(forks) == (workers - 1 if source is str else 0)
 
 TINY = np.nextafter(0.0, 1.0)
 HUGE = np.finfo(np.float64).max

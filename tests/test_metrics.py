@@ -229,6 +229,18 @@ class TestMetricReport:
         with pytest.raises(ValueError):
             MetricReport(name="rmse", value=float("nan"), n=3)
 
+    def test_rejects_a_non_finite_level(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            MetricReport(name="rmse", value=1.0, n=3, breakdown={"0": 1.0, "1": float("inf")})
+
+    @pytest.mark.parametrize("metric", ["rmse", "crps"])
+    def test_a_level_that_overflows_is_refused_without_a_warning(self, metric):
+        """Each row scores 0, but the sums of its one group overflow."""
+        y = np.array([1e308, 1e308])
+        pred = y.copy() if metric == "rmse" else y[None, :].copy()
+        with pytest.raises(ValueError, match="must be finite"):
+            hierarchical_report(y, pred, two_level_spec(2), metric=metric)
+
 
 def two_level_spec(n):
     return HierarchySpec(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import errno
 import io
+import itertools
 import os
 import tempfile
 import time
@@ -15,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from pgbm import _shares, cli, data, errors
+from pgbm import _shares, cli, data, errors, metrics
 from pgbm.cli import main
 
 from conftest import load_outcome, make_regression, use_workers
@@ -297,93 +298,126 @@ def raising(make, where):
 
 ERRORS = {
     "usage": (lambda: ValueError("block refused"), 2),
-    # Its __init__ takes three arguments, so it cannot be rebuilt from its
-    # pickled message: the parent raises a PgbmError with the same text.
+    # Its __init__ takes three arguments, so pickle cannot rebuild it from
+    # its message; it reaches the command as its own class all the same.
     "unpicklable": (lambda: errors.InfeasibleMoments("normal", 1.0, -1.0), 3),
     "data": (lambda: errors.NonFiniteValue(3, 1), 3),
     "os": (lambda: OSError(errno.EIO, os.strerror(errno.EIO)), 3),
 }
 
 
+class FullDisk:
+    """A temporary file, made in the calling process, on which every write
+    in a forked child fails as on a full disk."""
+
+    def __init__(self, file):
+        self.file = file
+        self.parent = os.getpid()
+
+    def write(self, b):
+        if os.getpid() != self.parent:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.file.write(b)
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+
 class TestFailures:
+    """A share that fails only in its worker is written by the calling
+    process, in its place: predict succeeds with one process's bytes. A
+    block that fails in every process fails as in one process."""
+
     def assert_same_failure(self, one, many, code):
         assert one == many
         assert one[0] == code
         assert one[2].startswith("error:") and len(one[2].splitlines()) == 1, one[2]
         assert "Traceback" not in one[2]
 
-    @pytest.mark.parametrize("case", sorted(ERRORS))
-    def test_share_raises_in_a_child(self, files, forks, monkeypatch, tmp_path, capsys, case):
-        make, code = ERRORS[case]
+    def assert_worker_share_done_here(self, files, forks, monkeypatch, tmp_path, capsys, fault):
+        """Predict with two workers, whose worker meets ``fault`` when it
+        formats a block, gives one process's outcome: the calling process
+        formats all twelve blocks, and no file or process is left."""
         out = tmp_path / "pred.csv"
-        stack = np.column_stack
-        outcomes = []
-        for n, where in ((1, lambda parent: True), (2, lambda parent: not parent)):
-            use_workers(monkeypatch, n)
-            monkeypatch.setattr(np, "column_stack", raising(make, where)(stack))
-            outcomes.append(run(predict_argv(files, out, "--n-samples", "4"), capsys, out))
-        one, many = outcomes
-        # As in one process, the file keeps the rows before the failing
-        # block: here the parent's share, blocks 0-5, and none of the child's.
-        assert one[3] == b"row,mu,var,s0,s1,s2,s3\n"
-        assert many[3].startswith(one[3]) and len(many[3].splitlines()) == 1 + 6 * BLOCK_ROWS
-        self.assert_same_failure(one[:3], many[:3], code)
-        assert len(forks) == 1
-        assert_no_child_left()
-        assert names(tmp_path) == ["pred.csv"]
-
-    def test_child_write_fails(self, files, forks, monkeypatch, tmp_path, capsys):
-        """A worker that cannot write its temporary file reports its own
-        OSError, not one of the output file."""
-        parent = os.getpid()
-        temporary_file = tempfile.TemporaryFile
-
-        class FullDisk:
-            """Fails a child's first write, as a full disk would; the
-            child's report of the failure, written after, fits."""
-
-            def __init__(self, file):
-                self.file = file
-                self.failed = False
-
-            def write(self, b):
-                if os.getpid() != parent and not self.failed:
-                    self.failed = True
-                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-                return self.file.write(b)
-
-            def __getattr__(self, name):
-                return getattr(self.file, name)
-
-        monkeypatch.setattr(tempfile, "TemporaryFile", lambda **kw: FullDisk(temporary_file(**kw)))
-        use_workers(monkeypatch, 2)
-        out = tmp_path / "pred.csv"
-        code, _, err, _ = run(predict_argv(files, out, "--n-samples", "6"), capsys, out)
-        assert code == 3
-        assert err == "error: [Errno 28] No space left on device\n"
-        assert len(forks) == 1
-        assert_no_child_left()
-        assert names(tmp_path) == ["pred.csv"]
-
-    def test_child_killed(self, files, forks, monkeypatch, tmp_path, capsys):
-        """A worker that dies (as under the OOM killer) is one error line
-        naming the worker, not one of the output file."""
-        import signal
-
+        argv = predict_argv(files, out, "--n-samples", "6")
+        use_workers(monkeypatch, 1)
+        expected = run(argv, capsys, out)
+        assert expected[0] == 0 and expected[2] == ""
         parent = os.getpid()
         stack = np.column_stack
+        blocks_here = []
 
-        def dying(*args, **kwargs):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
+        def faulty_stack(*args, **kwargs):
+            if os.getpid() == parent:
+                blocks_here.append(args)
+            else:
+                fault()
             return stack(*args, **kwargs)
 
-        monkeypatch.setattr(np, "column_stack", dying)
+        monkeypatch.setattr(np, "column_stack", faulty_stack)
         use_workers(monkeypatch, 2)
+        assert run(argv, capsys, out) == expected
+        assert len(blocks_here) == N_BLOCKS
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert names(tmp_path) == ["pred.csv"]
+
+    @pytest.mark.parametrize("case", sorted(ERRORS))
+    def test_share_raises_in_a_child(self, files, forks, monkeypatch, tmp_path, capsys, case):
+        make, _ = ERRORS[case]
+
+        def fault():
+            raise make()
+
+        self.assert_worker_share_done_here(files, forks, monkeypatch, tmp_path, capsys, fault)
+
+    def test_child_write_fails(self, files, forks, monkeypatch, tmp_path, capsys):
+        """A worker whose temporary file hits a full disk costs its share's
+        formatting here, not the command."""
+        temporary_file = tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda **kw: FullDisk(temporary_file(**kw)))
+        self.assert_worker_share_done_here(
+            files, forks, monkeypatch, tmp_path, capsys, lambda: None
+        )
+
+    def test_child_killed(self, files, forks, monkeypatch, tmp_path, capsys):
+        """A worker that dies (as under the OOM killer) costs its share's
+        formatting here, not the command."""
+        import signal
+
+        self.assert_worker_share_done_here(
+            files, forks, monkeypatch, tmp_path, capsys,
+            lambda: os.kill(os.getpid(), signal.SIGKILL),
+        )
+
+    @pytest.mark.parametrize("case", sorted(ERRORS))
+    def test_a_block_raises_in_every_process(
+        self, files, forks, monkeypatch, tmp_path, capsys, case
+    ):
+        """Block 8 of 12, in the worker's share (blocks 6-11), fails in the
+        worker and again here: one process's exit code, error line and
+        file, which holds blocks 0-7."""
+        from pgbm import _reprs
+
+        make, code = ERRORS[case]
+        rows = _reprs.rows
+
+        def failing_rows(start, matrix):
+            if start == 8 * BLOCK_ROWS:
+                raise make()
+            return rows(start, matrix)
+
+        monkeypatch.setattr(_reprs, "rows", failing_rows)
         out = tmp_path / "pred.csv"
-        code, _, err, _ = run(predict_argv(files, out, "--n-samples", "6"), capsys, out)
-        assert code == 3
-        assert err == f"error: worker process {forks[0]} ended with exit code -9\n"
+        outcomes = []
+        for n in (1, 2):
+            use_workers(monkeypatch, n)
+            outcomes.append(run(predict_argv(files, out, "--n-samples", "4"), capsys, out))
+        one, many = outcomes
+        self.assert_same_failure(one[:3], many[:3], code)
+        assert one[3] == many[3]
+        assert len(one[3].splitlines()) == 1 + 8 * BLOCK_ROWS
+        assert len(forks) == 1
         assert_no_child_left()
         assert names(tmp_path) == ["pred.csv"]
 
@@ -444,9 +478,9 @@ class TestFailures:
 
 
 class TestSweepFailures:
-    """A sweep worker that fails costs a second scoring of the whole grid
-    in one process, whose warnings, error line and exit code are the
-    command's."""
+    """A sweep worker that fails costs a scoring of its cells here; where
+    a cell fails here too, the whole grid is scored again in one process,
+    whose warnings, error line and exit code are the command's."""
 
     # With two shares the laplace cell is the child's second cell, after
     # the negative binomial one; both that and the lognormal cell warn.
@@ -484,9 +518,10 @@ class TestSweepFailures:
         ]
         assert error.startswith("error:") and "Traceback" not in one[2]
         # One process scores the grid once, up to the failing cell; with
-        # two shares, share 0 is scored here, then the grid again up to it.
+        # two shares, share 0 is scored here, then the worker's share up to
+        # that cell, then the grid again up to it.
         grid = self.CELLS[1].split(",")
-        assert scored == [grid, ["normal", "lognormal", *grid]]
+        assert scored == [grid, ["normal", "lognormal", "negativebinomial", "laplace", *grid]]
         assert len(fork_log["sweep"]) == 1
         assert_no_child_left()
         assert names(tmp_path) == []
@@ -502,7 +537,7 @@ class TestSweepFailures:
         expected = run(sweep_argv(files, *self.CELLS, "--out", str(out)), capsys, out)
         assert expected[0] == 0
         parent = os.getpid()
-        crps = cli.crps_empirical_rows
+        crps = metrics.crps_empirical_rows
 
         def failing_crps(*args):
             if os.getpid() != parent:
@@ -511,7 +546,7 @@ class TestSweepFailures:
                 raise MemoryError
             return crps(*args)
 
-        monkeypatch.setattr(cli, "crps_empirical_rows", failing_crps)
+        monkeypatch.setattr(metrics, "crps_empirical_rows", failing_crps)
         use_workers(monkeypatch, 2)
         assert run(sweep_argv(files, *self.CELLS, "--out", str(out)), capsys, out) == expected
         assert len(fork_log["sweep"]) == 1
@@ -724,26 +759,156 @@ class TestLoadCsv:
         assert names(tmp_path) == ["data.csv"]
 
 
+# What a worker meets, by the share it runs: nothing, an exception, a
+# SIGKILL, a full disk under its temporary file, or no fork or no
+# temporary file at all (which leaves that share and the later ones to
+# the calling process).
+WORKER_FAULTS = ["none", "raises", "dies", "full_disk", "no_fork", "no_file"]
+
+
+def share_bytes(k):
+    return f"share {k}\n".encode() * (k + 1)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+class TestWrite:
+    """`_shares.write` and `gather` called directly, over 2-4 shares of
+    which any subset of the workers fails: the bytes are one process's,
+    each failed share is done again here, and no child, file or file
+    descriptor is left."""
+
+    def faulty(self, monkeypatch, plan):
+        """The work of share k, which meets ``plan[k]`` in a worker; the
+        shares that the calling process did; and the shares for which
+        `write` asked for a temporary file."""
+        import signal
+
+        parent = os.getpid()
+        done_here = []
+        temporary_file = tempfile.TemporaryFile
+        fork = os.fork
+        asked = []  # the share whose file or fork `write` asks for
+
+        def temporary_file_for_share(**kwargs):
+            asked.append(len(asked) + 1)
+            if plan[asked[-1]] == "no_file":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            file = temporary_file(**kwargs)
+            return FullDisk(file) if plan[asked[-1]] == "full_disk" else file
+
+        def fork_for_share():
+            if plan[asked[-1]] == "no_fork":
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        def work(k, file):
+            if os.getpid() == parent:
+                done_here.append(k)
+            elif plan[k] == "raises":
+                raise MemoryError
+            elif plan[k] == "dies":
+                os.kill(os.getpid(), signal.SIGKILL)
+            file.write(share_bytes(k))
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file_for_share)
+        monkeypatch.setattr(os, "fork", fork_for_share)
+        return work, done_here, asked
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("via", ["write", "gather"])
+    def test_any_workers_fail(self, monkeypatch, tmp_path, n, via):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        fds = open_fds()
+        expected = b"".join(share_bytes(k) for k in range(n))
+        for faults in itertools.product(WORKER_FAULTS, repeat=n - 1):
+            plan = ["none", *faults]
+            with monkeypatch.context() as patch:
+                work, done_here, asked = self.faulty(patch, plan)
+                if via == "write":
+                    out = io.BytesIO()
+                    _shares.write(out, range(n), work, str(tmp_path))
+                    written = out.getvalue()
+                else:
+                    written = bytes(_shares.gather(range(n), work))
+            assert written == expected, plan
+            refused = next((k for k in asked if plan[k] in ("no_fork", "no_file")), n)
+            assert done_here == [0, *(k for k in range(1, n) if plan[k] != "none" or k >= refused)]
+            assert_no_child_left()
+            assert list(tmp_path.iterdir()) == []
+            assert open_fds() == fds
+
+    def test_an_interrupt_while_waiting_kills_the_worker(self, monkeypatch, tmp_path):
+        parent = os.getpid()
+        waitpid = os.waitpid
+
+        def work(k, file):
+            if os.getpid() != parent:
+                time.sleep(60)
+            file.write(share_bytes(k))
+
+        def interrupted_waitpid(pid, options):
+            monkeypatch.setattr(os, "waitpid", waitpid)  # only the first wait
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "waitpid", interrupted_waitpid)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            _shares.write(io.BytesIO(), range(2), work, str(tmp_path))
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
+
+
 class LocalError(ValueError):
     def __init__(self, code):
         super().__init__(f"local failure {code}")
 
 
 @pytest.mark.parametrize(
-    "exc, rebuilt",
+    "make",
     [
-        (ValueError("bad"), ValueError),
-        (OSError(errno.ENOSPC, "No space left on device", "pred.csv"), OSError),
-        (errors.IoError("cannot write x"), errors.IoError),
-        (errors.ParseError(3, 1, "bad cell"), errors.PgbmError),
-        (errors.CorruptModel(4, "bad tree"), errors.PgbmError),
-        (LocalError(7), ValueError),
-        (KeyboardInterrupt(), KeyboardInterrupt),
+        lambda: ValueError("bad"),
+        lambda: OSError(errno.ENOSPC, "No space left on device", "pred.csv"),
+        lambda: errors.IoError("cannot write x"),
+        lambda: errors.ParseError(3, 1, "bad cell"),
+        lambda: errors.CorruptModel(4, "bad tree"),
+        lambda: LocalError(7),
+        lambda: KeyboardInterrupt(),
     ],
+    ids=["ValueError", "OSError", "IoError", "ParseError", "CorruptModel", "LocalError",
+         "KeyboardInterrupt"],
 )
-def test_a_child_exception_keeps_its_message_and_nearest_class(exc, rebuilt):
-    copy = _shares._portable(exc)
-    assert type(copy) is rebuilt and str(copy) == str(exc)
+def test_an_error_in_every_process_keeps_its_class(tmp_path, monkeypatch, make):
+    """A share that raises in its worker and again here raises here, as
+    the exception one process raises (a ParseError keeps its row and
+    column), after the shares before it. `gather` gives None for it, and
+    lets an interrupt through."""
+    use_workers(monkeypatch, 4)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    expected = make()
+    for n in (2, 3, 4):
+
+        def work(k, file):
+            if k == n - 1:
+                raise make()
+            file.write(share_bytes(k))
+
+        out = io.BytesIO()
+        with pytest.raises(type(expected)) as info:
+            _shares.write(out, range(n), work, str(tmp_path))
+        assert type(info.value) is type(expected) and str(info.value) == str(expected)
+        assert getattr(info.value, "row", None) == getattr(expected, "row", None)
+        assert getattr(info.value, "col", None) == getattr(expected, "col", None)
+        assert out.getvalue() == b"".join(share_bytes(k) for k in range(n - 1))
+        if isinstance(expected, Exception):
+            assert _shares.gather(range(n), work) is None
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                _shares.gather(range(n), work)
+        assert_no_child_left()
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
