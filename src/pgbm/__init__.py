@@ -16,6 +16,7 @@ from .boost import (
     accumulate_moments,
     default_rho,
     predict_moments,
+    predict_moments_by_rho,
     train,
     tree_contributions,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "numeric_gradhess",
     "parse_hierarchy",
     "predict_moments",
+    "predict_moments_by_rho",
     "report_rows",
     "rmse",
     "sample",

@@ -11,7 +11,10 @@ time, where the accumulated moments follow
 
 with a single constant correlation rho between consecutive trees. Since
 rho only enters prediction, it can be retuned after training without
-refitting anything.
+refitting anything: ``predict_moments_by_rho`` routes each tree once and
+advances the one mu, which does not depend on rho, and a var per rho,
+in place. It holds no per-tree matrix, so sweeping a grid of k rhos
+costs about k + 1 vectors of the rows, however many trees there are.
 """
 
 from __future__ import annotations
@@ -23,7 +26,13 @@ import numpy as np
 
 from ._value import Fresh, Value
 from .data import BinEdges, RawDataset, apply_bins, compute_bin_edges
-from .errors import FeatureCountMismatch, FeatureNameMismatch, NonFiniteEstimate, TrainingDiverged
+from .errors import (
+    FeatureCountMismatch,
+    FeatureNameMismatch,
+    LengthMismatch,
+    NonFiniteEstimate,
+    TrainingDiverged,
+)
 from .loss import GradHess
 from .tree import Tree, TreeConfig, grow_tree, route_many
 
@@ -117,18 +126,61 @@ def default_rho(n_train: int) -> float:
     return math.log10(n_train) / 100.0
 
 
-def _update_vectors(mu, var, alpha, rho, leaf_mu, leaf_var):
-    """One step of the moment recursion with per-sample leaf moments.
+# The rhos whose variances advance together through one scratch buffer:
+# a block of about this many cells keeps that buffer small, however wide
+# the grid.
+_RHO_BLOCK_CELLS = 1 << 16
 
-    The variance is clamped at zero after the correlation cross-term,
-    which can push it slightly negative.
-    """
-    new_mu = mu - alpha * leaf_mu
-    new_var = var + alpha * alpha * leaf_var - 2.0 * alpha * rho * np.sqrt(
-        var
-    ) * np.sqrt(leaf_var)
-    np.maximum(new_var, 0.0, out=new_var)
-    return new_mu, new_var
+
+class _Moments:
+    """The running state of the moment recursion for ``n`` rows under
+    each of ``rhos``: one mu, which does not depend on rho, and a
+    (len(rhos), n) var, both advanced in place."""
+
+    def __init__(self, y0: float, alpha: float, rhos: list[float], n: int):
+        self.alpha = alpha
+        self.mu = np.full(n, y0)
+        self.var = np.zeros((len(rhos), n))
+        self._cross = (2.0 * alpha) * np.array(rhos, dtype=np.float64).reshape(-1, 1)
+        block = min(len(rhos), _RHO_BLOCK_CELLS // max(n, 1))
+        self._scratch = np.empty((max(block, 1), n))
+
+    def advance(self, leaf_mu: np.ndarray, leaf_var: np.ndarray) -> None:
+        """One tree's step, with per-row leaf moments. Each var rounds as
+        ``(var + alpha^2 * leaf_var) - ((2 * alpha * rho) * sqrt(var)) *
+        sqrt(leaf_var)``, clamped at zero, since the correlation
+        cross-term can push it slightly negative."""
+        alpha = self.alpha
+        self.mu -= alpha * leaf_mu
+        scaled_leaf_var = (alpha * alpha) * leaf_var
+        sqrt_leaf_var = np.sqrt(leaf_var)
+        step = len(self._scratch)
+        for start in range(0, len(self.var), step):
+            var = self.var[start : start + step]
+            cross = self._scratch[: len(var)]
+            np.sqrt(var, out=cross)
+            cross *= self._cross[start : start + step]
+            cross *= sqrt_leaf_var
+            var += scaled_leaf_var
+            var -= cross
+            np.maximum(var, 0.0, out=var)
+
+
+def _accumulate(
+    y0: float, alpha: float, rhos: list[float], leaf_moments, n: int
+) -> list[PredictiveMoments]:
+    """Run the recursion over ``leaf_moments``, each tree's (leaf mu, leaf
+    var) for every row, under every one of ``rhos``. The moments share one
+    mu array. Raises NonFiniteEstimate, and no numpy warning, when they
+    overflow float64."""
+    rhos = [_check_rho(rho) for rho in rhos]
+    state = _Moments(y0, alpha, rhos, n)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        for leaf_mu, leaf_var in leaf_moments:
+            state.advance(leaf_mu, leaf_var)
+    if not (np.isfinite(state.mu).all() and np.isfinite(state.var).all()):
+        raise NonFiniteEstimate("the predicted mean or variance overflows float64")
+    return [PredictiveMoments(mu=state.mu, var=var) for var in state.var]
 
 
 def train(
@@ -146,10 +198,12 @@ def train(
     grower hands back the leaf of each row in its bag, so only the
     out-of-bag and validation rows are routed through each tree. When
     ``valid`` is given as (dataset, metric), the metric (lower is
-    better) is scored every iteration on the validation moments,
-    reported through ``progress``, and the returned ensemble is
-    truncated at the best iteration; ``early_stopping_rounds``
-    additionally stops scanning after that many non-improving rounds.
+    better) is scored every iteration on the validation moments (arrays
+    that the next tree advances in place, so a metric that keeps them
+    must copy them), reported through ``progress``, and the returned
+    ensemble is truncated at the best iteration;
+    ``early_stopping_rounds`` additionally stops scanning after that
+    many non-improving rounds.
 
     When the loss reports its objective, training raises
     TrainingDiverged as soon as a tree leaves the objective above
@@ -169,15 +223,13 @@ def train(
     )
 
     valid_binned = None
-    valid_mu = None
-    valid_var = None
+    valid_moments = None
     metric = None
     if valid is not None:
         valid_data, metric = valid
         _check_features(valid_data, data.feature_names, "the training set")
         valid_binned = apply_bins(valid_data, edges)
-        valid_mu = np.full(valid_data.n, y0)
-        valid_var = np.zeros(valid_data.n)
+        valid_moments = _Moments(y0, alpha, [rho_default], valid_data.n)
 
     mu = np.full(n, y0)
     bag_size = int(np.ceil(config.bagging_fraction * n))
@@ -224,15 +276,10 @@ def train(
         value = None
         if valid_binned is not None:
             valid_ids = route_many(tree, valid_binned.bins)
-            valid_mu, valid_var = _update_vectors(
-                valid_mu,
-                valid_var,
-                alpha,
-                rho_default,
-                leaf_mu[valid_ids],
-                leaf_var[valid_ids],
+            valid_moments.advance(leaf_mu[valid_ids], leaf_var[valid_ids])
+            value = float(
+                metric(valid_binned.target, valid_moments.mu, valid_moments.var[0])
             )
-            value = float(metric(valid_binned.target, valid_mu, valid_var))
             if value < best_value:
                 best_value = value
                 best_iteration = k
@@ -278,16 +325,19 @@ def predict_moments(
     """Accumulate (mu, var) over all trees for every row of ``data``.
 
     ``rho`` overrides the stored default, which is how the correlation
-    is swept after training; it must lie in [-1, 1].
+    is retuned after training; it must lie in [-1, 1]. Raises
+    NonFiniteEstimate when the moments overflow float64.
     """
-    if rho is None:
-        rho = model.rho_default
-    _check_rho(rho)
-    mu = np.full(data.n, model.y0)
-    var = np.zeros(data.n)
-    for leaf_mu, leaf_var in _routed_leaf_moments(model, data):
-        mu, var = _update_vectors(mu, var, model.alpha, rho, leaf_mu, leaf_var)
-    return PredictiveMoments(mu=mu, var=var)
+    return predict_moments_by_rho(model, data, [model.rho_default if rho is None else rho])[0]
+
+
+def predict_moments_by_rho(
+    model: Ensemble, data: RawDataset, rhos: list[float]
+) -> list[PredictiveMoments]:
+    """``predict_moments`` under each of ``rhos``, bit for bit, in one pass:
+    every tree is routed once, and the moments share one mu array. Every
+    rho must lie in [-1, 1]."""
+    return _accumulate(model.y0, model.alpha, rhos, _routed_leaf_moments(model, data), data.n)
 
 
 def tree_contributions(
@@ -295,9 +345,9 @@ def tree_contributions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-tree leaf moments for every row, shaped (n_trees, n_rows).
 
-    Routing is the expensive part of prediction and is independent of
-    rho, so sweeping rho should route once through this function and
-    replay the recursion per value with ``accumulate_moments``.
+    ``accumulate_moments`` replays the recursion over them. They hold two
+    float64 values per tree and row; to sweep rho, ``predict_moments_by_rho``
+    routes each tree once as well and holds none of them.
     """
     contrib_mu = np.empty((len(model.trees), data.n))
     contrib_var = np.empty((len(model.trees), data.n))
@@ -314,12 +364,24 @@ def accumulate_moments(
     contrib_mu: np.ndarray,
     contrib_var: np.ndarray,
 ) -> PredictiveMoments:
-    """Replay the moment recursion over precomputed tree contributions;
-    ``rho`` must lie in [-1, 1]."""
-    _check_rho(rho)
-    n = contrib_mu.shape[1] if contrib_mu.ndim == 2 else 0
-    mu = np.full(n, y0)
-    var = np.zeros(n)
-    for k in range(contrib_mu.shape[0]):
-        mu, var = _update_vectors(mu, var, alpha, rho, contrib_mu[k], contrib_var[k])
-    return PredictiveMoments(mu=mu, var=var)
+    """Replay the moment recursion over precomputed tree contributions,
+    shaped (n_trees, n_rows) as ``tree_contributions`` gives them.
+
+    Raises LengthMismatch unless both are 2-D and of one shape, ValueError
+    for a contribution that is not finite, a negative leaf variance or a
+    ``rho`` outside [-1, 1], and NonFiniteEstimate when the moments
+    overflow float64.
+    """
+    contrib_mu = np.asarray(contrib_mu, dtype=np.float64)
+    contrib_var = np.asarray(contrib_var, dtype=np.float64)
+    if contrib_mu.ndim != 2 or contrib_var.shape != contrib_mu.shape:
+        raise LengthMismatch(
+            f"contributions must be (n_trees, n_rows) arrays of one shape, got "
+            f"{contrib_mu.shape} and {contrib_var.shape}"
+        )
+    if not (np.isfinite(contrib_mu).all() and np.isfinite(contrib_var).all()):
+        raise ValueError("contributions must be finite")
+    if (contrib_var < 0).any():
+        raise ValueError("leaf variances must be nonnegative")
+    pairs = zip(contrib_mu, contrib_var)
+    return _accumulate(y0, alpha, [rho], pairs, contrib_mu.shape[1])[0]

@@ -37,10 +37,9 @@ from .boost import (
     BoostConfig,
     PredictiveMoments,
     _check_rho,
-    accumulate_moments,
     predict_moments,
+    predict_moments_by_rho,
     train,
-    tree_contributions,
 )
 from .data import OutputFile, RawDataset, load_csv, read_text, write_lines
 from .dist import FAMILIES, DistSpec, check_draws, check_seed, sample
@@ -478,11 +477,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if target is None:
         raise ValueError("no target column recorded in the model; pass --target")
     data = _named_columns(args.data, model.feature_names, target)
-    contrib_mu, contrib_var = tree_contributions(model, data)
-    moments_by_rho = {
-        rho: accumulate_moments(model.y0, model.alpha, rho, contrib_mu, contrib_var)
-        for rho in rhos
-    }
+    moments_by_rho = dict(zip(rhos, predict_moments_by_rho(model, data, rhos)))
 
     cells = [(spec, rho) for spec in specs for rho in rhos]
 

@@ -77,7 +77,8 @@ class EmptyMask(PgbmError):
 
 
 class NonFiniteEstimate(PgbmError):
-    """A running estimate became non-finite during training."""
+    """A running estimate became non-finite during training, or predicted
+    moments overflow float64."""
 
 
 class TrainingDiverged(PgbmError):

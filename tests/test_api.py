@@ -51,6 +51,7 @@ PUBLIC = {
     "numeric_gradhess",
     "parse_hierarchy",
     "predict_moments",
+    "predict_moments_by_rho",
     "report_rows",
     "rmse",
     "sample",

@@ -11,11 +11,14 @@ from pgbm import (
     Ensemble,
     GradHess,
     RawDataset,
+    Tree,
     TreeConfig,
     accumulate_moments,
+    crps_normal,
     default_rho,
     mse_gradhess,
     predict_moments,
+    predict_moments_by_rho,
     rmse,
     train,
     tree_contributions,
@@ -23,6 +26,7 @@ from pgbm import (
 from pgbm.errors import (
     FeatureCountMismatch,
     FeatureNameMismatch,
+    LengthMismatch,
     NonFiniteEstimate,
     TrainingDiverged,
 )
@@ -141,6 +145,42 @@ class TestUpdateMoments:
     def test_rho_outside_unit_interval_raises(self, rho):
         with pytest.raises(ValueError, match="outside"):
             accumulate_moments(0.0, 0.1, rho, np.zeros((1, 2)), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize(
+        "contrib_mu,contrib_var",
+        [
+            (np.zeros(3), np.zeros(3)),  # one row of contributions, not 2-D
+            (np.zeros((2, 3)), np.zeros((2, 1))),  # would broadcast
+            (np.zeros((2, 3)), np.zeros((3, 3))),  # tree counts differ
+            (np.zeros((2, 3, 1)), np.zeros((2, 3, 1))),
+        ],
+        ids=["one_dimensional", "broadcast_var", "tree_counts", "three_dimensional"],
+    )
+    def test_malformed_shapes_raise(self, contrib_mu, contrib_var):
+        with pytest.raises(LengthMismatch, match="of one shape"):
+            accumulate_moments(0.0, 0.1, 0.0, contrib_mu, contrib_var)
+
+    @pytest.mark.parametrize(
+        "leaf_mu,leaf_var,message",
+        [
+            (0.0, -1e-300, "nonnegative"),
+            (0.0, float("nan"), "finite"),
+            (float("inf"), 1.0, "finite"),
+            (float("nan"), 1.0, "finite"),
+        ],
+    )
+    def test_bad_values_raise(self, leaf_mu, leaf_var, message):
+        contrib_mu = np.array([[0.0, 0.0], [leaf_mu, 0.0]])
+        contrib_var = np.array([[1.0, 1.0], [leaf_var, 1.0]])
+        with pytest.raises(ValueError, match=message):
+            accumulate_moments(0.0, 0.1, 0.5, contrib_mu, contrib_var)
+
+    def test_overflow_raises_without_a_warning(self):
+        # Each leaf is finite; their sum is not. Warnings fail the suite.
+        with pytest.raises(NonFiniteEstimate, match="overflows float64"):
+            accumulate_moments(0.0, 1.0, 0.5, np.full((2, 3), 1e308), np.ones((2, 3)))
+        with pytest.raises(NonFiniteEstimate, match="overflows float64"):
+            accumulate_moments(0.0, 1.0, -1.0, np.zeros((2, 3)), np.full((2, 3), 1e308))
 
 
 class TestTrain:
@@ -296,6 +336,24 @@ class TestTrain:
         assert scanned - 1 - best >= 10
         assert len(model.trees) == best + 1
 
+    def test_validation_variance_matches_predict(self):
+        data = make_regression(18, 200, 2)
+        valid = make_regression(19, 100, 2)
+        values = []
+
+        def crps_metric(y, mu, var):
+            return float(np.mean(crps_normal(y, mu, var)))
+
+        model = train(
+            data,
+            mse_gradhess,
+            small_config(n_estimators=25, rho=0.3),
+            valid=(valid, crps_metric),
+            progress=lambda k, v: values.append(v),
+        )
+        pm = predict_moments(model, valid)
+        assert values[len(model.trees) - 1] == crps_metric(valid.target, pm.mu, pm.var)
+
     def test_validation_path_matches_predict(self):
         data = make_regression(18, 200, 2)
         valid = make_regression(19, 100, 2)
@@ -389,6 +447,70 @@ class TestPredict:
         pm = predict_moments(empty, self.data)
         np.testing.assert_array_equal(pm.mu, np.full(self.data.n, self.model.y0))
         np.testing.assert_array_equal(pm.var, np.zeros(self.data.n))
+
+
+def replay_per_rho(model, data, rho):
+    """The moment recursion written out once per rho, each step a new
+    array, over ``tree_contributions``: the rounding predictions keep."""
+    contrib_mu, contrib_var = tree_contributions(model, data)
+    alpha = model.alpha
+    mu = np.full(data.n, model.y0)
+    var = np.zeros(data.n)
+    for leaf_mu, leaf_var in zip(contrib_mu, contrib_var):
+        mu = mu - alpha * leaf_mu
+        var = var + alpha * alpha * leaf_var - 2.0 * alpha * rho * np.sqrt(var) * np.sqrt(leaf_var)
+        var = np.maximum(var, 0.0)
+    return mu, var
+
+
+class TestPredictByRho:
+    RHOS = [-1.0, 0.0, 0.05, 1.0]
+
+    def setup_method(self):
+        self.data = make_regression(25, 300, 3)
+        config = small_config(n_estimators=30, bagging_fraction=0.7, feature_fraction=0.7)
+        self.model = train(self.data, mse_gradhess, config)
+
+    def assert_per_rho(self, grid, rhos):
+        contributions = tree_contributions(self.model, self.data)
+        assert len(grid) == len(rhos)
+        for moments, rho in zip(grid, rhos):
+            alone = predict_moments(self.model, self.data, rho=rho)
+            replayed = accumulate_moments(self.model.y0, self.model.alpha, rho, *contributions)
+            written_out = replay_per_rho(self.model, self.data, rho)
+            for mu, var in [(alone.mu, alone.var), (replayed.mu, replayed.var), written_out]:
+                assert np.array_equal(moments.mu, mu)
+                assert np.array_equal(moments.var, var)
+
+    def test_bit_equal_to_each_rho_alone(self):
+        grid = predict_moments_by_rho(self.model, self.data, self.RHOS)
+        self.assert_per_rho(grid, self.RHOS)
+        assert len({id(moments.mu) for moments in grid}) == 1
+        assert not np.array_equal(grid[0].var, grid[-1].var)
+
+    def test_a_grid_longer_than_one_block(self, monkeypatch):
+        # Blocks of two rhos: the grid of five takes three, the last short.
+        monkeypatch.setattr(pgbm.boost, "_RHO_BLOCK_CELLS", 2 * self.data.n + 1)
+        rhos = [0.3, *self.RHOS]
+        self.assert_per_rho(predict_moments_by_rho(self.model, self.data, rhos), rhos)
+
+    def test_an_empty_grid(self):
+        assert predict_moments_by_rho(self.model, self.data, []) == []
+
+    @pytest.mark.parametrize("rho", [1.5, float("nan")])
+    def test_every_rho_is_checked(self, rho):
+        with pytest.raises(ValueError, match="outside"):
+            predict_moments_by_rho(self.model, self.data, [0.0, rho])
+
+    def test_an_overflowing_model_raises(self):
+        trees = []
+        for tree in self.model.trees:
+            leaves = tree.leaves.copy()
+            leaves["mu"] = 1e308
+            trees.append(Tree(tree.nodes, leaves))
+        model = Ensemble(**{**vars(self.model), "trees": trees})
+        with pytest.raises(NonFiniteEstimate, match="overflows float64"):
+            predict_moments_by_rho(model, self.data, self.RHOS)
 
 
 class TestSubsampling:

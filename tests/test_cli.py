@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1021,6 +1022,25 @@ class TestSweep:
                          "--metrics", metric])
             assert (code, *capsys.readouterr()) == (2, "", "error: metric value must be finite\n")
 
+    def test_holds_no_per_tree_matrix(self, workspace, tmp_path, capsys):
+        """Sweep's traced peak stays below one (trees, rows) float64 matrix:
+        it keeps a mean and one variance per rho, not each tree's leaf
+        moments for every row."""
+        model = load_model(workspace["model"])
+        model.trees = model.trees * 20
+        model_path = tmp_path / "long.txt"
+        pgbm.save(model, model_path)
+        data = write_csv(tmp_path / "rows.csv", make_regression(62, 2000, 2))
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--model", str(model_path), "--data", str(data),
+                         "--target", "y", "--rhos", "0,0.05", "--n-samples", "5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < len(model.trees) * 2000 * 8
+
     def test_unwritable_out(self, workspace, tmp_path, capsys):
         code = main(
             [
@@ -1181,6 +1201,15 @@ FAILURES = {
                          "--hierarchy", str(f["far_hierarchy"])),
         3, errors.IndexOutOfRange),
     "split_overflow": (lambda f: _train(f, "huge"), 3, errors.NonFiniteEstimate),
+    "overflowing_model_point_only": (
+        lambda f: _predict(f, "overflowing_model", "--point-only"), 3, errors.NonFiniteEstimate),
+    "overflowing_model_predict": (
+        lambda f: _predict(f, "overflowing_model", "--n-samples", "5"),
+        3, errors.NonFiniteEstimate),
+    "overflowing_model_sweep": (
+        lambda f: _sweep(f, "--target", "y", "--n-samples", "5", "--out", str(f["out"]),
+                         model="overflowing_model"),
+        3, errors.NonFiniteEstimate),
     "diverged": (
         lambda f: _train(f, "diverging", "--loss", "hierwmse", "--hierarchy",
                          str(f["two_groups"]), "--learning-rate", "0.5"),
@@ -1326,6 +1355,11 @@ def failures(workspace, tmp_path_factory):
         "point_predictions": "row,mu,var\n" + "".join(f"{i},1.0,0.5\n" for i in range(80)),
         "blank_line_model": workspace["model"].read_text(encoding="utf-8").replace(
             "tree 0\n", "tree 0\n\n", 1),
+        # Every leaf mean 1e308, which the loader takes: the means overflow.
+        "overflowing_model": "".join(
+            "leaf {} 1e308 {} {}\n".format(*line.split()[1:2], *line.split()[3:])
+            if line.startswith("leaf ") else line + "\n"
+            for line in read_lines(workspace["model"])),
         "future_model": "pgbmfmt v2\n",
         "not_a_model": "not a model\n",
         "unknown_key": "definitely_not_a_flag = 1\n",
@@ -1382,6 +1416,16 @@ class TestErrorPaths:
         assert main(argv) == 2
         seed = argv[argv.index("--seed") + 1]
         assert capsys.readouterr() == ("", f"error: seed must be nonnegative, got {seed}\n")
+        assert not case_files["out"].exists()
+
+    @pytest.mark.parametrize("case", sorted(c for c in FAILURES if c.startswith("overflowing_")))
+    def test_an_overflowing_model_warns_nothing(self, case_files, capsys, case):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(FAILURES[case][0](case_files))
+        assert caught == []
+        message = "error: the predicted mean or variance overflows float64\n"
+        assert (code, *capsys.readouterr()) == (3, "", message)
         assert not case_files["out"].exists()
 
     def test_every_pgbm_error_is_walked(self):
