@@ -183,6 +183,7 @@ def _accumulate(
     return [PredictiveMoments(mu=state.mu, var=var) for var in state.var]
 
 
+@np.errstate(all="ignore")  # an overflow is inf or NaN, refused as the docstring says
 def train(
     data: RawDataset,
     loss: LossProvider,
@@ -207,7 +208,9 @@ def train(
 
     When the loss reports its objective, training raises
     TrainingDiverged as soon as a tree leaves the objective above
-    ten times the constant model's.
+    ten times the constant model's. A number that overflows float64, in
+    the loss and metric too, is inf or NaN without a numpy warning; a
+    tree or estimates that overflow raise NonFiniteEstimate.
     """
     if valid is None and config.early_stopping_rounds is not None:
         raise ValueError("early stopping needs a validation set")
@@ -261,10 +264,8 @@ def train(
         leaf_mu = tree.leaves["mu"]
         leaf_var = tree.leaves["var"]
         mu = mu - alpha * leaf_mu[leaf_ids]
-        if not np.all(np.isfinite(mu)):
-            raise NonFiniteEstimate(
-                f"point estimates became non-finite at iteration {k}"
-            )
+        if not np.isfinite(mu).all():
+            raise NonFiniteEstimate(f"the point estimates overflow float64 at iteration {k}")
         gh = loss(y, mu)
         if objective0 is not None and gh.objective > _DIVERGENCE_FACTOR * objective0:
             raise TrainingDiverged(

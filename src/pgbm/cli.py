@@ -293,10 +293,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     progress = None
     if args.valid is not None:
         valid_data = _named_columns(args.valid, data.feature_names, args.target)
-        if args.valid_metric == "crps":
-            metric = lambda y, mu, var: float(np.mean(crps_normal(y, mu, var)))
-        else:
-            metric = lambda y, mu, var: rmse(y, mu)
+
+        def metric(y, mu, var):  # evaluate's check: a score that is not finite fails
+            crps = args.valid_metric == "crps"
+            value = np.mean(crps_normal(y, mu, var)) if crps else rmse(y, mu)
+            return MetricReport(name=args.valid_metric, value=float(value), n=len(y)).value
+
         valid = (valid_data, metric)
 
         def progress(k: int, value: float | None) -> None:
@@ -561,10 +563,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PgbmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (PgbmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

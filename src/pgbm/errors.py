@@ -77,8 +77,8 @@ class EmptyMask(PgbmError):
 
 
 class NonFiniteEstimate(PgbmError):
-    """A running estimate became non-finite during training, or predicted
-    moments overflow float64."""
+    """A split gain, leaf moment or point estimate overflows float64 in
+    training, or the predicted moments do."""
 
 
 class TrainingDiverged(PgbmError):

@@ -134,10 +134,10 @@ def mse_gradhess(y: np.ndarray, yhat: np.ndarray) -> GradHess:
     yhat = np.asarray(yhat, dtype=np.float64)
     if y.shape != yhat.shape:
         raise LengthMismatch(f"y has shape {y.shape}, yhat has shape {yhat.shape}")
-    residual = yhat - y
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):  # an overflow is inf or NaN; the grower refuses it
+        residual = yhat - y
         objective = float(np.sum(residual**2))
-    return GradHess(g=2.0 * residual, h=np.full(y.shape, 2.0), objective=objective)
+        return GradHess(g=2.0 * residual, h=np.full(y.shape, 2.0), objective=objective)
 
 
 def hier_wmse_loss(y: np.ndarray, yhat: np.ndarray, spec: HierarchySpec) -> float:
@@ -155,16 +155,16 @@ def hier_wmse_gradhess(
     if y.shape != yhat.shape:
         raise LengthMismatch(f"y has shape {y.shape}, yhat has shape {yhat.shape}")
     n = y.size
-    residual = y - yhat
     g = np.zeros(n)
     weight_sum = 0.0
     total = 0.0
-    for a, level in enumerate(spec.levels):
-        ids, keys = spec.group_ids(a, n)
-        group_residual = np.bincount(ids, weights=residual, minlength=len(keys))
-        g -= 2.0 * level.weight * group_residual[ids]
-        weight_sum += level.weight
-        with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):  # an overflow is inf or NaN; the grower refuses it
+        residual = y - yhat
+        for a, level in enumerate(spec.levels):
+            ids, keys = spec.group_ids(a, n)
+            group_residual = np.bincount(ids, weights=residual, minlength=len(keys))
+            g -= 2.0 * level.weight * group_residual[ids]
+            weight_sum += level.weight
             total += level.weight * float(np.sum(group_residual**2))
     return GradHess(g=g, h=np.full(n, 2.0 * weight_sum), objective=total)
 

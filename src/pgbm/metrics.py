@@ -129,13 +129,14 @@ def crps_normal(y, mu, var) -> np.ndarray:
     """
     y = np.asarray(y, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.sqrt(np.asarray(var, dtype=np.float64))
-    dev = y - mu
-    positive = sigma > 0
-    z = np.divide(dev, sigma, out=np.zeros_like(dev), where=positive)
-    cdf_term = erf(z / math.sqrt(2.0))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    value = sigma * (z * cdf_term + 2.0 * pdf - _INV_SQRT_PI)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan where it overflows
+        sigma = np.sqrt(np.asarray(var, dtype=np.float64))
+        dev = y - mu
+        positive = sigma > 0
+        z = np.divide(dev, sigma, out=np.zeros_like(dev), where=positive)
+        cdf_term = erf(z / math.sqrt(2.0))
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+        value = sigma * (z * cdf_term + 2.0 * pdf - _INV_SQRT_PI)
     return np.where(positive, value, np.abs(dev))
 
 

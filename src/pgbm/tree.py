@@ -199,6 +199,7 @@ def subtract_histogram(parent: NodeHistogram, left: NodeHistogram) -> NodeHistog
     return NodeHistogram(parent.features, stats)
 
 
+@np.errstate(all="ignore")  # an overflow is inf or NaN, refused as the docstring says
 def find_best_split(
     hist: NodeHistogram,
     config: TreeConfig,
@@ -213,9 +214,9 @@ def find_best_split(
     children hold at least min_data_in_leaf samples, and both child
     hessian sums plus lam stay above the positivity guard. Ties break to
     the lowest feature index, then the lowest bin: each node's row-major
-    argmax returns the first maximum. A non-finite parent objective, or
-    a non-finite gain at a candidate that passes the count and hessian
-    checks, raises NonFiniteEstimate.
+    argmax returns the first maximum. A node whose own objective
+    overflows raises NonFiniteEstimate (it could never split); a NaN or
+    +inf gain qualifies, and ``grow_tree`` refuses it as a node gain.
     """
     terms = []  # each node's parent objective; NaN for a node that cannot split
     for total_g, total_h, _ in node_totals:
@@ -223,11 +224,8 @@ def find_best_split(
         if parent_denom <= EPS_HESSIAN:
             terms.append(math.nan)
             continue
-        try:
-            terms.append(total_g**2 / parent_denom)
-        except OverflowError:
-            terms.append(math.inf)
-        if not math.isfinite(terms[-1]):
+        terms.append(np.float64(total_g) ** 2 / parent_denom)
+        if not np.isfinite(terms[-1]):
             raise NonFiniteEstimate(
                 f"split search overflows: node gradient sum {total_g!r}, "
                 f"hessian sum {total_h!r}"
@@ -240,23 +238,15 @@ def find_best_split(
     dl = hl + config.lam
     dr = hr + config.lam
     ok = (np.minimum(nl, nr) >= config.min_data_in_leaf) & (np.minimum(dl, dr) > EPS_HESSIAN)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gains = 0.5 * (gl**2 / dl + gr**2 / dr - np.array(terms)[:, None, None])
+    gains = 0.5 * (gl**2 / dl + gr**2 / dr - np.array(terms)[:, None, None])
     gains = np.where(ok, gains, -np.inf).reshape(len(terms), -1)
     found = []
     for node, (term, node_gains) in enumerate(zip(terms, gains)):
         flat = int(node_gains.argmax())
         gain = float(node_gains[flat])
         if math.isnan(term) or gain <= config.min_split_gain:
-            # NaN and +inf never compare <= min_split_gain; they reach the raise.
             found.append(None)
             continue
-        # argmax returns the first NaN if there is one, else the maximum, so
-        # a NaN or +inf here is exactly a qualifying non-finite gain.
-        if math.isnan(gain) or gain == math.inf:
-            raise NonFiniteEstimate(
-                f"split search overflows: a candidate gain is {gain!r}"
-            )
         row, bin_idx = divmod(flat, sums.shape[-1])
         lg, lh, ln = sums[:, node, row, bin_idx].tolist()
         found.append((int(hist.features[row]), bin_idx, gain, (lg, lh, int(ln))))
@@ -268,7 +258,9 @@ def leaf_stats(g_slice: np.ndarray, h_slice: np.ndarray, lam: float) -> LeafStat
 
     Uses Bessel-corrected sample variances and the sample covariance of
     (g, h); with a single sample all three are zero and the leaf is
-    deterministic.
+    deterministic. The moments are float64 scalars, whose ``**`` rounds
+    as Python's (an array's does not): one that overflows is inf or NaN,
+    never clamped, and ``grow_tree`` refuses it.
     """
     g_slice = np.asarray(g_slice, dtype=np.float64)
     h_slice = np.asarray(h_slice, dtype=np.float64)
@@ -276,8 +268,8 @@ def leaf_stats(g_slice: np.ndarray, h_slice: np.ndarray, lam: float) -> LeafStat
     if n == 0:
         raise EmptyMask("leaf statistics need at least one sample")
     lam_bar = lam / n
-    g_bar = float(g_slice.sum() / n)
-    h_bar = float(h_slice.sum() / n)
+    g_bar = g_slice.sum() / n
+    h_bar = h_slice.sum() / n
     denom = h_bar + lam_bar
     if denom <= EPS_HESSIAN:
         raise DegenerateHessian(
@@ -286,9 +278,9 @@ def leaf_stats(g_slice: np.ndarray, h_slice: np.ndarray, lam: float) -> LeafStat
     if n > 1:
         dg = g_slice - g_bar
         dh = h_slice - h_bar
-        var_g = float((dg * dg).sum() / (n - 1))
-        var_h = float((dh * dh).sum() / (n - 1))
-        cov_gh = float((dg * dh).sum() / (n - 1))
+        var_g = (dg * dg).sum() / (n - 1)
+        var_h = (dh * dh).sum() / (n - 1)
+        cov_gh = (dg * dh).sum() / (n - 1)
     else:
         var_g = var_h = cov_gh = 0.0
     mu = g_bar / denom - cov_gh / denom**2 + g_bar * var_h / denom**3
@@ -297,9 +289,10 @@ def leaf_stats(g_slice: np.ndarray, h_slice: np.ndarray, lam: float) -> LeafStat
         + g_bar**2 * var_h / denom**4
         - 2.0 * g_bar * cov_gh / denom**3
     )
-    return LeafStats(mu=mu, var=max(0.0, var), n=n)
+    return LeafStats(mu=mu, var=0.0 if var < 0 else var, n=n)
 
 
+@np.errstate(all="ignore")  # an overflow is inf or NaN, refused below
 def grow_tree(
     data: BinnedDataset,
     gh: GradHess,
@@ -323,7 +316,8 @@ def grow_tree(
     tree that reaches L >= 2 leaves searches 2L-3 nodes in L-1 calls,
     the root alone and then each split's children as one stack. Regions
     are numbered in creation order, which breaks gain ties and numbers
-    the leaves (module docstring).
+    the leaves (module docstring). A split gain or leaf moment that
+    overflows float64 raises NonFiniteEstimate, without a numpy warning.
     """
     indices = np.asarray(sample_mask)
     if indices.dtype == bool:
@@ -379,10 +373,14 @@ def grow_tree(
         for _, feature, threshold, gain, left, right in splits
     ]
     leaves = [leaf_stats(g[rows[r]], h[rows[r]], config.lam) for r in leaf_regions]
+    tree = Tree(nodes=nodes, leaves=leaves)
+    values = (tree.nodes["gain"], tree.leaves["mu"], tree.leaves["var"])
+    if not np.isfinite(np.concatenate(values)).all():
+        raise NonFiniteEstimate("a split gain or leaf moment overflows float64")
     if leaf_ids is not None:
         for leaf, region in enumerate(leaf_regions):
             leaf_ids[rows[region]] = leaf
-    return Tree(nodes=nodes, leaves=leaves)
+    return tree
 
 
 def _split_rows(

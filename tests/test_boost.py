@@ -238,7 +238,6 @@ class TestTrain:
         with pytest.raises(FeatureNameMismatch, match=message):
             train(data, mse_gradhess, small_config(), valid=(swapped, rmse_metric))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_estimates_raise(self):
         data = make_regression(15, 30, 1)
 

@@ -1201,6 +1201,20 @@ FAILURES = {
                          "--hierarchy", str(f["far_hierarchy"])),
         3, errors.IndexOutOfRange),
     "split_overflow": (lambda f: _train(f, "huge"), 3, errors.NonFiniteEstimate),
+    "fit_overflow_bagged_leaf": (
+        lambda f: _train(f, "opposed_pair", "--bagging-fraction", "0.5", "--max-leaves", "1"),
+        3, errors.NonFiniteEstimate),
+    "fit_overflow_leaf_variance": (
+        lambda f: _train(f, "opposed_pair_and_two", "--max-leaves", "1", "--n-estimators", "1"),
+        3, errors.NonFiniteEstimate),
+    "fit_overflow_valid_rmse": (
+        lambda f: _train(f, "six_rows", "--valid", str(f["six_rows_1e300"]),
+                         "--n-estimators", "2"),
+        2, ValueError),
+    "fit_overflow_valid_crps": (
+        lambda f: _train(f, "six_rows", "--valid", str(f["six_rows_1e308"]),
+                         "--n-estimators", "2", "--valid-metric", "crps"),
+        2, ValueError),
     "overflowing_model_point_only": (
         lambda f: _predict(f, "overflowing_model", "--point-only"), 3, errors.NonFiniteEstimate),
     "overflowing_model_predict": (
@@ -1341,6 +1355,13 @@ def failures(workspace, tmp_path_factory):
         "header_only_predictions": "row,mu,var,s0,s1\n",
         "far_hierarchy": "levels=1\nlevel 0 weight=1\ngroup a: 0,999\n",
         "huge": "x,y\n0,1e160\n1,-1e160\n2,3e160\n3,-2e160\n",
+        # The bag of two rows holds 1e300 and -1e300: the leaf's gradient
+        # variance overflows.
+        "opposed_pair": "x,y\n0,1e300\n1,-1e300\n2,3.0\n",
+        "opposed_pair_and_two": "x,y\n1,1e300\n2,-1e300\n3,5\n4,1\n",
+        "six_rows": "x,y\n1,1\n2,2\n3,5\n4,1\n5,2\n6,-3\n",
+        "six_rows_1e300": "x,y\n1,1e300\n2,-1e300\n3,5\n4,1\n5,2\n6,-3\n",
+        "six_rows_1e308": "x,y\n1,1e308\n2,-1e308\n3,5\n4,1\n5,2\n6,-3\n",
         # Two groups of 20 rows: a leaf holding a whole group has about
         # ten times the curvature of the diagonal hessian, so a step of
         # 0.5 overshoots and the objective grows.
@@ -1426,6 +1447,20 @@ class TestErrorPaths:
         assert caught == []
         message = "error: the predicted mean or variance overflows float64\n"
         assert (code, *capsys.readouterr()) == (3, "", message)
+        assert not case_files["out"].exists()
+
+    @pytest.mark.parametrize("case", sorted(c for c in FAILURES if c.startswith("fit_overflow_")))
+    def test_an_overflowing_fit_warns_nothing(self, case_files, capsys, case):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(FAILURES[case][0](case_files))
+        assert caught == []
+        expected = FAILURES[case][1]
+        message = {
+            3: "error: a split gain or leaf moment overflows float64\n",
+            2: "error: metric value must be finite\n",
+        }[expected]
+        assert (code, *capsys.readouterr()) == (expected, "", message)
         assert not case_files["out"].exists()
 
     def test_every_pgbm_error_is_walked(self):

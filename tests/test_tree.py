@@ -74,6 +74,28 @@ def search_one(hist, cfg, totals):
     return found
 
 
+def python_float_leaf_moments(g, h, lam):
+    """``leaf_stats``' mu and var, computed in Python floats: their ``**``
+    raises OverflowError where numpy's gives inf."""
+    n = g.size
+    g_bar = float(g.sum() / n)
+    h_bar = float(h.sum() / n)
+    denom = h_bar + lam / n
+    if denom <= EPS_HESSIAN:
+        raise DegenerateHessian("not positive")
+    var_g = var_h = cov_gh = 0.0
+    if n > 1:
+        dg = g - g_bar
+        dh = h - h_bar
+        with np.errstate(all="ignore"):
+            var_g = float((dg * dg).sum() / (n - 1))
+            var_h = float((dh * dh).sum() / (n - 1))
+            cov_gh = float((dg * dh).sum() / (n - 1))
+    mu = g_bar / denom - cov_gh / denom**2 + g_bar * var_h / denom**3
+    var = var_g / denom**2 + g_bar**2 * var_h / denom**4 - 2.0 * g_bar * cov_gh / denom**3
+    return mu, max(0.0, var)
+
+
 def assert_same_tree(a, b):
     for table in ("nodes", "leaves"):
         x, y = getattr(a, table), getattr(b, table)
@@ -150,19 +172,29 @@ class TestFindBestSplit:
         assert search_one(hist, cfg, totals) is None
 
     @pytest.mark.parametrize(
-        "g",
+        "g, in_search",
         [
-            [1e200, 1e200, 3e200, 2e200],  # the parent objective overflows
-            [1e200, -1e200, 0.0, 0.0],  # only a child objective overflows
+            # The parent objective overflows: the node could never split,
+            # so the search refuses it.
+            ([1e200, 1e200, 3e200, 2e200], True),
+            # Only a child objective overflows: the search returns the
+            # +inf gain, and the grower refuses the tree it lands in.
+            ([1e200, -1e200, 0.0, 0.0], False),
         ],
+        ids=["g0", "g1"],
     )
-    def test_overflowing_gain_raises(self, g):
+    def test_overflowing_gain_raises(self, g, in_search):
         data = binned_single_feature([0, 1, 2, 3])
         gh = GradHess(np.array(g), np.ones(4))
         cfg = TreeConfig(max_bins=4, lam=0.0)
         hist, totals = self.make_hist(data, gh, cfg)
-        with pytest.raises(NonFiniteEstimate):
-            search_one(hist, cfg, totals)
+        if in_search:
+            with pytest.raises(NonFiniteEstimate, match="split search overflows"):
+                search_one(hist, cfg, totals)
+        else:
+            assert search_one(hist, cfg, totals)[2] == np.inf
+            with pytest.raises(NonFiniteEstimate, match="split gain or leaf moment overflows"):
+                grow_tree(data, gh, np.arange(4), TreeConfig(max_leaves=2, max_bins=4, lam=0.0))
 
     def test_single_bin_has_no_candidate(self):
         data = binned_single_feature([0, 0, 0])
@@ -274,12 +306,74 @@ class TestLeafStats:
         with pytest.raises(EmptyMask):
             leaf_stats(np.array([]), np.array([]), 1.0)
 
+    # Extreme but finite: tiny hessian means, subnormals, and a gradient
+    # variance that overflows to inf in both forms.
+    EXTREME = [
+        ([1e150, -3e149, 7e149], [1e70, 2e70, 5e-324], 0.0),
+        ([5e-324, -5e-324, 1e-310], [1e-300, 0.0, 5e-324], 1.0),
+        ([1.3e154, -1.1e154], [1.0, 1.0], 0.0),
+        ([1e154], [2e-9], 1e-300),
+        ([1.0, 2.0], [1.0, 2.0], 0.0),  # var below 0, clamped
+        ([1e-300, 3e-300, -2e-300, 1e-310], [1e-5, 2e-5, 1e-5, 3e-5], 1e-300),
+    ]
+
+    def test_scalar_powers_round_as_python_floats(self):
+        """Model bytes rest on a float64 scalar's ``**`` rounding as
+        Python's float power. An array's ``**2`` is ``x*x``, which differs
+        from it in about one value in a thousand, as a shortcut for
+        scalars would."""
+        rng = np.random.default_rng(3)
+        values = (rng.uniform(0.5, 2.0, 20000) * 10.0 ** rng.integers(-70, 70, 20000)).tolist()
+        assert any(v * v != v**2 for v in values)  # the draw would see a shortcut
+        for k in (2, 3, 4):
+            assert [np.float64(v) ** k for v in values] == [v**k for v in values]
+
+    def test_rounds_as_python_floats(self):
+        """Bit for bit the formula in Python floats, on random inputs and
+        on extreme but finite ones."""
+        rng = np.random.default_rng(5)
+        cases = [(np.array(g), np.array(h), lam) for g, h, lam in self.EXTREME]
+        for _ in range(3000):
+            n = int(rng.integers(1, 6))
+            scale = 10.0 ** rng.integers(-40, 40, size=3)
+            g = rng.normal(size=n) * scale[0]
+            h = rng.uniform(0.0, 2.0, size=n) * scale[1]
+            if rng.integers(2):  # a constant hessian, as the squared error's
+                h[:] = h[0]
+            cases.append((g, h, float(rng.uniform(0.0, 2.0) * scale[2])))
+        for g, h, lam in cases:
+            try:
+                expected = python_float_leaf_moments(g, h, lam)
+            except DegenerateHessian:
+                continue
+            with np.errstate(all="ignore"):
+                stats = leaf_stats(g, h, lam)
+            assert np.array([stats.mu, stats.var]).tobytes() == np.array(expected).tobytes()
+
+    def test_a_nan_variance_is_not_clamped(self):
+        # g_bar**2 overflows and var_h is 0: inf * 0 is NaN, and mu is finite.
+        with np.errstate(all="ignore"):
+            stats = leaf_stats(np.array([1e300, 1e300]), np.array([1e300, 1e300]), 1.0)
+        assert stats.mu == 1.0 and np.isnan(stats.var)
+
     def test_degenerate_hessian(self):
         with pytest.raises(DegenerateHessian):
             leaf_stats(np.array([1.0]), np.array([0.0]), 0.0)
 
 
 class TestGrowTree:
+    @pytest.mark.parametrize(
+        "g, h",
+        [
+            ([1e300, 1e300], [1e300, 1e300]),  # mu is 1; var is inf * 0, NaN
+            ([1.3e154, -1.1e154], [1.0, 1.0]),  # var is inf
+        ],
+    )
+    def test_a_leaf_moment_that_overflows_is_refused(self, g, h):
+        gh = GradHess(np.array(g), np.array(h))
+        with pytest.raises(NonFiniteEstimate, match="leaf moment overflows"):
+            grow_tree(binned_single_feature([0, 0]), gh, np.arange(2), TreeConfig(max_leaves=1))
+
     def test_stump(self):
         data, gh = four_sample_case()
         cfg = TreeConfig(max_leaves=1, max_bins=2, lam=0.0)
