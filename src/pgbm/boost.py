@@ -210,7 +210,7 @@ def train(
     TrainingDiverged as soon as a tree leaves the objective above
     ten times the constant model's. A number that overflows float64, in
     the loss and metric too, is inf or NaN without a numpy warning; a
-    tree or estimates that overflow raise NonFiniteEstimate.
+    target mean, tree or estimates that overflow raise NonFiniteEstimate.
     """
     if valid is None and config.early_stopping_rounds is not None:
         raise ValueError("early stopping needs a validation set")
@@ -220,6 +220,8 @@ def train(
     n = data.n
     y = data.target
     y0 = float(np.mean(y))
+    if not math.isfinite(y0):
+        raise NonFiniteEstimate(f"the target mean overflows float64 ({y0!r})")
     alpha = config.learning_rate
     rho_default = (
         default_rho(n) if config.rho == "auto" else float(config.rho)

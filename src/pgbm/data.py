@@ -118,7 +118,7 @@ class BinEdges(Value):
 
 
 class BinnedDataset(Value):
-    """Feature matrix reduced to per-feature bin indices."""
+    """Feature matrix reduced to per-feature bin indices, column by column."""
 
     bins: np.ndarray
     edges: BinEdges
@@ -389,7 +389,7 @@ def apply_bins(data: RawDataset, edges: BinEdges) -> BinnedDataset:
         raise FeatureCountMismatch(
             f"data has {data.f} features, edges were fit for {edges.n_features}"
         )
-    bins = np.empty((data.n, data.f), dtype=np.uint16)
+    bins = np.empty((data.n, data.f), dtype=np.uint16, order="F")
     for j in range(data.f):
         bins[:, j] = np.searchsorted(edges.edges[j], data.features[:, j], side="left")
     return BinnedDataset(bins=bins, edges=edges, target=data.target.copy())

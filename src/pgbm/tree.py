@@ -1,9 +1,11 @@
 """Histogram decision trees with stochastic leaf weights.
 
-One tree is grown per boosting iteration over binned features. A
-per-tree key table gives every (row, feature) cell its flat (feature,
-bin) key, so a node's gradient, hessian and count histograms, (features
-x bins) each, take one ``bincount`` per statistic. One split search
+One tree is grown per boosting iteration over binned features, and
+rows move as whole blocks. A node's gradient, hessian and count
+histograms, (features x bins) each, take one ``take`` of its rows of a
+per-tree table of flat (feature, bin) keys and one ``bincount`` per
+statistic; a region splits by one ``take`` from the feature's column
+of the column-major bins and one ``compress`` per child. One split search
 scores a stack of nodes, the root alone or a split's two children:
 cumulative sums along the bin axis, one masked gain tensor and one
 row-major argmax per node, whose winning cumulative sums are the left
@@ -169,15 +171,15 @@ def build_histogram(
 
     ``keys`` is the tree's key table: cell (row, j) holds the flat key
     ``bins[row, features[j]] + j * n_bins``, so one ``bincount`` per
-    statistic fills every feature at once. Keys are laid out row by row,
+    statistic fills every feature at once. ``take`` gathers whole rows,
     so each bin still adds its rows in the order of ``indices``.
     """
     width = len(features)
-    node_keys = keys[indices].ravel()
+    node_keys = keys.take(indices, axis=0).ravel()
     size = width * n_bins
     stats = np.concatenate((
-        np.bincount(node_keys, weights=np.repeat(g[indices], width), minlength=size),
-        np.bincount(node_keys, weights=np.repeat(h[indices], width), minlength=size),
+        np.bincount(node_keys, weights=np.repeat(g.take(indices), width), minlength=size),
+        np.bincount(node_keys, weights=np.repeat(h.take(indices), width), minlength=size),
         np.bincount(node_keys, minlength=size),
     ))
     return NodeHistogram(features, stats.reshape(3, 1, width, n_bins))
@@ -329,7 +331,7 @@ def grow_tree(
         features = np.arange(data.f)
     n_bins = data.max_n_bins
     g, h = gh.g, gh.h
-    keys = data.bins[:, features] + np.arange(len(features)) * n_bins
+    keys = np.add(data.bins[:, features], np.arange(len(features)) * n_bins, order="C")
 
     rows: list[np.ndarray] = []  # each region's row indices, by region number
     heap: list[tuple] = []  # (-gain, region, hist, totals, best)
@@ -389,10 +391,11 @@ def _split_rows(
     """Split row indices by the routing rule: a row goes left when its bin
     of ``feature`` is <= ``threshold``. Each half keeps the order of
     ``rows``; None stands for every row of ``bins``."""
-    go_left = (bins[:, feature] if rows is None else bins[rows, feature]) <= threshold
+    column = bins[:, feature]
+    go_left = (column if rows is None else column.take(rows)) <= threshold
     if rows is None:
         return np.flatnonzero(go_left), np.flatnonzero(~go_left)
-    return rows[go_left], rows[~go_left]
+    return rows.compress(go_left), rows.compress(~go_left)
 
 
 def route_many(tree: Tree, bins: np.ndarray) -> np.ndarray:
@@ -403,11 +406,8 @@ def route_many(tree: Tree, bins: np.ndarray) -> np.ndarray:
     it is visited. Each row is compared once per node it passes, and a
     node's row indices are dropped once they are split.
     """
-    if not len(tree.nodes):
-        return np.zeros(bins.shape[0], dtype=np.int64)
-    leaf_ids = np.empty(bins.shape[0], dtype=np.int64)
-    # None at the root stands for every row; the parent of any other
-    # node has set its rows before the node is visited.
+    leaf_ids = np.zeros(bins.shape[0], dtype=np.int64)  # a tree without a split: leaf 0
+    # None at the root stands for every row; a parent sets its children's.
     node_rows: list[np.ndarray | None] = [None] * len(tree.nodes)
     for node, (feature, threshold, left, right, _) in enumerate(tree.nodes.tolist()):
         halves = _split_rows(bins, node_rows[node], feature, threshold)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import pathlib
 import subprocess
@@ -11,6 +12,7 @@ import sys
 import numpy as np
 
 import pgbm
+import pgbm.tree
 
 PUBLIC = {
     "BinEdges",
@@ -169,6 +171,22 @@ def test_package_import_loads_every_traced_module():
     traced = tuple(f"pgbm.{name}" for name in
                    ("boost", "data", "dist", "loss", "metrics", "model_io", "tree"))
     assert modules_after_cli_import(traced, module="pgbm") == list(traced)
+
+
+def test_traced_grower_functions_keep_their_bound_parameters():
+    # benchmarks/tracing.py binds each call's arguments by name to count a
+    # layer's work: the rows and features of a histogram, the candidates
+    # of a split search (through the histogram's ``g``) and the rows
+    # routed. A renamed parameter would break only its trace mode.
+    bound = {
+        "build_histogram": {"indices", "features"},
+        "find_best_split": {"hist"},
+        "route_many": {"bins"},
+    }
+    for name, params in bound.items():
+        signature = inspect.signature(getattr(pgbm.tree, name))
+        assert params <= signature.parameters.keys(), name
+    assert isinstance(pgbm.tree.NodeHistogram.g, property)
 
 
 def test_readme_quickstart_runs(tmp_path, monkeypatch):

@@ -247,6 +247,16 @@ class TestTrain:
         with pytest.raises(NonFiniteEstimate):
             train(data, exploding, small_config(n_estimators=2))
 
+    @pytest.mark.parametrize(
+        "targets", [[1.7e308] * 3, [-1.7e308] * 3, [1.7e308, 1.7e308, -1.7e308, -1.7e308]]
+    )
+    def test_an_overflowing_target_mean_is_named(self, targets):
+        # Each target is finite; their sum is not, before any tree is grown.
+        data = RawDataset(np.arange(len(targets), dtype=float)[:, None], np.array(targets), ["x"])
+        message = r"^the target mean overflows float64 \((-?inf|nan)\)$"
+        with pytest.raises(NonFiniteEstimate, match=message):
+            train(data, mse_gradhess, small_config(n_estimators=2))
+
     def test_rising_objective_raises(self):
         data = make_regression(17, 60, 1)
 

@@ -1201,6 +1201,7 @@ FAILURES = {
                          "--hierarchy", str(f["far_hierarchy"])),
         3, errors.IndexOutOfRange),
     "split_overflow": (lambda f: _train(f, "huge"), 3, errors.NonFiniteEstimate),
+    "target_mean_overflow": (lambda f: _train(f, "near_max_target"), 3, errors.NonFiniteEstimate),
     "fit_overflow_bagged_leaf": (
         lambda f: _train(f, "opposed_pair", "--bagging-fraction", "0.5", "--max-leaves", "1"),
         3, errors.NonFiniteEstimate),
@@ -1355,6 +1356,7 @@ def failures(workspace, tmp_path_factory):
         "header_only_predictions": "row,mu,var,s0,s1\n",
         "far_hierarchy": "levels=1\nlevel 0 weight=1\ngroup a: 0,999\n",
         "huge": "x,y\n0,1e160\n1,-1e160\n2,3e160\n3,-2e160\n",
+        "near_max_target": "x,y\n0,1.7e308\n1,1.7e308\n2,1.7e308\n",
         # The bag of two rows holds 1e300 and -1e300: the leaf's gradient
         # variance overflows.
         "opposed_pair": "x,y\n0,1e300\n1,-1e300\n2,3.0\n",
@@ -1462,6 +1464,14 @@ class TestErrorPaths:
         }[expected]
         assert (code, *capsys.readouterr()) == (expected, "", message)
         assert not case_files["out"].exists()
+
+    def test_an_overflowing_target_mean_is_named(self, case_files, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(FAILURES["target_mean_overflow"][0](case_files))
+        assert caught == []
+        message = "error: the target mean overflows float64 (inf)\n"
+        assert (code, *capsys.readouterr()) == (3, "", message)
 
     def test_every_pgbm_error_is_walked(self):
         classes = {

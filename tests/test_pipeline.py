@@ -30,14 +30,16 @@ NOT_FINITE = re.compile(r"\b(?:inf|nan)\b", re.IGNORECASE)
 
 SMALL = st.floats(-10.0, 10.0, allow_subnormal=False)
 MILD = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-310]) | SMALL
-EXTREME = st.sampled_from([1e300, -1e300]) | MILD
+EXTREME = st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308]) | MILD
 
 
 @st.composite
 def tables(draw, n_rows: int, n_features: int) -> str:
     """CSV text with features x0.. and target y. The features of about
-    half the tables and the targets of a third hold cells of +-1e300; a
-    target's overflows the sums of squares that training takes."""
+    half the tables and the targets of a third hold cells of +-1e300 and
+    +-1.7e308, near the float64 maximum; a target's overflows the sums
+    of squares that training takes, and two of the largest overflow the
+    target mean."""
     features = draw(st.sampled_from([MILD, EXTREME]))
     target = draw(st.sampled_from([MILD, MILD, EXTREME]))
     lines = [",".join([f"x{j}" for j in range(n_features)] + ["y"])]
