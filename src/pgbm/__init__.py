@@ -53,7 +53,7 @@ from .model_io import load, save
 # find_best_split is exported only because the benchmark's own tests
 # (benchmarks/test_bench_logic.py) check that the tracer wraps it under
 # this name too; the other grower internals stay in pgbm.tree.
-from .tree import Tree, TreeConfig, find_best_split, leaf_stats
+from .tree import Tree, TreeConfig, find_best_split
 
 __version__ = "0.1.0"
 
@@ -85,7 +85,6 @@ __all__ = [
     "hier_wmse_gradhess",
     "hier_wmse_loss",
     "hierarchical_report",
-    "leaf_stats",
     "load",
     "load_csv",
     "load_hierarchy",

@@ -119,19 +119,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="validation score (crps uses the normal closed form)")
     p.add_argument("--loss", choices=("mse", "hierwmse"), default="mse")
     p.add_argument("--hierarchy", help="hierarchy spec file (required for hierwmse)")
-    p.add_argument("--n-estimators", type=int, default=100)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--bagging-fraction", type=float, default=1.0)
-    p.add_argument("--feature-fraction", type=float, default=1.0)
-    p.add_argument("--max-leaves", type=int, default=16)
-    p.add_argument("--max-bin", type=int, default=64)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--min-split-gain", type=float, default=0.0)
-    p.add_argument("--min-data-in-leaf", type=int, default=1)
-    p.add_argument("--rho", type=_rho_argument, default="auto",
+    # The model's configuration: a flag left out takes the BoostConfig or
+    # TreeConfig default.
+    p.add_argument("--n-estimators", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--bagging-fraction", type=float)
+    p.add_argument("--feature-fraction", type=float)
+    p.add_argument("--max-leaves", type=int)
+    p.add_argument("--max-bin", dest="max_bins", metavar="MAX_BIN", type=int)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--min-split-gain", type=float)
+    p.add_argument("--min-data-in-leaf", type=int)
+    p.add_argument("--rho", type=_rho_argument,
                    help="tree correlation in [-1,1], or `auto` for log10(n)/100")
-    p.add_argument("--early-stopping-rounds", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--early-stopping-rounds", type=int)
+    p.add_argument("--seed", type=int)
     sub["train"] = p
 
     p = commands.add_parser("predict", help="write moments and samples for a dataset")
@@ -272,22 +274,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         loss = mse_gradhess
 
-    config = BoostConfig(
-        n_estimators=args.n_estimators,
-        learning_rate=args.learning_rate,
-        bagging_fraction=args.bagging_fraction,
-        feature_fraction=args.feature_fraction,
-        tree=TreeConfig(
-            max_leaves=args.max_leaves,
-            max_bins=args.max_bin,
-            lam=args.lam,
-            min_split_gain=args.min_split_gain,
-            min_data_in_leaf=args.min_data_in_leaf,
-        ),
-        rho=args.rho,
-        early_stopping_rounds=args.early_stopping_rounds,
-        seed=args.seed,
-    )
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    pick = lambda cls: {name: given[name] for name in cls._fields if name in given}
+    config = BoostConfig(tree=TreeConfig(**pick(TreeConfig)), **pick(BoostConfig))
 
     valid = None
     progress = None

@@ -14,6 +14,8 @@ lines in id order. Anything else raises CorruptModel.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,54 +40,80 @@ def _ref_token(ref: int) -> str:
     return f"N{ref}" if ref >= 0 else f"L{~ref}"
 
 
-def check_names(feature_names: list[str], target_name: str | None) -> None:
-    """Raise ValueError for a name the model file cannot hold: a comma in
-    a feature name, or in any name a line boundary of `str.splitlines`,
-    by which `load` splits the file."""
-    for name in feature_names:
+def check_names(feature_names: list[str], target_name: str | None) -> list[str]:
+    """Return ``feature_names``, or raise ValueError for a name the model
+    file cannot hold: a comma in a feature name, a feature name given
+    twice, or in any name a line boundary of `str.splitlines`, by which
+    `load` splits the file."""
+    for name, count in Counter(feature_names).items():
         if "," in name:
             raise ValueError(f"feature name {name!r} cannot contain ','")
+        if count > 1:
+            raise ValueError(f"feature name {name!r} is given {count} times")
     for name in [*feature_names, target_name or ""]:
         if name.splitlines() not in ([], [name]):
             raise ValueError(f"column name {name!r} cannot contain a line break")
+    return feature_names
+
+
+def _finite(text: str, what: str = "value") -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {what} {value!r}")
+    return value
+
+
+def _at_least(low: int, text: str) -> int:
+    value = int(text)
+    if value < low:
+        raise ValueError(f"{value} is below {low}")
+    return value
+
+
+# Every scalar key in file order: the attribute of an ``Ensemble`` that
+# holds its value (through ``config`` and ``config.tree``), how ``save``
+# writes that value and how ``load`` reads it back. A key written with
+# ``len`` counts the feature names or the tree blocks that follow. Only
+# the ``target_column`` line may be absent, when ``target_name`` is None.
+_SCALARS = {
+    "n_estimators": ("config.n_estimators", str, int),
+    "learning_rate": ("config.learning_rate", _real, _finite),
+    "bagging_fraction": ("config.bagging_fraction", _real, _finite),
+    "feature_fraction": ("config.feature_fraction", _real, _finite),
+    "max_leaves": ("config.tree.max_leaves", str, int),
+    "max_bins": ("config.tree.max_bins", str, int),
+    "lambda": ("config.tree.lam", _real, _finite),
+    "min_split_gain": ("config.tree.min_split_gain", _real, _finite),
+    "min_data_in_leaf": ("config.tree.min_data_in_leaf", str, int),
+    "rho_config": (
+        "config.rho",
+        lambda rho: "auto" if rho == "auto" else _real(rho),
+        lambda text: text if text == "auto" else _finite(text),
+    ),
+    "early_stopping_rounds": (
+        "config.early_stopping_rounds",
+        lambda rounds: "none" if rounds is None else str(rounds),
+        lambda text: None if text == "none" else int(text),
+    ),
+    "seed": ("config.seed", str, int),
+    "y0": ("y0", _real, _finite),
+    "alpha": ("alpha", _real, _finite),
+    "rho": ("rho_default", _real, lambda text: _check_rho(_finite(text))),
+    "n_train": ("n_train", str, lambda text: _at_least(1, text)),
+    "n_features": ("feature_names", len, int),
+    "feature_names": ("feature_names", ",".join, lambda text: check_names(text.split(","), None)),
+    "target_column": ("target_name", str, str),
+    "n_trees": ("trees", len, lambda text: _at_least(0, text)),
+}
 
 
 def _format_lines(model: Ensemble) -> list[str]:
-    config = model.config
-    tree_config = config.tree
     check_names(model.feature_names, model.target_name)
-    rho_config = (
-        "auto" if config.rho == "auto" else _real(config.rho)
-    )
-    stopping = (
-        "none"
-        if config.early_stopping_rounds is None
-        else str(config.early_stopping_rounds)
-    )
-    lines = [
-        _HEADER,
-        f"n_estimators = {config.n_estimators}",
-        f"learning_rate = {_real(config.learning_rate)}",
-        f"bagging_fraction = {_real(config.bagging_fraction)}",
-        f"feature_fraction = {_real(config.feature_fraction)}",
-        f"max_leaves = {tree_config.max_leaves}",
-        f"max_bins = {tree_config.max_bins}",
-        f"lambda = {_real(tree_config.lam)}",
-        f"min_split_gain = {_real(tree_config.min_split_gain)}",
-        f"min_data_in_leaf = {tree_config.min_data_in_leaf}",
-        f"rho_config = {rho_config}",
-        f"early_stopping_rounds = {stopping}",
-        f"seed = {config.seed}",
-        f"y0 = {_real(model.y0)}",
-        f"alpha = {_real(model.alpha)}",
-        f"rho = {_real(model.rho_default)}",
-        f"n_train = {model.n_train}",
-        f"n_features = {len(model.feature_names)}",
-        f"feature_names = {','.join(model.feature_names)}",
-    ]
-    if model.target_name is not None:
-        lines.append(f"target_column = {model.target_name}")
-    lines.append(f"n_trees = {len(model.trees)}")
+    lines = [_HEADER]
+    for key, (where, write, _) in _SCALARS.items():
+        value = attrgetter(where)(model)
+        if value is not None or where != "target_name":
+            lines.append(f"{key} = {write(value)}")
     for j, edge_values in enumerate(model.edges.edges):
         joined = ",".join(_real(v) for v in edge_values)
         lines.append(f"edges {j}:" + (f" {joined}" if joined else ""))
@@ -105,39 +133,6 @@ def _format_lines(model: Ensemble) -> list[str]:
 
 def save(model: Ensemble, path: str | Path) -> None:
     write_lines(path, _format_lines(model))
-
-
-def _finite(text: str, what: str = "value") -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite {what} {value!r}")
-    return value
-
-
-# Every scalar key in the order ``save`` writes it, with the reader of
-# its value. Only ``target_column`` may be absent.
-_SCALARS = {
-    "n_estimators": int,
-    "learning_rate": _finite,
-    "bagging_fraction": _finite,
-    "feature_fraction": _finite,
-    "max_leaves": int,
-    "max_bins": int,
-    "lambda": _finite,
-    "min_split_gain": _finite,
-    "min_data_in_leaf": int,
-    "rho_config": lambda text: text if text == "auto" else _finite(text),
-    "early_stopping_rounds": lambda text: None if text == "none" else int(text),
-    "seed": int,
-    "y0": _finite,
-    "alpha": _finite,
-    "rho": lambda text: _check_rho(_finite(text)),
-    "n_train": int,
-    "n_features": int,
-    "feature_names": lambda text: text.split(","),
-    "target_column": str,
-    "n_trees": int,
-}
 
 
 def _line(lines: list[str], pos: int, what: str) -> str:
@@ -230,28 +225,26 @@ def load(path: str | Path) -> Ensemble:
             raise VersionMismatch(f"unsupported format {lines[0]!r}, expected {_HEADER!r}")
         raise CorruptModel(1, f"not a model file (header {lines[0]!r})")
 
-    scalars: dict[str, object] = {}
+    fields = defaultdict(dict)  # keyword arguments by owner: "", "config" or "config.tree"
+    counts = {}
     pos = 1
-    for key, reader in _SCALARS.items():
+    for key, (where, write, read) in _SCALARS.items():
         line = _line(lines, pos, f"'{key} = ...'")
         name, sep, value = line.partition(" = ")
-        if key == "target_column" and name != key:
-            scalars[key] = None
+        if where == "target_name" and name != key:
             continue
         if name != key or not sep:
             raise CorruptModel(pos + 1, f"expected '{key} = ...', got {line!r}")
+        owner, _, field = where.rpartition(".")
         try:
-            scalars[key] = reader(value)
+            (counts if write is len else fields[owner])[field] = read(value)
         except ValueError as exc:
             raise CorruptModel(pos + 1, f"bad value for {key}: {exc}") from exc
         pos += 1
 
-    n_features = scalars["n_features"]
-    feature_names = scalars["feature_names"]
-    if len(feature_names) != n_features:
-        raise CorruptModel(
-            pos + 1, f"{len(feature_names)} feature names for {n_features} features"
-        )
+    n_features, n_names = counts["feature_names"], len(fields[""]["feature_names"])
+    if n_names != n_features:
+        raise CorruptModel(pos + 1, f"{n_names} feature names for {n_features} features")
 
     edge_arrays = [
         _parse_line(lines, pos + j, "edges", f"{j}:", _read_edges) for j in range(n_features)
@@ -259,41 +252,15 @@ def load(path: str | Path) -> Ensemble:
     pos += n_features
     edge_counts = [values.size for values in edge_arrays]
     trees = []
-    for k in range(scalars["n_trees"]):
+    for k in range(counts["trees"]):
         tree, pos = _parse_tree(lines, pos, k, edge_counts)
         trees.append(tree)
     if pos < len(lines):
         raise CorruptModel(pos + 1, f"trailing content {lines[pos]!r}")
 
     try:
-        tree_config = TreeConfig(
-            max_leaves=scalars["max_leaves"],
-            max_bins=scalars["max_bins"],
-            lam=scalars["lambda"],
-            min_split_gain=scalars["min_split_gain"],
-            min_data_in_leaf=scalars["min_data_in_leaf"],
-        )
-        config = BoostConfig(
-            n_estimators=scalars["n_estimators"],
-            learning_rate=scalars["learning_rate"],
-            bagging_fraction=scalars["bagging_fraction"],
-            feature_fraction=scalars["feature_fraction"],
-            tree=tree_config,
-            rho=scalars["rho_config"],
-            early_stopping_rounds=scalars["early_stopping_rounds"],
-            seed=scalars["seed"],
-        )
+        tree_config = TreeConfig(**fields["config.tree"])
+        config = BoostConfig(tree=tree_config, **fields["config"])
     except ValueError as exc:
         raise CorruptModel(2, f"invalid configuration: {exc}") from exc
-
-    return Ensemble(
-        trees=trees,
-        y0=scalars["y0"],
-        alpha=scalars["alpha"],
-        rho_default=scalars["rho"],
-        edges=BinEdges(tuple(edge_arrays)),
-        config=config,
-        n_train=scalars["n_train"],
-        feature_names=feature_names,
-        target_name=scalars.get("target_column"),
-    )
+    return Ensemble(trees=trees, edges=BinEdges(tuple(edge_arrays)), config=config, **fields[""])

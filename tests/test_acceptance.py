@@ -39,7 +39,6 @@ from pgbm import (
     hier_wmse_gradhess,
     hier_wmse_loss,
     hierarchical_report,
-    leaf_stats,
     match_params,
     mse_gradhess,
     predict_moments,
@@ -49,6 +48,7 @@ from pgbm import (
     tree_contributions,
 )
 from pgbm.dist import FAMILIES
+from pgbm.tree import leaf_stats
 
 from conftest import make_regression
 from reference_impl import reference_fit_predict

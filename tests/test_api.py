@@ -44,7 +44,6 @@ PUBLIC = {
     "hier_wmse_gradhess",
     "hier_wmse_loss",
     "hierarchical_report",
-    "leaf_stats",
     "load",
     "load_csv",
     "load_hierarchy",

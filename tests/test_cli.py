@@ -97,6 +97,36 @@ class TestTrain:
         assert f"saved {out} (3 trees)" in captured.out
         assert out.exists()
 
+    def test_a_flag_left_out_takes_the_class_default(self, workspace, tmp_path):
+        config = pgbm.BoostConfig()
+        tree = config.tree
+        explicit = {
+            "--n-estimators": config.n_estimators,
+            "--learning-rate": config.learning_rate,
+            "--bagging-fraction": config.bagging_fraction,
+            "--feature-fraction": config.feature_fraction,
+            "--max-leaves": tree.max_leaves,
+            "--max-bin": tree.max_bins,
+            "--lambda": tree.lam,
+            "--min-split-gain": tree.min_split_gain,
+            "--min-data-in-leaf": tree.min_data_in_leaf,
+            "--rho": config.rho,
+            "--seed": config.seed,
+        }
+        assert config.early_stopping_rounds is None  # no flag spells None
+        flags = [str(token) for pair in explicit.items() for token in pair]
+        train_csv = str(workspace["train_csv"])
+        paths = {name: tmp_path / f"{name}.txt" for name in ("bare", "explicit", "library")}
+        for name, extra in (("bare", []), ("explicit", flags)):
+            argv = ["train", "--data", train_csv, "--target", "y",
+                    "--model-out", str(paths[name]), *extra]
+            assert main(argv) == 0
+        library = pgbm.train(load_csv(train_csv, "y"), pgbm.mse_gradhess, config)
+        pgbm.save(library, paths["library"])
+        bare = paths["bare"].read_bytes()
+        assert paths["explicit"].read_bytes() == bare
+        assert paths["library"].read_bytes() == bare
+
     def test_validation_progress_lines(self, workspace, capsys, tmp_path):
         out = tmp_path / "m.txt"
         code = main(
@@ -1236,6 +1266,8 @@ FAILURES = {
     "model_version": (lambda f: _predict(f, "future_model"), 3, errors.VersionMismatch),
     "model_corrupt": (lambda f: _predict(f, "not_a_model"), 3, errors.CorruptModel),
     "model_blank_tree_line": (lambda f: _predict(f, "blank_line_model"), 3, errors.CorruptModel),
+    "model_feature_named_twice": (
+        lambda f: _predict(f, "twice_named_model", "--point-only"), 3, errors.CorruptModel),
     "csv_field_over_limit": (lambda f: _train(f, "long_header_cell"), 3, errors.ParseError),
     "hierarchy_member_beyond_int64": (
         lambda f: _train(f, "train_csv", "--loss", "hierwmse",
@@ -1378,6 +1410,8 @@ def failures(workspace, tmp_path_factory):
         "point_predictions": "row,mu,var\n" + "".join(f"{i},1.0,0.5\n" for i in range(80)),
         "blank_line_model": workspace["model"].read_text(encoding="utf-8").replace(
             "tree 0\n", "tree 0\n\n", 1),
+        "twice_named_model": workspace["model"].read_text(encoding="utf-8").replace(
+            "\nfeature_names = x0,x1\n", "\nfeature_names = x0,x0\n", 1),
         # Every leaf mean 1e308, which the loader takes: the means overflow.
         "overflowing_model": "".join(
             "leaf {} 1e308 {} {}\n".format(*line.split()[1:2], *line.split()[3:])

@@ -149,6 +149,13 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             save(bad, tmp_path / "bad.txt")
 
+    def test_feature_name_given_twice_rejected(self, fitted, tmp_path):
+        _, model = fitted
+        bad = copy.copy(model)
+        bad.feature_names = ["x0", "x0"]
+        with pytest.raises(ValueError, match="feature name 'x0' is given 2 times"):
+            save(bad, tmp_path / "bad.txt")
+
 
 @pytest.fixture()
 def saved(fitted, tmp_path):
@@ -298,6 +305,30 @@ class TestCorruption:
 
         with pytest.raises(CorruptModel):
             load(mutate(path, tmp / "edges.txt", corrupt))
+
+    def test_feature_named_twice(self, saved):
+        path, tmp = saved
+        lines = []
+
+        def corrupt(text):
+            lines.append(set_token(text, "feature_names = ", 2, "x0,x0"))
+
+        with pytest.raises(CorruptModel, match="feature name 'x0' is given 2 times") as info:
+            load(mutate(path, tmp / "twice.txt", corrupt))
+        assert info.value.line == lines[0]
+
+    @pytest.mark.parametrize("key, value", [("n_trees", "-1"), ("n_train", "0"), ("n_train", "-3")])
+    def test_count_below_its_least_value(self, saved, key, value):
+        path, tmp = saved
+        lines = []
+
+        def corrupt(text):
+            lines.append(set_token(text, f"{key} = ", 2, value))
+            del text[text.index("tree 0"):]  # a file that holds no tree block
+
+        with pytest.raises(CorruptModel, match=f"bad value for {key}: {value} is below") as info:
+            load(mutate(path, tmp / "count.txt", corrupt))
+        assert info.value.line == lines[0]
 
 
 def set_token(lines, prefix, position, value):
@@ -556,6 +587,9 @@ class TestFuzz:
         moments = predict_moments(model, rows)
         assert np.all(np.isfinite(moments.mu))
         assert np.all(np.isfinite(moments.var))
+        resaved = out.with_name("resaved.txt")
+        save(model, resaved)
+        assert resaved.read_bytes() == out.read_bytes()
 
 
 class TestIo:

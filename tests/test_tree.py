@@ -20,7 +20,6 @@ from pgbm import (
     apply_bins,
     compute_bin_edges,
     find_best_split,
-    leaf_stats,
 )
 from pgbm.errors import DegenerateHessian, EmptyMask, NonFiniteEstimate
 from pgbm.tree import (
@@ -30,6 +29,7 @@ from pgbm.tree import (
     NodeHistogram,
     build_histogram,
     grow_tree,
+    leaf_stats,
     route_many,
     subtract_histogram,
 )
