@@ -42,7 +42,7 @@ from .boost import (
     train,
 )
 from .data import OutputFile, RawDataset, load_csv, read_text, write_lines
-from .dist import FAMILIES, DistSpec, check_draws, check_seed, sample
+from .dist import FAMILIES, DistSpec, check_draws, check_seed, sample, sample_blocks
 from .errors import DuplicateColumn, LengthMismatch, MissingColumn, ParseError, PgbmError
 from .loss import hier_wmse_gradhess, load_hierarchy, mse_gradhess
 from .metrics import (
@@ -66,8 +66,8 @@ if TYPE_CHECKING:
 MAX_SAMPLE_COLUMNS = 10_000
 # Most rho values one `sweep --rhos` list or range may give.
 MAX_RHO_VALUES = 1_000
-# Rows per block of predict output: the unit that predict's shares split,
-# formatted and written one at a time.
+# Rows per block of predict output, the unit that predict's shares split,
+# formatted and written one at a time; flat evaluate's CRPS blocks too.
 _PREDICT_BLOCK_ROWS = 256
 # One scored sweep cell as a worker hands it back: its CRPS and the rows
 # that fell back to normal.
@@ -357,11 +357,7 @@ def _read_predictions(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     raw = load_csv(path, target_column=None)
     if raw.feature_names[:3] != ["row", "mu", "var"]:
         raise ParseError(0, 0, f"{path} does not look like predict output")
-    # Row-major layout keeps metric reductions bit-identical to in-process
-    # sample matrices, so sweep cells match predict + evaluate exactly.
-    matrix = np.ascontiguousarray(raw.features[:, 3:].T) if raw.f > 3 else None
-    # A copy, so that the parsed file is freed before scoring starts.
-    return raw.features[:, 1].copy(), matrix
+    return raw.features[:, 1].copy(), raw.features[:, 3:].T if raw.f > 3 else None
 
 
 def _actual_targets(path: str, target: str | None) -> np.ndarray:
@@ -383,6 +379,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_unique("--metrics", requested)
 
     mu, samples = _read_predictions(args.pred)
+    if args.hierarchy and samples is not None:  # level sums need a C-ordered copy,
+        samples = np.ascontiguousarray(samples)  # after which the parsed file is freed
     y = _actual_targets(args.actual, args.target)
     if len(y) != len(mu):
         raise LengthMismatch(
@@ -400,7 +398,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if hierarchy is not None:
             report = hierarchical_report(y, pred, hierarchy, metric=name)
         elif name == "crps":
-            report = MetricReport(name="crps", value=mean_crps(samples, y), n=len(y))
+            blocks = np.hsplit(samples, range(_PREDICT_BLOCK_ROWS, len(y), _PREDICT_BLOCK_ROWS))
+            report = MetricReport(name="crps", value=mean_crps(blocks, y), n=len(y))
         else:
             report = MetricReport(name="rmse", value=rmse(y, mu), n=len(y))
         lines.extend(report_rows(report))
@@ -474,10 +473,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     def score(cell: Cell) -> tuple[float, int]:
         spec, rho = cell
-        result = sample(moments_by_rho[rho], spec, args.n_samples, args.seed)
+        fallback_rows, blocks = sample_blocks(moments_by_rho[rho], spec, args.n_samples, args.seed)
         # evaluate's check: a score that is not finite fails the command
-        crps = MetricReport(name="crps", value=mean_crps(result.samples, data.target), n=data.n)
-        return crps.value, result.fallback_rows  # the draws are freed on return
+        crps = MetricReport(name="crps", value=mean_crps(blocks, data.target), n=data.n)
+        return crps.value, fallback_rows
 
     # A fork costs about as much as scoring one cell, so each share holds a
     # pair of cells or more; cell k goes to share k mod n, so that a slow

@@ -11,6 +11,7 @@ same log-gamma. Only the two bracket ends use ``math.gamma``, so the
 feasibility test is exact.
 
 Row i's draws depend only on (seed, i, n_samples) and its own moments.
+``sample`` joins the _BLOCK_ROWS-row blocks of ``sample_blocks``, the one draw loop.
 Continuous families transform standard draws from one shared stream, of
 which row i reads the stretch [i*m, (i+1)*m) for m samples; a fallback
 row reads its stretch of a normal stream keyed to its block of rows.
@@ -36,9 +37,8 @@ FAMILIES = ("normal", "studentt3", "logistic", "laplace", "lognormal", "gumbel",
 # Weibull shape bisection: bracket, tolerance on the moment ratio, cap.
 _WEIBULL_K_LO, _WEIBULL_K_HI, _WEIBULL_TOL, _WEIBULL_MAX_ITER = 0.1, 50.0, 1e-10, 200
 
-# Rows per block: a fallback row's stream is keyed to its block, so this
-# sets sample bytes, apart from `cli._PREDICT_BLOCK_ROWS`; spawn keys of the
-# shared, fallback and discrete-row streams.
+# Rows per block, which set the fallback streams and so sample bytes (not
+# `cli._PREDICT_BLOCK_ROWS`); spawn keys of the three streams.
 _BLOCK_ROWS, _SHARED, _FALLBACK, _ROWS = 256, 0, 1, 2
 # The largest rate numpy's Poisson sampler accepts (int64 max less 10 sqrt of it).
 _POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
@@ -209,45 +209,58 @@ def check_draws(n_samples_out: int, seed: int) -> None:
 def sample(
     moments: PredictiveMoments, spec: DistSpec, n_samples_out: int, seed: int = 0
 ) -> SampleMatrix:
-    """Draw n_samples_out values per row from the matched distribution. No
-    other row's moments or feasibility move row i's draws, and a prefix of
-    the rows reproduces (module docstring)."""
+    """Draw n_samples_out values per row from the matched distribution."""
+    check_draws(n_samples_out, seed)  # before np.empty refuses a negative count
+    out = np.empty((n_samples_out, len(moments.mu)))
+    fallback_rows, blocks = sample_blocks(moments, spec, n_samples_out, seed, out)
+    list(blocks)  # each block is drawn into its columns of out
+    return SampleMatrix(samples=out, seed=seed, fallback_rows=fallback_rows)
+
+
+def sample_blocks(moments: PredictiveMoments, spec: DistSpec, n_samples_out: int,
+                  seed: int = 0, out: np.ndarray | None = None):
+    """`sample`'s count of rows that fall back to normal, and an iterator over
+    its draws one (n_samples_out, rows) block at a time in row order, each
+    written into its columns of ``out`` if given: a caller need not hold all."""
     check_draws(n_samples_out, seed)
     mu, var = np.asarray(moments.mu, np.float64), np.asarray(moments.var, np.float64)
     family, m = spec.family, n_samples_out
     params, ok = _match(family, mu, var)
-    out = np.empty((m, len(mu)))
     shared = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_SHARED,)))
     row_rng, seek = _row_streams(seed)
     draw = row_rng.poisson if family == "poisson" else row_rng.negative_binomial
-    for b, start in enumerate(range(0, len(mu), _BLOCK_ROWS)):
-        rows = slice(start, start + _BLOCK_ROWS)
-        block, p = out[:, rows], {name: value[rows] for name, value in params.items()}
-        size = block.shape[::-1]  # (rows, m): each row's stretch is contiguous
-        if family not in _STANDARD:
-            feasible = np.flatnonzero(ok[rows])
-            for i in feasible.tolist():
-                seek(start + i)
-                block[:, i] = draw(*(value[i] for value in p.values()), m)
-        else:
-            name, *args = _STANDARD[family]
-            z = getattr(shared, name)(*args, size=size).T
-            # Infeasible rows' values are overwritten by the fallback below.
-            with np.errstate(all="ignore"):
-                if family == "weibull":
-                    np.power(z, 1.0 / p["shape"], out=block)
-                    block *= p["scale"]
-                else:
-                    loc, scale = p.values()  # lognormal: (mean, sigma) of the log
-                    np.multiply(z, scale, out=block)
-                    block += loc
-                    if family == "lognormal":
-                        np.exp(block, out=block)
-        bad = np.flatnonzero(~ok[rows])
-        if bad.size:
-            key = np.random.SeedSequence(seed, spawn_key=(_FALLBACK, b))
-            z = np.random.default_rng(key).standard_normal(size)[bad].T
-            block[:, bad] = mu[rows][bad] + np.sqrt(var[rows][bad]) * z
-    if spec.clamp_nonneg:
-        np.maximum(out, 0.0, out=out)
-    return SampleMatrix(samples=out, seed=seed, fallback_rows=int(np.sum(~ok)))
+
+    def blocks():
+        for b, start in enumerate(range(0, len(mu), _BLOCK_ROWS)):
+            rows = slice(start, start + _BLOCK_ROWS)
+            p = {name: value[rows] for name, value in params.items()}
+            block = np.empty((m, len(ok[rows]))) if out is None else out[:, rows]
+            size = block.shape[::-1]  # (rows, m): each row's stretch is contiguous
+            if family not in _STANDARD:
+                for i in np.flatnonzero(ok[rows]).tolist():
+                    seek(start + i)
+                    block[:, i] = draw(*(value[i] for value in p.values()), m)
+            else:
+                name, *args = _STANDARD[family]
+                z = getattr(shared, name)(*args, size=size).T
+                # Infeasible rows' values are overwritten by the fallback below.
+                with np.errstate(all="ignore"):
+                    if family == "weibull":
+                        np.power(z, 1.0 / p["shape"], out=block)
+                        block *= p["scale"]
+                    else:
+                        loc, scale = p.values()  # lognormal: (mean, sigma) of the log
+                        np.multiply(z, scale, out=block)
+                        block += loc
+                        if family == "lognormal":
+                            np.exp(block, out=block)
+            bad = np.flatnonzero(~ok[rows])
+            if bad.size:
+                key = np.random.SeedSequence(seed, spawn_key=(_FALLBACK, b))
+                z = np.random.default_rng(key).standard_normal(size)[bad].T
+                block[:, bad] = mu[rows][bad] + np.sqrt(var[rows][bad]) * z
+            if spec.clamp_nonneg:
+                np.maximum(block, 0.0, out=block)
+            yield block
+
+    return int(np.sum(~ok)), blocks()

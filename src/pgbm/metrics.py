@@ -12,7 +12,9 @@ can score the learned (mu, var) without sampling.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -42,8 +44,6 @@ def crps_empirical(samples: np.ndarray, y: float) -> float:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ValueError("samples must be a 1-D vector")
-    if samples.size == 0:
-        raise EmptySamples("need at least one sample")
     return float(crps_empirical_rows(samples[:, None], np.array([y]))[0])
 
 
@@ -60,8 +60,8 @@ def crps_empirical_rows(samples: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise LengthMismatch(
             f"sample matrix has {samples.shape[1]} rows, y has {y.shape[0]}"
         )
-    # One work matrix: |samples - y| for term1, then the sorted samples.
-    work = samples - y[None, :]
+    # One work matrix, C-ordered whatever the layout: |samples - y|, then sorted.
+    work = np.subtract(samples, y[None, :], order="C")
     term1 = np.mean(np.abs(work, out=work), axis=0)
     np.copyto(work, samples)
     work.sort(axis=0)
@@ -72,12 +72,23 @@ def crps_empirical_rows(samples: np.ndarray, y: np.ndarray) -> np.ndarray:
     return term1 - term2
 
 
-def mean_crps(samples: np.ndarray, y: np.ndarray) -> float:
-    """The mean over rows of `crps_empirical_rows`. Like `rmse`, it is inf
-    or nan where it overflows, without numpy's warning; `MetricReport`
-    refuses such a score."""
+def mean_crps(blocks: Iterable[np.ndarray], y: np.ndarray) -> float:
+    """The mean over rows of `crps_empirical_rows` of the sample matrix whose
+    column blocks, in row order, are ``blocks``, bit for bit for any blocks.
+    As `rmse`, inf or nan, unwarned, where it overflows (`MetricReport` refuses it)."""
+    crps, stop, held = np.empty(len(y)), 0, None
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.mean(crps_empirical_rows(samples, y)))
+        # numpy sums one column pairwise, more column by column: join a 1-wide block.
+        for block in itertools.chain(blocks, [None]):
+            if held is not None and block is not None and 1 in (held.shape[1], block.shape[1]):
+                block = np.concatenate((held, block), axis=1)
+            elif held is not None:
+                start, stop = stop, stop + held.shape[1]
+                crps[start:stop] = crps_empirical_rows(held, y[start:stop])
+            held = block
+        if stop != len(y):
+            raise LengthMismatch(f"sample matrix has {stop} rows, y has {len(y)}")
+        return float(np.mean(crps))
 
 
 def rmse(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -215,7 +226,7 @@ def hierarchical_report(
 
     def score(y_part: np.ndarray, pred_part: np.ndarray) -> float:
         if metric == "crps":
-            return mean_crps(pred_part, y_part)
+            return mean_crps([pred_part], y_part)
         point = pred_part if pred_part.ndim == 1 else np.mean(pred_part, axis=0)
         return rmse(y_part, point)
 

@@ -3,12 +3,14 @@
 The format is line-oriented UTF-8 (`pgbmfmt v1`): a header, a fixed
 sequence of `key = value` scalars, one `edges` line per feature, then
 per-tree blocks of `node` and `leaf` lines. All reals are rendered with
-repr(), the shortest decimal that round-trips the double exactly, so
-save -> load -> save is byte-identical and reloaded models predict
-bit-for-bit the same. Child references inside a node line use N<id> for
-split nodes and L<id> for leaves. The loader reads exactly the layout
-``save`` writes: scalars in order, then each tree's node lines and leaf
-lines in id order. Anything else raises CorruptModel.
+repr(), the shortest decimal that round-trips the double exactly, so a
+file that ``save`` wrote is byte-identical after load -> save, and
+reloaded models predict bit-for-bit the same. Child references inside a
+node line use N<id> for split nodes and L<id> for leaves. The loader
+reads exactly the layout ``save`` writes: scalars in order, then each
+tree's node lines and leaf lines in id order. Anything else raises
+CorruptModel; a number that int() or float() reads in another spelling
+(``1``, ``-0``, ``9223372036854775808``) loads, and saves as repr() has it.
 """
 
 from __future__ import annotations

@@ -128,16 +128,16 @@ class Tree(Value, eq=False):
         if n_leaves != n_nodes + 1:
             raise ValueError(f"{n_nodes} nodes need {n_nodes + 1} leaves, got {n_leaves}")
         seen: set[int] = set()
+        child = lambda ref: f"node {ref}" if ref >= 0 else f"leaf {~ref}"
         links = zip(self.nodes["left"].tolist(), self.nodes["right"].tolist())
         for node_id, children in enumerate(links):
             for ref in children:
-                child = f"node {ref}" if ref >= 0 else f"leaf {~ref}"
                 if not -n_leaves <= ref < n_nodes:
-                    raise ValueError(f"node {node_id} references missing child {child}")
+                    raise ValueError(f"node {node_id} references missing child {child(ref)}")
                 if 0 <= ref <= node_id:
-                    raise ValueError(f"{child} does not follow its parent node {node_id}")
+                    raise ValueError(f"{child(ref)} does not follow its parent node {node_id}")
                 if ref in seen:
-                    raise ValueError(f"{child} is referenced more than once")
+                    raise ValueError(f"{child(ref)} is referenced more than once")
                 seen.add(ref)
 
 

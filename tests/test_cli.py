@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pgbm
-from pgbm import DistSpec, load_csv, predict_moments, sample
+from pgbm import DistSpec, crps_empirical_rows, load_csv, predict_moments, sample
 from pgbm.model_io import load as load_model
 from pgbm import _reprs, _shares, cli, errors
 from pgbm.cli import main
@@ -834,6 +834,34 @@ class TestEvaluate:
         )
         assert code == 2
 
+    def test_flat_crps_holds_no_second_matrix(self, workspace, tmp_path, monkeypatch, capsys):
+        """Without --hierarchy, evaluate scores the parsed file's rows in
+        blocks: scoring adds less than one (n_samples, rows) float64 matrix
+        to the traced memory that the parsed file holds."""
+        data = write_csv(tmp_path / "rows.csv", make_regression(65, 3000, 2))
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(workspace["model"]), "--data", str(data),
+                     "--out", str(pred), "--n-samples", "400"]) == 0
+        read = cli._read_predictions
+        held = []
+
+        def reading(path):
+            result = read(path)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return result
+
+        monkeypatch.setattr(cli, "_read_predictions", reading)
+        tracemalloc.start()
+        try:
+            code = main(["evaluate", "--pred", str(pred), "--actual", str(data),
+                         "--target", "y", "--metrics", "crps"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak - held[0] < 400 * 3000 * 8
+
     def test_hierarchy_breakdown_rows(self, workspace, predictions, tmp_path, capsys):
         hierarchy = tmp_path / "h.txt"
         members = ",".join(str(i) for i in range(80))
@@ -1051,6 +1079,47 @@ class TestSweep:
             code = main(["evaluate", "--pred", str(pred), "--actual", data, "--target", "y",
                          "--metrics", metric])
             assert (code, *capsys.readouterr()) == (2, "", "error: metric value must be finite\n")
+
+    @pytest.mark.parametrize("rows", [1, 257, 513])
+    def test_cell_is_the_whole_matrix_score(self, workspace, tmp_path, capsys, rows):
+        """Sweep scores each block of draws as it comes, with the bits of
+        the whole sample matrix's score, a last block of one row included.
+        The last row's target lies far out, so that its score moves the
+        mean: summed alone, a lone column's draws would round otherwise."""
+        table = make_regression(63, rows, 2)
+        table.target[-1] = 1e3 + 1 / 3
+        data = write_csv(tmp_path / "rows.csv", table)
+        code = main(["sweep", "--model", str(workspace["model"]), "--data", str(data),
+                     "--target", "y", "--dists", "normal,negativebinomial", "--rhos", "0.1",
+                     "--n-samples", "50", "--seed", "5"])
+        assert code == 0
+        cells = capsys.readouterr().out.splitlines()[1:-1]
+        table = load_csv(data, "y")
+        moments = predict_moments(load_model(workspace["model"]), table, rho=0.1)
+        expected = []
+        for family in ("normal", "negativebinomial"):
+            draws = sample(moments, DistSpec(family), 50, seed=5).samples
+            with np.errstate(over="ignore", invalid="ignore"):
+                crps = float(np.mean(crps_empirical_rows(draws, table.target)))
+            expected.append(f"{family},0.1,{crps!r}")
+        assert cells == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_holds_no_sample_matrix(self, workspace, tmp_path, monkeypatch, capsys, workers):
+        """Sweep's traced peak stays below one (n_samples, rows) float64
+        matrix, in one process and in the calling process's share."""
+        data = write_csv(tmp_path / "rows.csv", make_regression(64, 3000, 2))
+        use_workers(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--model", str(workspace["model"]), "--data", str(data),
+                         "--target", "y", "--dists", "normal,laplace", "--rhos", "0,0.05",
+                         "--n-samples", "400"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < 400 * 3000 * 8
 
     def test_holds_no_per_tree_matrix(self, workspace, tmp_path, capsys):
         """Sweep's traced peak stays below one (trees, rows) float64 matrix:

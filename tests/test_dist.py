@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgbm import (
@@ -491,6 +491,38 @@ class TestSampling:
         moments = PredictiveMoments(np.array([4.0]), np.array([6.0]))
         with pytest.raises(ValueError, match="seed must be nonnegative, got -5"):
             sample(moments, DistSpec(family=family), 10, seed=-5)
+
+
+class TestSampleBlocks:
+    """`sample_blocks` is `sample`'s one draw loop: its blocks of rows,
+    joined, are `sample`'s matrix, bit for bit."""
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=15)
+    @given(n=st.sampled_from([1, 255, 256, 257, 700]), data=st.data())
+    def test_joined_blocks_are_the_sample_matrix(self, family, clamp, n, data):
+        rng = np.random.default_rng(n)
+        mu, var = rng.uniform(-1.0, 6.0, n), rng.uniform(0.0, 9.0, n)
+        # Rows that the positive families cannot match, some at block edges.
+        edges = [i for i in (0, 254, 255, 256, 257, 511, 512, n - 1) if i < n]
+        rows = st.one_of(st.sampled_from(edges), st.integers(0, n - 1))
+        mu[data.draw(st.lists(rows, max_size=6))] = -2.0
+        spec = DistSpec(family, clamp_nonneg=clamp)
+        whole = sample(moments(mu, var), spec, 5, seed=6)
+        fallback_rows, blocks = dist.sample_blocks(moments(mu, var), spec, 5, seed=6)
+        blocks = list(blocks)
+        assert [b.shape for b in blocks] == [(5, min(256, n - k)) for k in range(0, n, 256)]
+        assert np.concatenate(blocks, axis=1).tobytes() == whole.samples.tobytes()
+        assert fallback_rows == whole.fallback_rows
+        if family in ("lognormal", "weibull", "poisson", "negativebinomial"):
+            assert fallback_rows >= np.sum(mu == -2.0)
+
+    def test_checks_its_arguments_when_called(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            dist.sample_blocks(moments([1.0], [1.0]), DistSpec(), 5, seed=-1)
+        with pytest.raises(ValueError, match="mu and var must be finite"):
+            dist.sample_blocks(moments([np.nan], [1.0]), DistSpec(), 5)
 
 
 class TestDistSpec:

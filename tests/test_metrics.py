@@ -22,7 +22,7 @@ from pgbm import (
     rmse,
 )
 from pgbm.errors import EmptySamples, LengthMismatch
-from pgbm.metrics import _group_sums, erf
+from pgbm.metrics import _group_sums, erf, mean_crps
 
 _math_erf = np.frompyfunc(math.erf, 1, 1)
 EPS = np.finfo(np.float64).eps
@@ -111,6 +111,41 @@ class TestCrpsEmpirical:
             score_biased = crps_empirical_rows(biased, y).mean()
             wins += score_good < score_biased
         assert wins >= 95
+
+
+class TestMeanCrps:
+    """`mean_crps` of a matrix given in column blocks is the mean of its
+    whole-matrix row scores, bit for bit, however it is cut."""
+
+    @given(
+        n=st.integers(1, 40),
+        cuts=st.lists(st.integers(1, 39), max_size=8),
+        fortran=st.booleans(),
+    )
+    def test_any_blocks_give_the_whole_matrix_bits(self, n, cuts, fortran):
+        rng = np.random.default_rng(n)
+        samples = rng.lognormal(size=(17, n)) * 10.0 ** rng.integers(-3, 4, n)
+        y = rng.normal(size=n)
+        whole = float(np.mean(crps_empirical_rows(samples, y)))
+        if fortran:  # evaluate's blocks: column views of a row-major file
+            samples = np.ascontiguousarray(samples.T).T
+        blocks = np.hsplit(samples, sorted({c for c in cuts if c < n}))
+        assert mean_crps(iter(blocks), y) == whole
+
+    @pytest.mark.parametrize("n", [1, 2, 257])
+    def test_row_scores_do_not_depend_on_the_layout(self, n):
+        rng = np.random.default_rng(7)
+        samples = rng.normal(size=(300, n)) * 1e3
+        y = rng.normal(size=n)
+        expected = crps_empirical_rows(samples, y)
+        fortran = np.asfortranarray(samples)
+        assert crps_empirical_rows(fortran, y).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("columns, rows", [(3, 5), (5, 3)])
+    def test_blocks_that_miss_rows_are_refused(self, columns, rows):
+        blocks = np.hsplit(np.zeros((4, columns)), [2])
+        with pytest.raises(LengthMismatch):
+            mean_crps(blocks, np.zeros(rows))
 
 
 class TestCrpsNormal:

@@ -490,17 +490,17 @@ class TestSweepFailures:
     def test_a_cell_raises_in_a_child(self, files, fork_log, monkeypatch, tmp_path, capsys, case):
         make, code = ERRORS[case]
         parent = os.getpid()
-        sample = cli.sample
+        sample_blocks = cli.sample_blocks
         scored_here = []
 
-        def failing_sample(moments, spec, *args):
+        def failing_sample_blocks(moments, spec, *args):
             if os.getpid() == parent:
                 scored_here.append(spec.family)
             if spec.family == "laplace":
                 raise make()
-            return sample(moments, spec, *args)
+            return sample_blocks(moments, spec, *args)
 
-        monkeypatch.setattr(cli, "sample", failing_sample)
+        monkeypatch.setattr(cli, "sample_blocks", failing_sample_blocks)
         outcomes, scored = [], []
         for n in (1, 2):
             use_workers(monkeypatch, n)
@@ -557,17 +557,17 @@ class TestSweepFailures:
         self, files, fork_log, monkeypatch, capsys
     ):
         parent = os.getpid()
-        sample = cli.sample
+        sample_blocks = cli.sample_blocks
         scored_here = []
 
-        def interrupted_sample(*args):
+        def interrupted_sample_blocks(*args):
             if os.getpid() == parent:
                 scored_here.append(args[1].family)
                 raise KeyboardInterrupt
             time.sleep(60)
-            return sample(*args)
+            return sample_blocks(*args)
 
-        monkeypatch.setattr(cli, "sample", interrupted_sample)
+        monkeypatch.setattr(cli, "sample_blocks", interrupted_sample_blocks)
         use_workers(monkeypatch, 3)
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
