@@ -67,7 +67,7 @@ MAX_SAMPLE_COLUMNS = 10_000
 # Most rho values one `sweep --rhos` list or range may give.
 MAX_RHO_VALUES = 1_000
 # Rows per block of predict output, the unit that predict's shares split,
-# formatted and written one at a time; flat evaluate's CRPS blocks too.
+# formatted and written one at a time.
 _PREDICT_BLOCK_ROWS = 256
 # One scored sweep cell as a worker hands it back: its CRPS and the rows
 # that fell back to normal.
@@ -357,7 +357,7 @@ def _read_predictions(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     raw = load_csv(path, target_column=None)
     if raw.feature_names[:3] != ["row", "mu", "var"]:
         raise ParseError(0, 0, f"{path} does not look like predict output")
-    return raw.features[:, 1].copy(), raw.features[:, 3:].T if raw.f > 3 else None
+    return raw.features[:, 1], raw.features[:, 3:].T if raw.f > 3 else None
 
 
 def _actual_targets(path: str, target: str | None) -> np.ndarray:
@@ -379,8 +379,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_unique("--metrics", requested)
 
     mu, samples = _read_predictions(args.pred)
-    if args.hierarchy and samples is not None:  # level sums need a C-ordered copy,
-        samples = np.ascontiguousarray(samples)  # after which the parsed file is freed
     y = _actual_targets(args.actual, args.target)
     if len(y) != len(mu):
         raise LengthMismatch(
@@ -395,14 +393,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 "crps needs sample columns; rerun predict without --point-only"
             )
         pred = samples if name == "crps" else mu
-        if hierarchy is not None:
-            report = hierarchical_report(y, pred, hierarchy, metric=name)
-        elif name == "crps":
-            blocks = np.hsplit(samples, range(_PREDICT_BLOCK_ROWS, len(y), _PREDICT_BLOCK_ROWS))
-            report = MetricReport(name="crps", value=mean_crps(blocks, y), n=len(y))
-        else:
-            report = MetricReport(name="rmse", value=rmse(y, mu), n=len(y))
-        lines.extend(report_rows(report))
+        lines.extend(report_rows(hierarchical_report(y, pred, hierarchy, metric=name)))
 
     print("\n".join(lines))
     if args.out is not None:

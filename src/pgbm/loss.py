@@ -59,8 +59,9 @@ class GradHess(Value):
 class HierarchyLevel(Value):
     """One aggregation level: a weight and a partition of the sample rows.
 
-    ``identity=True`` marks the level where every sample is its own
-    group; its groups are generated on the fly and ``groups`` stays None.
+    A level is exactly one of two kinds: ``groups`` maps each group key to
+    its member rows, or ``identity=True`` (with ``groups`` left None) makes
+    every sample its own group, generated on the fly.
     """
 
     weight: float
@@ -70,6 +71,8 @@ class HierarchyLevel(Value):
     def __post_init__(self):
         if not (np.isfinite(self.weight) and self.weight >= 0):
             raise ValueError("level weights must be finite and nonnegative")
+        if self.identity == (self.groups is not None):
+            raise ValueError("a level takes exactly one of identity=True or groups")
 
 
 class HierarchySpec(Value):
@@ -107,7 +110,7 @@ class HierarchySpec(Value):
 
     def _resolve(self, level: int, n: int) -> tuple[np.ndarray, list[str]]:
         spec = self.levels[level]
-        if spec.identity or spec.groups is None:
+        if spec.identity:
             return np.arange(n), [str(i) for i in range(n)]
         ids = np.full(n, -1, dtype=np.int64)
         keys = list(spec.groups)
@@ -126,6 +129,23 @@ class HierarchySpec(Value):
             missing = int(np.argwhere(ids == -1)[0][0])
             raise ValueError(f"row {missing} belongs to no group of level {level}")
         return ids, keys
+
+    def group_sums(self, level: int, values: np.ndarray) -> np.ndarray:
+        """Sum the last axis of ``values`` over each group of one level.
+
+        A vector [n] gives [n_groups]. A sample matrix (m, n), of any memory
+        layout, gives (m, n_groups) with its paths kept aligned: path s of a
+        group sums its members' path-s values. One ``bincount`` per path, so
+        nothing larger than the result is built, and every group sum is the
+        exact sequential sum of its members in row order.
+        """
+        ids, keys = self.group_ids(level, values.shape[-1])
+        if values.ndim == 1:
+            return np.bincount(ids, weights=values, minlength=len(keys))
+        sums = np.empty((len(values), len(keys)))
+        for out, path in zip(sums, values):
+            out[:] = np.bincount(ids, weights=path, minlength=len(keys))
+        return sums
 
 
 def mse_gradhess(y: np.ndarray, yhat: np.ndarray) -> GradHess:
@@ -161,8 +181,8 @@ def hier_wmse_gradhess(
     with np.errstate(all="ignore"):  # an overflow is inf or NaN; the grower refuses it
         residual = y - yhat
         for a, level in enumerate(spec.levels):
-            ids, keys = spec.group_ids(a, n)
-            group_residual = np.bincount(ids, weights=residual, minlength=len(keys))
+            ids, _ = spec.group_ids(a, n)
+            group_residual = spec.group_sums(a, residual)
             g -= 2.0 * level.weight * group_residual[ids]
             weight_sum += level.weight
             total += level.weight * float(np.sum(group_residual**2))

@@ -35,6 +35,9 @@ _ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
            3.54937778887819891062e2, 9.75708501743205489753e2, 1.82390916687909736289e3,
            2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
 
+# Rows per block that `hierarchical_report` scores CRPS in; any width gives the same bits.
+_CRPS_BLOCK_ROWS = 256
+
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -181,38 +184,23 @@ def report_rows(report: MetricReport) -> list[str]:
     return rows
 
 
-def _group_sums(values: np.ndarray, ids: np.ndarray, n_groups: int) -> np.ndarray:
-    """Sum the last axis of ``values`` by group, in row order.
-
-    A vector [n] gives [n_groups]; a sample matrix (m, n) gives
-    (m, n_groups) and keeps paths aligned: path s of a group is the sum
-    of its members' path-s draws. One bincount over the flat keys
-    ``ids + n_groups * path`` does both, so no (n, n_groups) matrix is
-    built, and every group sum is the exact sequential sum of its
-    members in row order.
-    """
-    rows = np.atleast_2d(values)
-    keys = ids + n_groups * np.arange(rows.shape[0])[:, None]
-    sums = np.bincount(
-        keys.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * n_groups
-    )
-    return sums.reshape(values.shape[:-1] + (n_groups,))
-
-
 def hierarchical_report(
     y: np.ndarray,
     pred: np.ndarray,
-    spec: HierarchySpec,
+    spec: HierarchySpec | None = None,
     metric: str = "rmse",
 ) -> MetricReport:
-    """Score a metric globally and per aggregation level.
+    """Score a metric globally and, given a ``spec``, per aggregation level.
 
-    ``pred`` is a point vector [n] for rmse or a sample matrix (m, n)
-    for crps (rmse on a sample matrix scores the per-row sample means).
-    Per level, targets and predictions are summed over each group, as
-    exact sequential sums in row order, and the metric is scored across
-    that level's groups. An identity level scores the rows themselves,
-    which is the global score.
+    ``pred`` is a point vector [n] for rmse or a sample matrix (m, n) for
+    crps (rmse on a sample matrix scores the per-row sample means). CRPS
+    goes through `mean_crps` over blocks of 256 rows, so a matrix of any
+    memory layout is read in place, never copied, and scores the bits of
+    the whole matrix. Per level, targets and predictions are summed over
+    each group (`HierarchySpec.group_sums`) and the metric is scored
+    across that level's groups. An identity level scores the rows
+    themselves, which is the global score. Without a spec the report
+    holds the global score only.
     """
     y = np.asarray(y, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
@@ -226,29 +214,21 @@ def hierarchical_report(
 
     def score(y_part: np.ndarray, pred_part: np.ndarray) -> float:
         if metric == "crps":
-            return mean_crps([pred_part], y_part)
+            starts = range(0, len(y_part), _CRPS_BLOCK_ROWS)
+            return mean_crps((pred_part[:, s : s + _CRPS_BLOCK_ROWS] for s in starts), y_part)
         point = pred_part if pred_part.ndim == 1 else np.mean(pred_part, axis=0)
         return rmse(y_part, point)
 
     value = score(y, pred)
+    if spec is None:
+        return MetricReport(metric, value, n)
     breakdown: dict[str, float] = {}
     breakdown_n: dict[str, int] = {}
     for a, level in enumerate(spec.levels):
         if level.identity:
-            breakdown[str(a)] = value
-            breakdown_n[str(a)] = n
-            continue
-        ids, keys = spec.group_ids(a, n)
-        n_groups = len(keys)
-        breakdown[str(a)] = score(
-            _group_sums(y, ids, n_groups), _group_sums(pred, ids, n_groups)
-        )
-        breakdown_n[str(a)] = n_groups
-
-    return MetricReport(
-        name=metric,
-        value=value,
-        n=n,
-        breakdown=breakdown,
-        breakdown_n=breakdown_n,
-    )
+            breakdown[str(a)], breakdown_n[str(a)] = value, n
+        else:
+            y_sums = spec.group_sums(a, y)
+            breakdown[str(a)] = score(y_sums, spec.group_sums(a, pred))
+            breakdown_n[str(a)] = len(y_sums)
+    return MetricReport(metric, value, n, breakdown, breakdown_n)

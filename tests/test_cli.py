@@ -862,6 +862,39 @@ class TestEvaluate:
         assert code == 0, capsys.readouterr().err
         assert peak - held[0] < 400 * 3000 * 8
 
+    @pytest.mark.parametrize("rows", [1, 257, 513])
+    def test_hierarchy_adds_rows_to_the_flat_report(self, workspace, tmp_path, capsys, rows):
+        """Evaluate scores in row blocks with and without --hierarchy: the
+        global rows of both runs are the same bytes, and the crps is the
+        whole sample matrix's score, a last block of one row included. The
+        last row's target lies far out, so that its score moves the mean."""
+        table = make_regression(66, rows, 2)
+        table.target[-1] = 1e3 + 1 / 3
+        data = write_csv(tmp_path / "rows.csv", table)
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(workspace["model"]), "--data", str(data),
+                     "--out", str(pred), "--n-samples", "50", "--seed", "5"]) == 0
+        hierarchy = tmp_path / "h.txt"
+        hierarchy.write_text(
+            "levels=3\nlevel 0 weight=1 identity\nlevel 1 weight=0.5\n"
+            + "".join(f"group g{k}: {','.join(map(str, range(k, rows, 3)))}\n"
+                      for k in range(min(3, rows)))
+            + f"level 2 weight=0.1\ngroup all: {','.join(map(str, range(rows)))}\n",
+            encoding="utf-8",
+        )
+        evaluate = ["evaluate", "--pred", str(pred), "--actual", str(data), "--target", "y"]
+        capsys.readouterr()
+        assert main(evaluate) == 0
+        flat = capsys.readouterr().out.splitlines()
+        assert main([*evaluate, "--hierarchy", str(hierarchy)]) == 0
+        grouped = capsys.readouterr().out.splitlines()
+        assert len(grouped) == len(flat) + 2 * 3
+        global_rows = ("metric,", "crps,global,", "rmse,global,")
+        assert [line for line in grouped if line.startswith(global_rows)] == flat
+        samples = load_csv(pred, None).features[:, 3:].T
+        crps = float(np.mean(crps_empirical_rows(samples, load_csv(data, "y").target)))
+        assert flat[1] == f"crps,global,all,{crps!r},{rows}"
+
     def test_hierarchy_breakdown_rows(self, workspace, predictions, tmp_path, capsys):
         hierarchy = tmp_path / "h.txt"
         members = ",".join(str(i) for i in range(80))

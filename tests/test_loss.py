@@ -190,6 +190,32 @@ class TestHierarchySpecValidation:
         with pytest.raises(IndexOutOfRange):
             spec.group_ids(0, 3)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"groups": None, "identity": False},
+            {"groups": {"a": np.array([0, 1]), "b": np.array([2])}, "identity": True},
+            {"groups": {}, "identity": True},
+        ],
+        ids=["neither", "neither_given", "both", "both_with_no_groups"],
+    )
+    def test_a_level_is_exactly_one_of_identity_or_groups(self, fields):
+        """Groups beside identity=True used to be ignored, and a level with
+        neither was silently the identity."""
+        with pytest.raises(ValueError, match="exactly one of identity=True or groups"):
+            HierarchyLevel(1.0, **fields)
+
+    def test_each_kind_leaves_the_other_field_at_its_default(self):
+        assert HierarchyLevel(1.0, identity=True).groups is None
+        assert HierarchyLevel(1.0, {"a": np.array([0])}).identity is False
+
+    def test_a_level_with_identity_and_group_lines_is_a_parse_error(self):
+        text = "levels=1\nlevel 0 weight=1 identity\ngroup all: 0,1\n"
+        with pytest.raises(ParseError, match="outside a non-identity level") as info:
+            parse_hierarchy(text)
+        assert info.value.row == 3
+
     def test_identity_group_ids(self):
         spec = HierarchySpec([HierarchyLevel(weight=1.0, identity=True)])
         ids, keys = spec.group_ids(0, 4)

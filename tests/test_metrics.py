@@ -22,7 +22,7 @@ from pgbm import (
     rmse,
 )
 from pgbm.errors import EmptySamples, LengthMismatch
-from pgbm.metrics import _group_sums, erf, mean_crps
+from pgbm.metrics import erf, mean_crps
 
 _math_erf = np.frompyfunc(math.erf, 1, 1)
 EPS = np.finfo(np.float64).eps
@@ -386,6 +386,22 @@ def loop_group_sums(values, ids, n_groups):
     return out.reshape(values.shape[:-1] + (n_groups,))
 
 
+def spec_of(ids, n_groups):
+    """An identity level and the level that puts row i in group ids[i]."""
+    groups = {str(g): np.flatnonzero(ids == g) for g in range(n_groups)}
+    return HierarchySpec(
+        [HierarchyLevel(weight=1.0, identity=True), HierarchyLevel(weight=0.5, groups=groups)]
+    )
+
+
+def layouts(samples):
+    """The same sample matrix row-major, column-major, and as evaluate
+    reads it: the transposed sample columns of a row-major file."""
+    file = np.zeros((samples.shape[1], samples.shape[0] + 3))
+    file[:, 3:] = samples.T
+    return {"C": samples, "F": np.asfortranarray(samples), "file": file[:, 3:].T}
+
+
 @st.composite
 def grouped_values(draw):
     n = draw(st.integers(1, 24))
@@ -404,32 +420,66 @@ def grouped_values(draw):
 
 
 class TestGroupSums:
-    @given(grouped_values())
-    def test_equals_sequential_per_group_loop(self, case):
+    """`HierarchySpec.group_sums`, the one group-sum rule of the loss and
+    the reports."""
+
+    @given(grouped_values(), st.sampled_from(["C", "F", "file"]))
+    def test_equals_sequential_per_group_loop(self, case, layout):
         values, ids, n_groups = case
-        sums = _group_sums(values, ids, n_groups)
+        expected = loop_group_sums(values, ids, n_groups)
+        if values.ndim == 2:
+            values = layouts(values)[layout]
+        sums = spec_of(ids, n_groups).group_sums(1, values)
         assert sums.shape == values.shape[:-1] + (n_groups,)
-        np.testing.assert_array_equal(sums, loop_group_sums(values, ids, n_groups))
+        np.testing.assert_array_equal(sums, expected)
 
     def test_crps_report_allocates_no_dense_one_hot(self):
+        """Nor a key matrix or a copy of the samples: the report's traced
+        peak stays below the sample matrix, in every layout."""
         n, n_groups, m = 4000, 1000, 20
         rng = np.random.default_rng(42)
         y = rng.normal(size=n)
-        samples = rng.normal(size=(m, n))
-        spec = HierarchySpec(
-            [
-                HierarchyLevel(weight=1.0, identity=True),
-                HierarchyLevel(
-                    weight=0.5,
-                    groups={str(g): np.arange(g, n, n_groups) for g in range(n_groups)},
-                ),
-            ]
-        )
-        tracemalloc.start()
-        try:
-            hierarchical_report(y, samples, spec, metric="crps")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # An (n, n_groups) one-hot alone would take 32 MB here.
-        assert peak < 10 * samples.nbytes
+        spec = spec_of(np.arange(n) % n_groups, n_groups)
+        for samples in layouts(rng.normal(size=(m, n))).values():
+            tracemalloc.start()
+            try:
+                hierarchical_report(y, samples, spec, metric="crps")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # An (n, n_groups) one-hot alone would take 32 MB here.
+            assert peak < samples.nbytes
+
+
+class TestCrpsReportLayouts:
+    """A crps report reads its sample matrix in 256-row blocks, in place:
+    every layout gives the bits of the whole matrix's row scores, with
+    and without levels, a last block one row wide included."""
+
+    @given(
+        n=st.sampled_from([1, 255, 256, 257, 513]),
+        m=st.integers(1, 6),
+        n_groups=st.none() | st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_layout_gives_the_whole_matrix_bits(self, n, m, n_groups, seed):
+        rng = np.random.default_rng(seed)
+        samples = rng.lognormal(size=(m, n)) * 10.0 ** rng.integers(-3, 4, n)
+        y = rng.normal(size=n)
+        ids = rng.integers(0, n_groups or 1, n)
+        spec = None if n_groups is None else spec_of(ids, n_groups)
+        reports = {
+            name: hierarchical_report(y, matrix, spec, metric="crps")
+            for name, matrix in layouts(samples).items()
+        }
+        assert len(set(map(repr, reports.values()))) == 1
+        report = reports["C"]
+        assert report.value == float(np.mean(crps_empirical_rows(samples, y)))
+        if spec is None:
+            assert report.breakdown is None
+        else:
+            level_rows = crps_empirical_rows(
+                loop_group_sums(samples, ids, n_groups), loop_group_sums(y, ids, n_groups)
+            )
+            assert report.breakdown == {"0": report.value, "1": float(np.mean(level_rows))}
+            assert report.breakdown_n == {"0": n, "1": n_groups}

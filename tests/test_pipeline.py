@@ -49,17 +49,27 @@ def tables(draw, n_rows: int, n_features: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def hierarchy(rows: int, groups: int, weight: float) -> str:
+    """An identity level and a level of ``groups`` strided groups of rows."""
+    return "".join(
+        ["levels=2\n", "level 0 weight=1 identity\n", f"level 1 weight={weight!r}\n"]
+        + [f"group g{k}: {','.join(map(str, range(k, rows, groups)))}\n"
+           for k in range(min(groups, rows))]
+    )
+
+
 @st.composite
 def pipelines(draw) -> dict:
     """Input files and each command's flags. A flag value that names a
     file (``*.csv``, ``*.txt``) stands for that file in the run's
-    directory."""
+    directory. Half of the pipelines draw a hierarchy: train's loss uses
+    it, and one with the same groups over the test file's rows breaks
+    down evaluate's report."""
     n = draw(st.integers(1, 30))
     n_features = draw(st.integers(1, 3))
-    files = {
-        "train.csv": draw(tables(n, n_features)),
-        "test.csv": draw(tables(draw(st.integers(1, 30)), n_features)),
-    }
+    train_table = draw(tables(n, n_features))
+    n_test = draw(st.integers(1, 30))
+    files = {"train.csv": train_table, "test.csv": draw(tables(n_test, n_features))}
     seed = ["--seed", str(draw(st.sampled_from([0, 2**63 - 1])))]
     train = [
         *seed,
@@ -72,15 +82,14 @@ def pipelines(draw) -> dict:
         "--bagging-fraction", repr(draw(st.sampled_from([1.0, 0.5, 1e-9]))),  # 1e-9: one row
         "--feature-fraction", repr(draw(st.sampled_from([1.0, 0.5]))),
     ]
+    evaluate = []
     if draw(st.booleans()):
         groups = draw(st.integers(1, 3))
         weight = draw(st.sampled_from([0.0, 1.0, 1e300]))
-        files["hierarchy.txt"] = "".join(
-            ["levels=2\n", "level 0 weight=1 identity\n", f"level 1 weight={weight!r}\n"]
-            + [f"group g{k}: {','.join(map(str, range(k, n, groups)))}\n"
-               for k in range(min(groups, n))]
-        )
+        files["hierarchy.txt"] = hierarchy(n, groups, weight)
+        files["test_hierarchy.txt"] = hierarchy(n_test, groups, weight)
         train += ["--loss", "hierwmse", "--hierarchy", "hierarchy.txt"]
+        evaluate += ["--hierarchy", "test_hierarchy.txt"]
     if draw(st.booleans()):
         train += ["--valid", "test.csv", "--valid-metric", draw(st.sampled_from(["rmse", "crps"]))]
         if draw(st.booleans()):
@@ -93,7 +102,7 @@ def pipelines(draw) -> dict:
     sweep = [*seed, "--dists", ",".join(dists),
              "--rhos", draw(st.sampled_from(["0", "0,0.5", "-1,1"])),
              "--n-samples", str(draw(st.integers(1, 4)))]
-    evaluate = ["--metrics", "rmse" if point_only else "crps,rmse"]
+    evaluate += ["--metrics", "rmse" if point_only else "crps,rmse"]
     return {"files": files, "train": train, "predict": predict, "evaluate": evaluate,
             "sweep": sweep}
 

@@ -122,9 +122,10 @@ CASES = {
     "HierarchyLevel": (
         HierarchyLevel,
         ("weight", "groups", "identity"),
-        lambda: (1.0,),
-        {"groups": None, "identity": False},
-        {"identity": True},
+        # A level is identity or has groups, so no default-only level exists.
+        lambda: (1.0, None, True),
+        {},
+        {"weight": 2.0},
     ),
     "HierarchySpec": (
         HierarchySpec,
