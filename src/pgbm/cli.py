@@ -42,7 +42,7 @@ from .boost import (
     train,
 )
 from .data import OutputFile, RawDataset, load_csv, read_text, write_lines
-from .dist import FAMILIES, DistSpec, check_draws, check_seed, sample, sample_blocks
+from .dist import FAMILIES, DistSpec, check_draws, check_seed, sample_blocks
 from .errors import DuplicateColumn, LengthMismatch, MissingColumn, ParseError, PgbmError
 from .loss import hier_wmse_gradhess, load_hierarchy, mse_gradhess
 from .metrics import (
@@ -59,6 +59,7 @@ from .model_io import save as save_model
 from .tree import TreeConfig
 
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterator
     from _typeshed import SupportsWrite
 
     Cell = tuple[DistSpec, float]
@@ -67,7 +68,7 @@ MAX_SAMPLE_COLUMNS = 10_000
 # Most rho values one `sweep --rhos` list or range may give.
 MAX_RHO_VALUES = 1_000
 # Rows per block of predict output, the unit that predict's shares split,
-# formatted and written one at a time.
+# drawn, formatted and written one at a time; any size gives the same bytes.
 _PREDICT_BLOCK_ROWS = 256
 # One scored sweep cell as a worker hands it back: its CRPS and the rows
 # that fell back to normal.
@@ -309,17 +310,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
     moments = predict_moments(model, data, rho=rho)
 
     header = ["row", "mu", "var"]
-    matrix = None
+    draws = None
     if not args.point_only:
         spec = DistSpec(family=args.dist, clamp_nonneg=args.clamp_nonneg)
-        result = sample(moments, spec, args.n_samples, args.seed)
-        _warn_fallback(result.fallback_rows, args.dist)
-        matrix = result.samples
+        fallback_rows, draws = sample_blocks(moments, spec, args.n_samples, args.seed,
+                                             _PREDICT_BLOCK_ROWS)
+        _warn_fallback(fallback_rows, args.dist)
         header.extend(f"s{j}" for j in range(args.n_samples))
 
     out_dir = os.path.dirname(os.path.abspath(args.out))
     with OutputFile(args.out) as out:
-        _write_predictions(out, header, moments, matrix, out_dir)
+        _write_predictions(out, header, moments, draws, out_dir)
     print(f"wrote {args.out} ({data.n} rows)")
     return 0
 
@@ -328,13 +329,15 @@ def _write_predictions(
     out: SupportsWrite[bytes],
     header: list[str],
     moments: PredictiveMoments,
-    matrix: np.ndarray | None,
+    draws: Callable[[int, np.ndarray], Iterator[np.ndarray]] | None,
     tmpdir: str,
 ) -> None:
     """Write predict's CSV: the header, then `row,mu,var,s0,...` per row
     with the bytes of repr() for every real, formatted in numpy (see
     `_reprs`). Runs of blocks of rows are formatted on every CPU (see
-    `_shares`; workers' text waits in ``tmpdir``), one block at a time."""
+    `_shares`; workers' text waits in ``tmpdir``), one block at a time.
+    ``draws``, the ``blocks`` of `sample_blocks` in `_PREDICT_BLOCK_ROWS`
+    rows, draws each run's blocks into one table that the run formats."""
     from . import _reprs  # only predict pays for its tables
 
     out.write((",".join(header) + "\n").encode())
@@ -343,12 +346,15 @@ def _write_predictions(
     shares = [blocks[len(blocks) * k // n : len(blocks) * (k + 1) // n] for k in range(n)]
 
     def write_blocks(starts: range, file: SupportsWrite[bytes]) -> None:
+        table = np.empty((_PREDICT_BLOCK_ROWS, len(header) - 1))  # a block's mu, var, draws
+        drawn = None if draws is None else draws(starts.start // _PREDICT_BLOCK_ROWS, table.T[2:])
         for start in starts:
             stop = start + _PREDICT_BLOCK_ROWS
-            columns = [moments.mu[start:stop], moments.var[start:stop]]
-            if matrix is not None:
-                columns.append(matrix[:, start:stop].T)
-            file.write(_reprs.rows(start, np.column_stack(columns)))
+            rows = table[: len(moments.mu[start:stop])]
+            rows[:, 0], rows[:, 1] = moments.mu[start:stop], moments.var[start:stop]
+            if drawn is not None:
+                next(drawn)  # into rows[:, 2:]
+            file.write(_reprs.rows(start, rows))
 
     _shares.write(out, shares, write_blocks, tmpdir)
 
@@ -466,7 +472,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec, rho = cell
         fallback_rows, blocks = sample_blocks(moments_by_rho[rho], spec, args.n_samples, args.seed)
         # evaluate's check: a score that is not finite fails the command
-        crps = MetricReport(name="crps", value=mean_crps(blocks, data.target), n=data.n)
+        crps = MetricReport(name="crps", value=mean_crps(blocks(), data.target), n=data.n)
         return crps.value, fallback_rows
 
     # A fork costs about as much as scoring one cell, so each share holds a

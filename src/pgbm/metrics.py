@@ -193,14 +193,15 @@ def hierarchical_report(
     """Score a metric globally and, given a ``spec``, per aggregation level.
 
     ``pred`` is a point vector [n] for rmse or a sample matrix (m, n) for
-    crps (rmse on a sample matrix scores the per-row sample means). CRPS
-    goes through `mean_crps` over blocks of 256 rows, so a matrix of any
-    memory layout is read in place, never copied, and scores the bits of
-    the whole matrix. Per level, targets and predictions are summed over
-    each group (`HierarchySpec.group_sums`) and the metric is scored
-    across that level's groups. An identity level scores the rows
-    themselves, which is the global score. Without a spec the report
-    holds the global score only.
+    crps (rmse on a sample matrix scores the per-row sample means). A
+    matrix is read in place, never copied, in blocks of 256 rows, so any
+    memory layout gives the same bits: CRPS goes through `mean_crps` and
+    scores the bits of the whole matrix; a row's mean sums its draws in
+    order, as `np.mean` does in a C-ordered matrix of two rows or more.
+    Per level, targets and predictions are summed over each group
+    (`HierarchySpec.group_sums`) and the metric is scored across that
+    level's groups. An identity level scores the rows themselves, which is
+    the global score. Without a spec the report holds the global score only.
     """
     y = np.asarray(y, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
@@ -211,13 +212,19 @@ def hierarchical_report(
         raise ValueError("crps needs a sample matrix, not a point vector")
     if pred.ndim not in (1, 2) or pred.shape[-1] != n:
         raise LengthMismatch(f"predictions do not align with {n} targets")
+    if pred.ndim == 2 and not len(pred):
+        raise EmptySamples("need at least one sample")
 
     def score(y_part: np.ndarray, pred_part: np.ndarray) -> float:
+        starts = range(0, len(y_part), _CRPS_BLOCK_ROWS)
+        blocks = [pred_part[..., s : s + _CRPS_BLOCK_ROWS] for s in starts]
         if metric == "crps":
-            starts = range(0, len(y_part), _CRPS_BLOCK_ROWS)
-            return mean_crps((pred_part[:, s : s + _CRPS_BLOCK_ROWS] for s in starts), y_part)
-        point = pred_part if pred_part.ndim == 1 else np.mean(pred_part, axis=0)
-        return rmse(y_part, point)
+            return mean_crps(blocks, y_part)
+        if pred_part.ndim == 2:  # each row's draws summed in order
+            pred_part = np.empty(len(y_part))
+            for s, block in zip(starts, blocks):
+                pred_part[s : s + _CRPS_BLOCK_ROWS] = np.add.accumulate(block)[-1] / len(block)
+        return rmse(y_part, pred_part)
 
     value = score(y, pred)
     if spec is None:

@@ -12,6 +12,9 @@ import sys
 import numpy as np
 
 import pgbm
+import pgbm.cli
+import pgbm.dist
+import pgbm.model_io
 import pgbm.tree
 
 PUBLIC = {
@@ -187,6 +190,22 @@ def test_traced_grower_functions_keep_their_bound_parameters():
         assert params <= signature.parameters.keys(), name
     assert isinstance(pgbm.tree.NodeHistogram.g, property)
 
+
+def test_traced_predict_save_and_sample_keep_their_bound_parameters():
+    # benchmarks/tracing.py also binds predict's ``args`` (its output bytes,
+    # through ``args.out``), a saved model's ``path`` (its bytes) and a
+    # sample call's ``spec`` (its family) and result fields (its draws,
+    # rows and fallback rows). A renamed one would break only trace mode.
+    bound = {pgbm.cli.cmd_predict: {"args"}, pgbm.model_io.save: {"path"},
+             pgbm.dist.sample: {"spec"}}
+    for fn, params in bound.items():
+        assert params <= inspect.signature(fn).parameters.keys(), fn.__name__
+    parser, _ = pgbm.cli._build_parser()
+    args = parser.parse_args(["predict", "--model", "m", "--data", "d", "--out", "o"])
+    assert args.out == "o"
+    moments = pgbm.PredictiveMoments(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+    result = pgbm.dist.sample(moments, pgbm.DistSpec("lognormal"), 3)
+    assert (result.samples.size, result.samples.shape[1], result.fallback_rows) == (6, 2, 1)
 
 def test_readme_quickstart_runs(tmp_path, monkeypatch):
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pgbm
-from pgbm import DistSpec, crps_empirical_rows, load_csv, predict_moments, sample
+from pgbm import FAMILIES, DistSpec, crps_empirical_rows, load_csv, predict_moments, sample
 from pgbm.model_io import load as load_model
 from pgbm import _reprs, _shares, cli, errors
 from pgbm.cli import main
@@ -524,19 +524,20 @@ class TestPredict:
         out = tmp_path / "missing" / "pred.csv"
         assert self.predict(workspace, out) == 3
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
         "extra",
-        [["--n-samples", "6"], ["--point-only"], ["--n-samples", "6", "--dist", "poisson"],
-         ["--n-samples", "6", "--clamp-nonneg"]],
-        ids=["normal", "point_only", "poisson", "clamp_nonneg"],
+        [["--point-only"], ["--n-samples", "6", "--clamp-nonneg"]]
+        + [["--n-samples", "6", "--dist", family] for family in FAMILIES],
+        ids=["point_only", "clamp_nonneg", *FAMILIES],
     )
     def test_blocks_write_the_whole_file_bytes(
         self, workspace, tmp_path, monkeypatch, extra, workers
     ):
         # 80 rows in blocks of 7: eleven full blocks and a partial one. Two
-        # workers take six blocks each. Each block is formatted two rows (at
-        # most 20 values) at a time, so chunks end inside blocks.
+        # workers take six blocks each, and each worker draws its own
+        # blocks. Each block is formatted two rows (at most 20 values) at a
+        # time, so chunks end inside blocks.
         monkeypatch.setattr(cli, "_PREDICT_BLOCK_ROWS", 7)
         monkeypatch.setattr(_reprs, "_CHUNK_VALUES", 20)
         use_workers(monkeypatch, workers)
@@ -547,10 +548,16 @@ class TestPredict:
         moments = predict_moments(model, load_csv(workspace["test_csv"], "y"))
         header = ["row", "mu", "var"]
         if "--point-only" not in extra:
-            family = "poisson" if "poisson" in extra else "normal"
+            family = extra[-1] if "--dist" in extra else "normal"
             spec = DistSpec(family, clamp_nonneg="--clamp-nonneg" in extra)
-            draws = sample(moments, spec, 6, 3).samples
+            result = sample(moments, spec, 6, 3)
+            draws = result.samples
             header.extend(f"s{j}" for j in range(6))
+            if family in ("lognormal", "weibull", "poisson"):
+                # Rows that fall back to normal, at both edges of blocks.
+                fell = np.flatnonzero(moments.mu <= 0)
+                assert result.fallback_rows == len(fell)
+                assert {0, 6} <= set(fell % 7)
         lines = [",".join(header)]
         for i in range(len(moments.mu)):
             cells = [str(i), repr(float(moments.mu[i])), repr(float(moments.var[i]))]
@@ -609,6 +616,25 @@ class TestPredict:
         assert self.predict(workspace, out, ["--n-samples", "5"]) == 0
         assert capsys.readouterr().err == ""
 
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_holds_no_sample_matrix(self, workspace, tmp_path, monkeypatch, capsys, workers):
+        """Predict's traced peak stays below one (n_samples, rows) float64
+        matrix, in one process and in the calling process's share: each
+        share draws its own blocks as it writes them."""
+        data = write_csv(tmp_path / "rows.csv", make_regression(64, 3000, 2))
+        out = tmp_path / "pred.csv"
+        use_workers(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            code = main(["predict", "--model", str(workspace["model"]), "--data", str(data),
+                         "--out", str(out), "--dist", "lognormal", "--n-samples", "400"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert len(read_lines(out)) == 3001
+        assert peak < 400 * 3000 * 8, peak
 
 @pytest.fixture(scope="module")
 def predictions(workspace, tmp_path_factory):

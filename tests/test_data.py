@@ -8,6 +8,7 @@ import math
 import os
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pgbm import (
     compute_bin_edges,
     load_csv,
 )
-from pgbm import _shares
+from pgbm import _shares, cli
 from pgbm.boost import PredictiveMoments
 from pgbm.cli import _write_predictions
 from pgbm.data import read_text, write_lines
@@ -51,6 +52,23 @@ def simple_dataset(values, max_bins=None):
     if max_bins is None:
         return data
     return compute_bin_edges(data, max_bins)
+
+
+def draws_of(samples):
+    """predict's draws (see `cli._write_predictions`) from a whole sample
+    matrix, each block of `cli._PREDICT_BLOCK_ROWS` rows copied into the
+    writer's table; None for None."""
+    if samples is None:
+        return None
+    rows = cli._PREDICT_BLOCK_ROWS
+
+    def draws(first, out):
+        for start in range(first * rows, samples.shape[1], rows):
+            block = samples[:, start : start + rows]
+            out[:, : block.shape[1]] = block
+            yield out[:, : block.shape[1]]
+
+    return draws
 
 
 class TestLoadCsv:
@@ -412,7 +430,7 @@ class TestCReaderTaken:
         header = ["row", "mu", "var"] + [f"s{j}" for j in range(20)]
         path = tmp_path / "pred.csv"
         with open(path, "wb") as out:
-            _write_predictions(out, header, moments, samples, str(tmp_path))
+            _write_predictions(out, header, moments, draws_of(samples), str(tmp_path))
         loaded = load_csv(path, None)
         expected = np.column_stack([np.arange(300), moments.mu, moments.var, samples.T])
         assert loaded.features.tobytes() == expected.tobytes()
@@ -529,13 +547,14 @@ class TestWriteLines:
     )
     @example(np.array([[0.0, -0.0, TINY, -TINY], [HUGE, -HUGE, 1e-310, NORMAL]]))
     def test_predict_rows_round_trip_bit_identical(self, tmp_path_factory, table):
-        """Columns of ``table`` are mu, var and the sample draws."""
+        """Columns of ``table`` are mu, var and the sample draws, written in
+        blocks of two rows."""
         path = tmp_path_factory.mktemp("round_trip") / "pred.csv"
         moments = PredictiveMoments(mu=table[:, 0], var=table[:, 1])
         samples = np.ascontiguousarray(table[:, 2:].T) if table.shape[1] > 2 else None
         header = ["row", "mu", "var"] + [f"s{j}" for j in range(table.shape[1] - 2)]
-        with open(path, "wb") as out:
-            _write_predictions(out, header, moments, samples, str(path.parent))
+        with open(path, "wb") as out, mock.patch.object(cli, "_PREDICT_BLOCK_ROWS", 2):
+            _write_predictions(out, header, moments, draws_of(samples), str(path.parent))
         loaded = load_csv(path, None)
         assert loaded.feature_names == header
         expected = np.column_stack([np.arange(len(table)), table])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from unittest import mock
 
@@ -495,28 +496,70 @@ class TestSampling:
 
 class TestSampleBlocks:
     """`sample_blocks` is `sample`'s one draw loop: its blocks of rows,
-    joined, are `sample`'s matrix, bit for bit."""
+    joined, are `sample`'s matrix, bit for bit, from any first block and
+    in blocks of any size."""
 
-    @pytest.mark.parametrize("clamp", [False, True])
-    @pytest.mark.parametrize("family", FAMILIES)
-    @settings(max_examples=15)
-    @given(n=st.sampled_from([1, 255, 256, 257, 700]), data=st.data())
-    def test_joined_blocks_are_the_sample_matrix(self, family, clamp, n, data):
+    @staticmethod
+    def case(n, data):
         rng = np.random.default_rng(n)
         mu, var = rng.uniform(-1.0, 6.0, n), rng.uniform(0.0, 9.0, n)
         # Rows that the positive families cannot match, some at block edges.
         edges = [i for i in (0, 254, 255, 256, 257, 511, 512, n - 1) if i < n]
         rows = st.one_of(st.sampled_from(edges), st.integers(0, n - 1))
         mu[data.draw(st.lists(rows, max_size=6))] = -2.0
+        return mu, var
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=15)
+    @given(n=st.sampled_from([1, 255, 256, 257, 700]), data=st.data())
+    def test_joined_blocks_are_the_sample_matrix(self, family, clamp, n, data):
+        mu, var = self.case(n, data)
         spec = DistSpec(family, clamp_nonneg=clamp)
         whole = sample(moments(mu, var), spec, 5, seed=6)
         fallback_rows, blocks = dist.sample_blocks(moments(mu, var), spec, 5, seed=6)
-        blocks = list(blocks)
+        blocks = list(blocks())
         assert [b.shape for b in blocks] == [(5, min(256, n - k)) for k in range(0, n, 256)]
         assert np.concatenate(blocks, axis=1).tobytes() == whole.samples.tobytes()
         assert fallback_rows == whole.fallback_rows
         if family in ("lognormal", "weibull", "poisson", "negativebinomial"):
             assert fallback_rows >= np.sum(mu == -2.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=20)
+    @given(
+        n=st.sampled_from([1, 7, 255, 256, 257, 700]),
+        rows=st.sampled_from([1, 3, 7, 255, 256, 257, 300]),
+        clamp=st.booleans(),
+        data=st.data(),
+    )
+    def test_any_first_block_gives_its_columns_of_the_sample_matrix(
+        self, family, n, rows, clamp, data
+    ):
+        """Each iterator starts afresh: two from different blocks, drawn in
+        turns, give the columns of `sample`'s matrix from their first row.
+        The second writes each block into the same given array."""
+        mu, var = self.case(n, data)
+        spec = DistSpec(family, clamp_nonneg=clamp)
+        whole = sample(moments(mu, var), spec, 4, seed=9)
+        fallback_rows, blocks = dist.sample_blocks(moments(mu, var), spec, 4, 9, rows)
+        assert fallback_rows == whole.fallback_rows
+        n_blocks = -(-n // rows)
+        firsts = [data.draw(st.integers(0, n_blocks - 1)) for _ in range(2)]
+        out = np.empty((4, rows))
+        iterators = [blocks(firsts[0]), blocks(firsts[1], out)]
+        drawn = [[], []]
+        for pair in itertools.zip_longest(*iterators):
+            for k, block in enumerate(pair):
+                if block is not None:
+                    assert np.shares_memory(block, out) == (k == 1)
+                    drawn[k].append(block.copy())
+        for first, part in zip(firsts, drawn):
+            assert [b.shape[1] for b in part] == [
+                min(rows, n - start) for start in range(first * rows, n, rows)
+            ]
+            expected = np.ascontiguousarray(whole.samples[:, first * rows :])
+            assert np.concatenate(part, axis=1).tobytes() == expected.tobytes()
 
     def test_checks_its_arguments_when_called(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):

@@ -483,3 +483,48 @@ class TestCrpsReportLayouts:
             )
             assert report.breakdown == {"0": report.value, "1": float(np.mean(level_rows))}
             assert report.breakdown_n == {"0": n, "1": n_groups}
+
+
+def sequential_means(samples):
+    """Each row's mean, its draws summed one after another in order."""
+    total = samples[0].copy()
+    for draws in samples[1:]:
+        total += draws
+    return total / len(samples)
+
+
+class TestRmseReportLayouts:
+    """An rmse report on a sample matrix sums each row's draws in order,
+    reading 256-row blocks in place: every layout gives the same bits,
+    those of `np.mean` on the C-ordered matrix, with and without levels."""
+
+    @given(
+        n=st.sampled_from([1, 2, 255, 256, 257, 513]),
+        m=st.integers(1, 40),
+        n_groups=st.none() | st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_layout_gives_the_same_bits(self, n, m, n_groups, seed):
+        rng = np.random.default_rng(seed)
+        # Mixed magnitudes make the summation order visible in the last bits.
+        samples = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-3, 4, (m, n))
+        y = rng.normal(size=n)
+        ids = rng.integers(0, n_groups or 1, n)
+        spec = None if n_groups is None else spec_of(ids, n_groups)
+        reports = {
+            name: hierarchical_report(y, matrix, spec, metric="rmse")
+            for name, matrix in layouts(samples).items()
+        }
+        assert len(set(map(repr, reports.values()))) == 1
+        report = reports["C"]
+        means = sequential_means(samples)
+        assert report.value == rmse(y, means)
+        if n >= 2:  # one row alone numpy sums pairwise
+            assert means.tobytes() == np.mean(samples, axis=0).tobytes()
+        if spec is not None:
+            level_means = sequential_means(loop_group_sums(samples, ids, n_groups))
+            assert report.breakdown["1"] == rmse(loop_group_sums(y, ids, n_groups), level_means)
+
+    def test_an_empty_sample_matrix_is_refused(self):
+        with pytest.raises(EmptySamples):
+            hierarchical_report(np.zeros(3), np.zeros((0, 3)), metric="rmse")

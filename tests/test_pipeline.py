@@ -14,13 +14,14 @@ import contextlib
 import io
 import re
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgbm import FAMILIES
+from pgbm import FAMILIES, cli
 from pgbm.cli import main
 from pgbm.model_io import load as load_model
 
@@ -107,9 +108,10 @@ def pipelines(draw) -> dict:
             "sweep": sweep}
 
 
-def run(root: Path, argv: list[str], out: str) -> int:
+def run(root: Path, argv: list[str], out: str) -> tuple[int, str, list[str]]:
     """Run one command, with file names made paths under ``root``, and
-    check how it ended; ``out`` names its output file."""
+    check how it ended; ``out`` names its output file. Gives the exit
+    code, stdout and stderr's lines."""
     argv = [str(root / arg) if arg.endswith((".csv", ".txt")) else arg for arg in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -123,21 +125,31 @@ def run(root: Path, argv: list[str], out: str) -> int:
         assert code in (2, 3), (code, errors)
         assert len(errors) == 1 and errors[0].startswith("error: "), errors
         assert not (root / out).exists()
-    return code
+    return code, printed, errors
 
 
-def run_pipeline(pipeline: dict) -> None:
+def run_pipeline(pipeline: dict, workers: Callable[[int], None] | None = None) -> None:
+    """Run the pipeline; given ``workers``, which sets the number of
+    workers, predict runs in two and again in one, with the same outcome
+    and bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, text in pipeline["files"].items():
             (root / name).write_text(text, encoding="utf-8")
         train = ["train", "--data", "train.csv", "--target", "y", "--model-out", "model.txt"]
-        if run(root, [*train, *pipeline["train"]], "model.txt") != 0:
+        if run(root, [*train, *pipeline["train"]], "model.txt")[0] != 0:
             return
         load_model(root / "model.txt")
         model_and_data = ["--model", "model.txt", "--data", "test.csv"]
         predict = ["predict", *model_and_data, "--out", "pred.csv", *pipeline["predict"]]
-        if run(root, predict, "pred.csv") == 0:
+        outcome = run(root, predict, "pred.csv")
+        if workers is not None and outcome[0] == 0:
+            written = (root / "pred.csv").read_bytes()
+            workers(1)
+            assert run(root, predict, "pred.csv") == outcome
+            assert (root / "pred.csv").read_bytes() == written
+            workers(2)
+        if outcome[0] == 0:
             evaluate = ["evaluate", "--pred", "pred.csv", "--actual", "test.csv", "--target", "y",
                         "--out", "report.csv", *pipeline["evaluate"]]
             run(root, evaluate, "report.csv")
@@ -153,7 +165,11 @@ def test_pipeline(pipeline):
 @settings(max_examples=50)
 @given(pipelines())
 def test_pipeline_in_shares(pipeline):
-    """The same, with every read and sweep split over two forked workers."""
+    """The same, with every read, predict's writer and its draws, and sweep
+    split over two forked workers: predict's blocks hold two rows, so a
+    test file of three rows or more is written in two shares. Predict's
+    outcome and bytes are those of one process."""
     with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cli, "_PREDICT_BLOCK_ROWS", 2)
         use_workers(monkeypatch, 2)
-        run_pipeline(pipeline)
+        run_pipeline(pipeline, lambda n: use_workers(monkeypatch, n))

@@ -13,10 +13,9 @@ import os
 import tempfile
 import time
 
-import numpy as np
 import pytest
 
-from pgbm import _shares, cli, data, errors, metrics
+from pgbm import _reprs, _shares, cli, data, errors, metrics
 from pgbm.cli import main
 
 from conftest import load_outcome, make_regression, use_workers
@@ -344,17 +343,17 @@ class TestFailures:
         expected = run(argv, capsys, out)
         assert expected[0] == 0 and expected[2] == ""
         parent = os.getpid()
-        stack = np.column_stack
+        rows = _reprs.rows
         blocks_here = []
 
-        def faulty_stack(*args, **kwargs):
+        def faulty_rows(start, matrix):
             if os.getpid() == parent:
-                blocks_here.append(args)
+                blocks_here.append(start)
             else:
                 fault()
-            return stack(*args, **kwargs)
+            return rows(start, matrix)
 
-        monkeypatch.setattr(np, "column_stack", faulty_stack)
+        monkeypatch.setattr(_reprs, "rows", faulty_rows)
         use_workers(monkeypatch, 2)
         assert run(argv, capsys, out) == expected
         assert len(blocks_here) == N_BLOCKS
@@ -459,8 +458,8 @@ class TestFailures:
 
         parent = os.getpid()
         failing = raising(KeyboardInterrupt if interrupt else ERRORS["usage"][0],
-                          lambda is_parent: is_parent)(sleeping(np.column_stack))
-        monkeypatch.setattr(np, "column_stack", failing)
+                          lambda is_parent: is_parent)(sleeping(_reprs.rows))
+        monkeypatch.setattr(_reprs, "rows", failing)
         use_workers(monkeypatch, 3)
         out = tmp_path / "pred.csv"
         argv = predict_argv(files, out, "--n-samples", "6")
