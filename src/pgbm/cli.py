@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, _shares
+from . import __version__, _shares, dist
 from .boost import (
     BoostConfig,
     PredictiveMoments,
@@ -67,9 +67,6 @@ if TYPE_CHECKING:
 MAX_SAMPLE_COLUMNS = 10_000
 # Most rho values one `sweep --rhos` list or range may give.
 MAX_RHO_VALUES = 1_000
-# Rows per block of predict output, the unit that predict's shares split,
-# drawn, formatted and written one at a time; any size gives the same bytes.
-_PREDICT_BLOCK_ROWS = 256
 # One scored sweep cell as a worker hands it back: its CRPS and the rows
 # that fell back to normal.
 _CELL = struct.Struct("<dq")
@@ -313,8 +310,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     draws = None
     if not args.point_only:
         spec = DistSpec(family=args.dist, clamp_nonneg=args.clamp_nonneg)
-        fallback_rows, draws = sample_blocks(moments, spec, args.n_samples, args.seed,
-                                             _PREDICT_BLOCK_ROWS)
+        fallback_rows, draws = sample_blocks(moments, spec, args.n_samples, args.seed)
         _warn_fallback(fallback_rows, args.dist)
         header.extend(f"s{j}" for j in range(args.n_samples))
 
@@ -329,31 +325,33 @@ def _write_predictions(
     out: SupportsWrite[bytes],
     header: list[str],
     moments: PredictiveMoments,
-    draws: Callable[[int, np.ndarray], Iterator[np.ndarray]] | None,
+    draws: Callable[[int], Iterator[np.ndarray]] | None,
     tmpdir: str,
 ) -> None:
     """Write predict's CSV: the header, then `row,mu,var,s0,...` per row
     with the bytes of repr() for every real, formatted in numpy (see
     `_reprs`). Runs of blocks of rows are formatted on every CPU (see
-    `_shares`; workers' text waits in ``tmpdir``), one block at a time.
-    ``draws``, the ``blocks`` of `sample_blocks` in `_PREDICT_BLOCK_ROWS`
-    rows, draws each run's blocks into one table that the run formats."""
+    `_shares`; workers' text waits in ``tmpdir``), one `dist._BLOCK_ROWS`
+    block at a time. ``draws``, the ``blocks`` of `sample_blocks`, draws
+    each run's blocks from its first, so no process holds all the draws;
+    each block is copied into one table of mu, var and draws."""
     from . import _reprs  # only predict pays for its tables
 
     out.write((",".join(header) + "\n").encode())
-    blocks = range(0, len(moments.mu), _PREDICT_BLOCK_ROWS)
-    n = _shares.count(len(blocks), _PREDICT_BLOCK_ROWS * len(header))
+    size = dist._BLOCK_ROWS
+    blocks = range(0, len(moments.mu), size)
+    n = _shares.count(len(blocks), size * len(header))
     shares = [blocks[len(blocks) * k // n : len(blocks) * (k + 1) // n] for k in range(n)]
 
     def write_blocks(starts: range, file: SupportsWrite[bytes]) -> None:
-        table = np.empty((_PREDICT_BLOCK_ROWS, len(header) - 1))  # a block's mu, var, draws
-        drawn = None if draws is None else draws(starts.start // _PREDICT_BLOCK_ROWS, table.T[2:])
+        table = np.empty((size, len(header) - 1))  # a block's mu, var, draws
+        drawn = None if draws is None else draws(starts.start // size)
         for start in starts:
-            stop = start + _PREDICT_BLOCK_ROWS
+            stop = start + size
             rows = table[: len(moments.mu[start:stop])]
             rows[:, 0], rows[:, 1] = moments.mu[start:stop], moments.var[start:stop]
             if drawn is not None:
-                next(drawn)  # into rows[:, 2:]
+                rows[:, 2:] = next(drawn).T
             file.write(_reprs.rows(start, rows))
 
     _shares.write(out, shares, write_blocks, tmpdir)

@@ -11,12 +11,12 @@ same log-gamma. Only the two bracket ends use ``math.gamma``, so the
 feasibility test is exact.
 
 Row i's draws depend only on (seed, i, n_samples) and its own moments.
-``sample`` joins the blocks of ``sample_blocks``, the one draw loop, which
-matches once and can start at any block of any size. Continuous families
-transform standard draws from one shared stream, of which row i reads the
-stretch [i*m, (i+1)*m) for m samples, so a start past row 0 draws and
-discards those of the rows before it; a fallback row reads its stretch of
-a normal stream keyed to its _BLOCK_ROWS block of rows.
+``sample`` joins the _BLOCK_ROWS-row blocks of ``sample_blocks``, the one
+draw loop, which matches once and can start at any block. Continuous
+families transform standard draws from one shared stream, of which row i
+reads the stretch [i*m, (i+1)*m) for m samples, so a start past row 0
+draws and discards those of the rows before it; a fallback row reads its
+stretch of a normal stream keyed to its block of rows.
 Poisson and negative binomial use a parameter-dependent number of bits,
 so each feasible row i reads a stream of its own: a third ``PCG64``
 stream, advanced by i * 2**64 with ``PCG64.advance``. The ``SeedSequence``
@@ -39,8 +39,8 @@ FAMILIES = ("normal", "studentt3", "logistic", "laplace", "lognormal", "gumbel",
 # Weibull shape bisection: bracket, tolerance on the moment ratio, cap.
 _WEIBULL_K_LO, _WEIBULL_K_HI, _WEIBULL_TOL, _WEIBULL_MAX_ITER = 0.1, 50.0, 1e-10, 200
 
-# Rows per fallback stream, which so set sample bytes (blocks of any size
-# give the same draws); spawn keys of the three streams.
+# Rows per block, which set the fallback streams and so sample bytes, and
+# the unit that predict's shares split; spawn keys of the three streams.
 _BLOCK_ROWS, _SHARED, _FALLBACK, _ROWS = 256, 0, 1, 2
 # The largest rate numpy's Poisson sampler accepts (int64 max less 10 sqrt of it).
 _POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
@@ -214,49 +214,49 @@ def sample(
     """Draw n_samples_out values per row from the matched distribution."""
     check_draws(n_samples_out, seed)  # before np.empty refuses a negative count
     out = np.empty((n_samples_out, len(moments.mu)))
-    fallback_rows, blocks = sample_blocks(moments, spec, n_samples_out, seed, _BLOCK_ROWS)
+    fallback_rows, blocks = sample_blocks(moments, spec, n_samples_out, seed)
     for start, block in zip(range(0, out.shape[1], _BLOCK_ROWS), blocks()):
         out[:, start : start + _BLOCK_ROWS] = block
     return SampleMatrix(samples=out, seed=seed, fallback_rows=fallback_rows)
 
 
 def sample_blocks(moments: PredictiveMoments, spec: DistSpec, n_samples_out: int,
-                  seed: int = 0, rows: int = _BLOCK_ROWS):
+                  seed: int = 0):
     """Match the rows once; give `sample`'s count of rows that fall back to
-    normal, and ``blocks``: ``blocks(first=0, out=None)`` iterates over the
-    draws one (n_samples_out, rows) block at a time from block ``first`` on,
-    each new or, given ``out``, in the first columns of that (n_samples_out,
-    rows) array. It draws and discards the standard draws of earlier rows."""
+    normal, and ``blocks``: ``blocks(first=0)`` iterates over the draws one
+    new (n_samples_out, _BLOCK_ROWS) block at a time from block ``first``
+    on. It draws and discards the standard draws of the earlier rows."""
     check_draws(n_samples_out, seed)
     mu, var = np.asarray(moments.mu, np.float64), np.asarray(moments.var, np.float64)
     family, m = spec.family, n_samples_out
     params, ok = _match(family, mu, var)
     name, *args = _STANDARD.get(family, ("",))
 
-    def blocks(first: int = 0, out: np.ndarray | None = None):
+    def blocks(first: int = 0):
         shared = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_SHARED,)))
         row_rng, seek = _row_streams(seed)
         draw = row_rng.poisson if family == "poisson" else row_rng.negative_binomial
         # numpy writes only standard normal and exponential draws into an array
-        buf = np.empty((rows, m)) if name in ("standard_normal", "standard_exponential") else None
+        into = name in ("standard_normal", "standard_exponential")
+        buf = np.empty((_BLOCK_ROWS, m)) if into else None
 
-        def standard(k: int) -> np.ndarray:  # (k, m): each row's stretch is contiguous
-            into = {} if buf is None else {"out": buf[:k]}
-            return getattr(shared, name)(*args, size=(k, m), **into)
-        starts = range(0, len(mu), rows)
+        def standard(size: tuple[int, int]) -> np.ndarray:
+            into = {} if buf is None else {"out": buf[: size[0]]}
+            return getattr(shared, name)(*args, size=size, **into)
+        starts = range(0, len(mu), _BLOCK_ROWS)
         for _ in starts[:first] if name else ():  # the rows before: drawn, discarded
-            standard(rows)
-        for start in starts[first:]:
-            stop = start + rows
-            p = {key: value[start:stop] for key, value in params.items()}
-            k = len(ok[start:stop])
-            block = np.empty((m, k)) if out is None else out[:, :k]
+            standard((_BLOCK_ROWS, m))
+        for b, start in enumerate(starts[first:], first):
+            rows = slice(start, start + _BLOCK_ROWS)
+            p = {key: value[rows] for key, value in params.items()}
+            block = np.empty((m, len(ok[rows])))
+            size = block.shape[::-1]  # (rows, m): each row's stretch is contiguous
             if not name:
-                for i in np.flatnonzero(ok[start:stop]).tolist():
+                for i in np.flatnonzero(ok[rows]).tolist():
                     seek(start + i)
                     block[:, i] = draw(*(value[i] for value in p.values()), m)
             else:
-                z = standard(k).T
+                z = standard(size).T
                 # Infeasible rows' values are overwritten by the fallback below.
                 with np.errstate(all="ignore"):
                     if family == "weibull":
@@ -268,13 +268,11 @@ def sample_blocks(moments: PredictiveMoments, spec: DistSpec, n_samples_out: int
                         block += loc
                         if family == "lognormal":
                             np.exp(block, out=block)
-            bad = start + np.flatnonzero(~ok[start:stop])
-            for b in np.unique(bad // _BLOCK_ROWS).tolist():
-                here = bad[bad // _BLOCK_ROWS == b]
-                at = here - b * _BLOCK_ROWS
-                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_FALLBACK, b)))
-                z = rng.standard_normal((at[-1] + 1, m))[at].T
-                block[:, here - start] = mu[here] + np.sqrt(var[here]) * z
+            bad = np.flatnonzero(~ok[rows])
+            if bad.size:
+                key = np.random.SeedSequence(seed, spawn_key=(_FALLBACK, b))
+                z = np.random.default_rng(key).standard_normal(size)[bad].T
+                block[:, bad] = mu[rows][bad] + np.sqrt(var[rows][bad]) * z
             if spec.clamp_nonneg:
                 np.maximum(block, 0.0, out=block)
             yield block

@@ -207,6 +207,7 @@ def test_traced_predict_save_and_sample_keep_their_bound_parameters():
     result = pgbm.dist.sample(moments, pgbm.DistSpec("lognormal"), 3)
     assert (result.samples.size, result.samples.shape[1], result.fallback_rows) == (6, 2, 1)
 
+
 def test_readme_quickstart_runs(tmp_path, monkeypatch):
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library quickstart\n", 1)[1]

@@ -12,7 +12,7 @@ import pytest
 import pgbm
 from pgbm import FAMILIES, DistSpec, crps_empirical_rows, load_csv, predict_moments, sample
 from pgbm.model_io import load as load_model
-from pgbm import _reprs, _shares, cli, errors
+from pgbm import _reprs, _shares, cli, dist, errors
 from pgbm.cli import main
 
 from conftest import make_regression, use_workers
@@ -538,7 +538,7 @@ class TestPredict:
         # workers take six blocks each, and each worker draws its own
         # blocks. Each block is formatted two rows (at most 20 values) at a
         # time, so chunks end inside blocks.
-        monkeypatch.setattr(cli, "_PREDICT_BLOCK_ROWS", 7)
+        monkeypatch.setattr(dist, "_BLOCK_ROWS", 7)
         monkeypatch.setattr(_reprs, "_CHUNK_VALUES", 20)
         use_workers(monkeypatch, workers)
         out = tmp_path / "pred.csv"
@@ -635,6 +635,7 @@ class TestPredict:
         assert code == 0, capsys.readouterr().err
         assert len(read_lines(out)) == 3001
         assert peak < 400 * 3000 * 8, peak
+
 
 @pytest.fixture(scope="module")
 def predictions(workspace, tmp_path_factory):

@@ -23,7 +23,7 @@ from pgbm import (
     compute_bin_edges,
     load_csv,
 )
-from pgbm import _shares, cli
+from pgbm import _shares, dist
 from pgbm.boost import PredictiveMoments
 from pgbm.cli import _write_predictions
 from pgbm.data import read_text, write_lines
@@ -56,17 +56,15 @@ def simple_dataset(values, max_bins=None):
 
 def draws_of(samples):
     """predict's draws (see `cli._write_predictions`) from a whole sample
-    matrix, each block of `cli._PREDICT_BLOCK_ROWS` rows copied into the
-    writer's table; None for None."""
+    matrix: its `dist._BLOCK_ROWS`-row blocks from block ``first`` on;
+    None for None."""
     if samples is None:
         return None
-    rows = cli._PREDICT_BLOCK_ROWS
 
-    def draws(first, out):
+    def draws(first):
+        rows = dist._BLOCK_ROWS
         for start in range(first * rows, samples.shape[1], rows):
-            block = samples[:, start : start + rows]
-            out[:, : block.shape[1]] = block
-            yield out[:, : block.shape[1]]
+            yield samples[:, start : start + rows]
 
     return draws
 
@@ -548,17 +546,18 @@ class TestWriteLines:
     @example(np.array([[0.0, -0.0, TINY, -TINY], [HUGE, -HUGE, 1e-310, NORMAL]]))
     def test_predict_rows_round_trip_bit_identical(self, tmp_path_factory, table):
         """Columns of ``table`` are mu, var and the sample draws, written in
-        blocks of two rows."""
+        blocks of the default size and again in blocks of two rows."""
         path = tmp_path_factory.mktemp("round_trip") / "pred.csv"
         moments = PredictiveMoments(mu=table[:, 0], var=table[:, 1])
         samples = np.ascontiguousarray(table[:, 2:].T) if table.shape[1] > 2 else None
         header = ["row", "mu", "var"] + [f"s{j}" for j in range(table.shape[1] - 2)]
-        with open(path, "wb") as out, mock.patch.object(cli, "_PREDICT_BLOCK_ROWS", 2):
-            _write_predictions(out, header, moments, draws_of(samples), str(path.parent))
-        loaded = load_csv(path, None)
-        assert loaded.feature_names == header
         expected = np.column_stack([np.arange(len(table)), table])
-        assert loaded.features.tobytes() == expected.tobytes()
+        for block_rows in (dist._BLOCK_ROWS, 2):
+            with open(path, "wb") as out, mock.patch.object(dist, "_BLOCK_ROWS", block_rows):
+                _write_predictions(out, header, moments, draws_of(samples), str(path.parent))
+            loaded = load_csv(path, None)
+            assert loaded.feature_names == header
+            assert loaded.features.tobytes() == expected.tobytes(), block_rows
 
 
 class TestReadText:

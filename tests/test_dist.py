@@ -497,7 +497,7 @@ class TestSampling:
 class TestSampleBlocks:
     """`sample_blocks` is `sample`'s one draw loop: its blocks of rows,
     joined, are `sample`'s matrix, bit for bit, from any first block and
-    in blocks of any size."""
+    with `_BLOCK_ROWS` set to any size."""
 
     @staticmethod
     def case(n, data):
@@ -537,26 +537,25 @@ class TestSampleBlocks:
         self, family, n, rows, clamp, data
     ):
         """Each iterator starts afresh: two from different blocks, drawn in
-        turns, give the columns of `sample`'s matrix from their first row.
-        The second writes each block into the same given array."""
+        turns, give the columns of `sample`'s matrix from their first row,
+        in blocks of ``rows`` rows, each a new array."""
         mu, var = self.case(n, data)
         spec = DistSpec(family, clamp_nonneg=clamp)
-        whole = sample(moments(mu, var), spec, 4, seed=9)
-        fallback_rows, blocks = dist.sample_blocks(moments(mu, var), spec, 4, 9, rows)
-        assert fallback_rows == whole.fallback_rows
-        n_blocks = -(-n // rows)
-        firsts = [data.draw(st.integers(0, n_blocks - 1)) for _ in range(2)]
-        out = np.empty((4, rows))
-        iterators = [blocks(firsts[0]), blocks(firsts[1], out)]
-        drawn = [[], []]
-        for pair in itertools.zip_longest(*iterators):
-            for k, block in enumerate(pair):
-                if block is not None:
-                    assert np.shares_memory(block, out) == (k == 1)
-                    drawn[k].append(block.copy())
+        with mock.patch.object(dist, "_BLOCK_ROWS", rows):
+            whole = sample(moments(mu, var), spec, 4, seed=9)
+            fallback_rows, blocks = dist.sample_blocks(moments(mu, var), spec, 4, 9)
+            assert fallback_rows == whole.fallback_rows
+            n_blocks = -(-n // rows)
+            firsts = [data.draw(st.integers(0, n_blocks - 1)) for _ in range(2)]
+            drawn = [[], []]
+            for pair in itertools.zip_longest(blocks(firsts[0]), blocks(firsts[1])):
+                for part, block in zip(drawn, pair):
+                    if block is not None:
+                        assert not any(np.shares_memory(block, old) for old in part)
+                        part.append(block)
         for first, part in zip(firsts, drawn):
-            assert [b.shape[1] for b in part] == [
-                min(rows, n - start) for start in range(first * rows, n, rows)
+            assert [b.shape for b in part] == [
+                (4, min(rows, n - start)) for start in range(first * rows, n, rows)
             ]
             expected = np.ascontiguousarray(whole.samples[:, first * rows :])
             assert np.concatenate(part, axis=1).tobytes() == expected.tobytes()

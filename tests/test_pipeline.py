@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgbm import FAMILIES, cli
+from pgbm import FAMILIES, dist
 from pgbm.cli import main
 from pgbm.model_io import load as load_model
 
@@ -166,10 +166,10 @@ def test_pipeline(pipeline):
 @given(pipelines())
 def test_pipeline_in_shares(pipeline):
     """The same, with every read, predict's writer and its draws, and sweep
-    split over two forked workers: predict's blocks hold two rows, so a
-    test file of three rows or more is written in two shares. Predict's
-    outcome and bytes are those of one process."""
+    split over two forked workers: blocks of draws hold two rows, so
+    predict writes a test file of three rows or more in two shares.
+    Predict's outcome and bytes are those of one process."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(cli, "_PREDICT_BLOCK_ROWS", 2)
+        monkeypatch.setattr(dist, "_BLOCK_ROWS", 2)
         use_workers(monkeypatch, 2)
         run_pipeline(pipeline, lambda n: use_workers(monkeypatch, n))

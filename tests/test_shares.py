@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from pgbm import _reprs, _shares, cli, data, errors, metrics
+from pgbm import _reprs, _shares, cli, data, dist, errors, metrics
 from pgbm.cli import main
 
 from conftest import load_outcome, make_regression, use_workers
@@ -92,7 +92,7 @@ def fork_log(monkeypatch, tmp_path):
 def forks(fork_log, monkeypatch):
     """The pids of the children that predict's writer forks (see
     `fork_log`), which splits the test file into `N_BLOCKS` blocks."""
-    monkeypatch.setattr(cli, "_PREDICT_BLOCK_ROWS", BLOCK_ROWS)
+    monkeypatch.setattr(dist, "_BLOCK_ROWS", BLOCK_ROWS)
     return fork_log["write"]
 
 
