@@ -42,7 +42,7 @@ from .boost import (
     train,
 )
 from .data import OutputFile, RawDataset, load_csv, read_text, write_lines
-from .dist import FAMILIES, DistSpec, check_draws, check_seed, sample_blocks
+from .dist import FAMILIES, DistSpec, check_seed, sample_blocks
 from .errors import DuplicateColumn, LengthMismatch, MissingColumn, ParseError, PgbmError
 from .loss import hier_wmse_gradhess, load_hierarchy, mse_gradhess
 from .metrics import (
@@ -246,7 +246,9 @@ def _named_columns(path: str, names: list[str], target: str | None = None) -> Ra
 
 def _check_sampling(n_samples: int, seed: int) -> None:
     """Refuse a sampling request before any file is read."""
-    check_draws(n_samples, seed)
+    if n_samples < 1:
+        raise ValueError(f"--n-samples {n_samples} is below 1")
+    check_seed(seed)
     if n_samples > MAX_SAMPLE_COLUMNS:
         raise ValueError(
             f"--n-samples {n_samples} exceeds the cap of {MAX_SAMPLE_COLUMNS} sample columns"
@@ -334,7 +336,10 @@ def _write_predictions(
     `_shares`; workers' text waits in ``tmpdir``), one `dist._BLOCK_ROWS`
     block at a time. ``draws``, the ``blocks`` of `sample_blocks`, draws
     each run's blocks from its first, so no process holds all the draws;
-    each block is copied into one table of mu, var and draws."""
+    each block is copied into one table of mu, var and draws. Each run's
+    `_reprs.Writer` allocates its buffers once and writes every chunk of
+    text to the run's file as it is made, so a process holds one block
+    of draws, the table and those buffers, never a block's text."""
     from . import _reprs  # only predict pays for its tables
 
     out.write((",".join(header) + "\n").encode())
@@ -345,6 +350,7 @@ def _write_predictions(
 
     def write_blocks(starts: range, file: SupportsWrite[bytes]) -> None:
         table = np.empty((size, len(header) - 1))  # a block's mu, var, draws
+        writer = _reprs.Writer(file, size * len(header))  # a block's cells
         drawn = None if draws is None else draws(starts.start // size)
         for start in starts:
             stop = start + size
@@ -352,7 +358,7 @@ def _write_predictions(
             rows[:, 0], rows[:, 1] = moments.mu[start:stop], moments.var[start:stop]
             if drawn is not None:
                 rows[:, 2:] = next(drawn).T
-            file.write(_reprs.rows(start, rows))
+            writer.rows(start, rows)
 
     _shares.write(out, shares, write_blocks, tmpdir)
 

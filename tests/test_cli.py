@@ -619,10 +619,29 @@ class TestPredict:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_holds_no_sample_matrix(self, workspace, tmp_path, monkeypatch, capsys, workers):
-        """Predict's traced peak stays below one (n_samples, rows) float64
-        matrix, in one process and in the calling process's share: each
-        share draws its own blocks as it writes them."""
+        """Predict's traced peak stays below what the sampler's loop takes
+        while one block of draws is held, plus one block's table of mu,
+        var and draws and the formatter's buffers: no (n_samples, rows)
+        matrix and no block's text, in one process and in the calling
+        process's share."""
         data = write_csv(tmp_path / "rows.csv", make_regression(64, 3000, 2))
+        moments = predict_moments(load_model(workspace["model"]), load_csv(data, "y"))
+        _, blocks = dist.sample_blocks(moments, DistSpec("lognormal"), 400, 0)
+        tracemalloc.start()
+        try:
+            for _ in blocks():  # holds a block while it draws the next
+                pass
+            sampler = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            writer = _reprs.Writer(None, dist._BLOCK_ROWS * 403)
+            formatter = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del writer
+        table = dist._BLOCK_ROWS * 402 * 8
         out = tmp_path / "pred.csv"
         use_workers(monkeypatch, workers)
         tracemalloc.start()
@@ -634,7 +653,7 @@ class TestPredict:
             tracemalloc.stop()
         assert code == 0, capsys.readouterr().err
         assert len(read_lines(out)) == 3001
-        assert peak < 400 * 3000 * 8, peak
+        assert peak < sampler + table + formatter, (peak, sampler, table, formatter)
 
 
 @pytest.fixture(scope="module")
@@ -1432,6 +1451,8 @@ FAILURES = {
         lambda f: _sweep(f, "--seed", "-3", model="absent"), 2, ValueError),
     "zero_samples_absent_model": (
         lambda f: _predict(f, "absent", "--n-samples", "0"), 2, ValueError),
+    "zero_samples_predict": (lambda f: _predict(f, "model", "--n-samples", "0"), 2, ValueError),
+    "zero_samples_sweep": (lambda f: _sweep(f, "--n-samples", "0"), 2, ValueError),
     "csv_not_utf8": (lambda f: _train(f, "not_utf8"), 3, errors.IoError),
     "model_not_utf8": (lambda f: _predict(f, "not_utf8"), 3, errors.IoError),
     "hierarchy_not_utf8": (
@@ -1602,6 +1623,12 @@ class TestErrorPaths:
         assert main(argv) == 2
         seed = argv[argv.index("--seed") + 1]
         assert capsys.readouterr() == ("", f"error: seed must be nonnegative, got {seed}\n")
+        assert not case_files["out"].exists()
+
+    @pytest.mark.parametrize("case", sorted(c for c in FAILURES if c.startswith("zero_samples")))
+    def test_zero_samples_names_the_flag(self, case_files, capsys, case):
+        assert main(FAILURES[case][0](case_files)) == 2
+        assert capsys.readouterr() == ("", "error: --n-samples 0 is below 1\n")
         assert not case_files["out"].exists()
 
     @pytest.mark.parametrize("case", sorted(c for c in FAILURES if c.startswith("overflowing_")))

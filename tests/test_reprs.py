@@ -1,6 +1,9 @@
-"""`_reprs.rows` against its oracle: one ``repr`` per value, joined per row."""
+"""`_reprs.Writer` against its oracle: one ``repr`` per value, joined per row."""
 
 from __future__ import annotations
+
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgbm import _reprs
+from pgbm.cli import MAX_SAMPLE_COLUMNS
 
 
 def oracle(first_row: int, block: np.ndarray) -> bytes:
     lines = enumerate(block.tolist(), first_row)
     return b"".join(f"{i},{','.join(map(repr, r))}\n".encode() for i, r in lines)
+
+
+def formatted(first_row: int, block: np.ndarray, writer: _reprs.Writer | None = None,
+              out: io.BytesIO | None = None) -> bytes:
+    """What ``writer`` (a new one when None, writing to ``out``) writes for
+    the rows of ``block``."""
+    if writer is None:
+        out = io.BytesIO()
+        writer = _reprs.Writer(out, block.size + len(block))
+    start = out.tell()
+    writer.rows(first_row, block)
+    return out.getvalue()[start:]
 
 
 def assert_rows(values, first_row: int = 0, n_cols: int | None = None) -> None:
@@ -21,11 +37,11 @@ def assert_rows(values, first_row: int = 0, n_cols: int | None = None) -> None:
     differs."""
     flat = np.asarray(values, dtype=np.float64).ravel()
     block = flat.reshape(-1, n_cols or len(flat))
-    got = _reprs.rows(first_row, block)
+    got = formatted(first_row, block)
     if got != oracle(first_row, block):
         for i, v in enumerate(block.tolist()):
             one = np.array(v).reshape(1, -1)
-            assert _reprs.rows(first_row + i, one) == oracle(first_row + i, one), v
+            assert formatted(first_row + i, one) == oracle(first_row + i, one), v
         pytest.fail("each row matches alone, but not the block")
 
 
@@ -112,15 +128,75 @@ def test_only_fallback_lanes_call_repr(monkeypatch):
 
     monkeypatch.setattr(_reprs, "repr", counting, raising=False)
     block = np.array(values).reshape(4, 4)
-    assert _reprs.rows(0, block) == oracle(0, block)
+    assert formatted(0, block) == oracle(0, block)
     # Zeros and the last three values are written without repr.
     assert sorted(map(str, called)) == sorted(map(str, values[2:13]))
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 7, 64])
+@pytest.mark.parametrize("chunk", [1, 2, 5, 6, 7, 64])
 def test_chunks_split_a_block_anywhere(monkeypatch, chunk):
+    """Rows of six cells in chunks of fewer cells (split rows), of whole
+    rows, and of several rows with a partial last chunk; each through one
+    writer that takes the block in pieces and then whole."""
     monkeypatch.setattr(_reprs, "_CHUNK_VALUES", chunk)
     rng = np.random.default_rng(7)
     block = rng.normal(0.0, 1e3, (23, 5))
     block[::4, 2] = [np.inf, 0.0, -0.0, 1e-7, 2.5, 1e20]
     assert_rows(block, first_row=98, n_cols=5)
+    out = io.BytesIO()
+    writer = _reprs.Writer(out, block.size + len(block))
+    for start, stop in [(0, 1), (1, 9), (9, 23), (0, 23)]:
+        part = block[start:stop]
+        assert formatted(98 + start, part, writer, out) == oracle(98 + start, part)
+
+
+def mixed_block(rng: np.random.Generator, n_rows: int, n_cols: int) -> np.ndarray:
+    """Rows of values on the fast path (short and long decimals, integers,
+    zeros) and on ``repr``'s (exponents, inf, nan), in every position."""
+    block = rng.normal(0.0, 1.0, (n_rows, n_cols)) * 10.0 ** rng.integers(-3, 15, (n_rows, n_cols))
+    flat = block.ravel()
+    flat[::3] = np.round(flat[::3], 2)
+    flat[1::7] = rng.integers(-10**15, 10**15, len(flat[1::7]))
+    flat[2::11] = 0.0
+    flat[5::17] = -0.0
+    flat[4::13] = rng.choice([np.inf, -np.inf, np.nan, 1e-300, -2.5e17, 9.9e-5], len(flat[4::13]))
+    return block
+
+
+def test_one_writer_reuses_its_buffers_across_widths():
+    """Blocks of 1, 5, 203 and 10,002 columns (predict's widest: mu, var
+    and the most sample columns), wide and narrow in turn, through the
+    same buffers: no chunk keeps a byte of an earlier, wider one. A
+    10,002-column row is wider than a chunk and is split."""
+    rng = np.random.default_rng(8)
+    widest = MAX_SAMPLE_COLUMNS + 2
+    assert widest + 1 > _reprs._CHUNK_VALUES
+    out = io.BytesIO()
+    writer = _reprs.Writer(out, 4 * (widest + 1))
+    for n_rows, n_cols in [(4, widest), (300, 1), (50, 203), (9, 5), (2, widest), (40, 1),
+                           (21, 203)]:
+        block = mixed_block(rng, n_rows, n_cols)
+        assert formatted(7 * n_cols, block, writer, out) == oracle(7 * n_cols, block), n_cols
+
+
+def test_buffers_do_not_grow_with_the_rows():
+    """Formatting 2560 rows takes the traced peak that 256 rows take, to
+    within a few Python objects (a row's text is about 4 kB): the writer
+    holds its buffers and one chunk's text, never a block's text. Every
+    row is the same, so every full chunk's text has one length."""
+    rng = np.random.default_rng(9)
+    block = np.tile(rng.lognormal(0.0, 1.0, 203), (2560, 1))
+
+    class Sink:
+        def write(self, data):
+            return len(data)
+
+    peaks = []
+    for n_rows in (256, 256, 2560):  # the first run fills numpy's caches
+        tracemalloc.start()
+        try:
+            _reprs.Writer(Sink(), 256 * 204).rows(1000, block[:n_rows])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[2] - peaks[1]) < 1024, peaks

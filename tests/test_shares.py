@@ -333,27 +333,37 @@ class TestFailures:
         assert one[2].startswith("error:") and len(one[2].splitlines()) == 1, one[2]
         assert "Traceback" not in one[2]
 
-    def assert_worker_share_done_here(self, files, forks, monkeypatch, tmp_path, capsys, fault):
+    def assert_worker_share_done_here(
+        self, files, forks, monkeypatch, tmp_path, capsys, fault, after_chunks=0
+    ):
         """Predict with two workers, whose worker meets ``fault`` when it
-        formats a block, gives one process's outcome: the calling process
-        formats all twelve blocks, and no file or process is left."""
+        has written ``after_chunks`` chunks of its first block, gives one
+        process's outcome: the calling process formats all twelve blocks,
+        and no file or process is left."""
         out = tmp_path / "pred.csv"
         argv = predict_argv(files, out, "--n-samples", "6")
         use_workers(monkeypatch, 1)
         expected = run(argv, capsys, out)
         assert expected[0] == 0 and expected[2] == ""
         parent = os.getpid()
-        rows = _reprs.rows
+        rows, chunk = _reprs.Writer.rows, _reprs.Writer._chunk
         blocks_here = []
+        chunks_there = []
 
-        def faulty_rows(start, matrix):
+        def counted_rows(writer, start, matrix):
             if os.getpid() == parent:
                 blocks_here.append(start)
-            else:
-                fault()
-            return rows(start, matrix)
+            return rows(writer, start, matrix)
 
-        monkeypatch.setattr(_reprs, "rows", faulty_rows)
+        def faulty_chunk(writer, *args):
+            if os.getpid() != parent:
+                if len(chunks_there) == after_chunks:
+                    fault()
+                chunks_there.append(args)
+            return chunk(writer, *args)
+
+        monkeypatch.setattr(_reprs.Writer, "rows", counted_rows)
+        monkeypatch.setattr(_reprs.Writer, "_chunk", faulty_chunk)
         use_workers(monkeypatch, 2)
         assert run(argv, capsys, out) == expected
         assert len(blocks_here) == N_BLOCKS
@@ -389,6 +399,24 @@ class TestFailures:
             lambda: os.kill(os.getpid(), signal.SIGKILL),
         )
 
+    @pytest.mark.parametrize("kill", [False, True], ids=["raises", "killed"])
+    def test_fault_after_part_of_a_block(self, files, forks, monkeypatch, tmp_path, capsys, kill):
+        """A worker that has written two of the four chunks of its first
+        block and then raises or dies leaves none of its bytes in the file:
+        the calling process writes that share whole."""
+        import signal
+
+        monkeypatch.setattr(_reprs, "_CHUNK_VALUES", 20)  # two rows of nine cells
+
+        def fault():
+            if kill:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ERRORS["usage"][0]()
+
+        self.assert_worker_share_done_here(
+            files, forks, monkeypatch, tmp_path, capsys, fault, after_chunks=2
+        )
+
     @pytest.mark.parametrize("case", sorted(ERRORS))
     def test_a_block_raises_in_every_process(
         self, files, forks, monkeypatch, tmp_path, capsys, case
@@ -396,17 +424,15 @@ class TestFailures:
         """Block 8 of 12, in the worker's share (blocks 6-11), fails in the
         worker and again here: one process's exit code, error line and
         file, which holds blocks 0-7."""
-        from pgbm import _reprs
-
         make, code = ERRORS[case]
-        rows = _reprs.rows
+        rows = _reprs.Writer.rows
 
-        def failing_rows(start, matrix):
+        def failing_rows(writer, start, matrix):
             if start == 8 * BLOCK_ROWS:
                 raise make()
-            return rows(start, matrix)
+            return rows(writer, start, matrix)
 
-        monkeypatch.setattr(_reprs, "rows", failing_rows)
+        monkeypatch.setattr(_reprs.Writer, "rows", failing_rows)
         out = tmp_path / "pred.csv"
         outcomes = []
         for n in (1, 2):
@@ -458,8 +484,8 @@ class TestFailures:
 
         parent = os.getpid()
         failing = raising(KeyboardInterrupt if interrupt else ERRORS["usage"][0],
-                          lambda is_parent: is_parent)(sleeping(_reprs.rows))
-        monkeypatch.setattr(_reprs, "rows", failing)
+                          lambda is_parent: is_parent)(sleeping(_reprs.Writer.rows))
+        monkeypatch.setattr(_reprs.Writer, "rows", failing)
         use_workers(monkeypatch, 3)
         out = tmp_path / "pred.csv"
         argv = predict_argv(files, out, "--n-samples", "6")
